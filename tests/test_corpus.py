@@ -1,0 +1,64 @@
+"""Frozen output corpus: CLI output compared byte for byte with tests/data/.
+
+The files were written by this module's ``__main__`` block and are never
+regenerated to make a change pass: a kernel or assembly change that alters
+one printed digit fails here.  To add a case, append it to CORPUS and run
+
+    PYTHONPATH=src python tests/test_corpus.py
+
+which writes only the files that do not exist yet.
+"""
+
+import contextlib
+import io
+import pathlib
+
+import pytest
+
+from sejoin.cli import main
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+CORPUS = [
+    ("verify-paper.txt", ["verify-paper"]),
+    ("w-bound-12-13-8.json", ["export", "--p", "13", "--q", "8", "--w-bound", "12",
+                              "--format", "json"]),
+    ("w-bound-12-13-8.csv", ["export", "--p", "13", "--q", "8", "--w-bound", "12",
+                             "--format", "csv"]),
+    ("w-bound-12-13-7.json", ["export", "--p", "13", "--q", "7", "--w-bound", "12",
+                              "--format", "json"]),
+    ("w-bound-12-13-7.csv", ["export", "--p", "13", "--q", "7", "--w-bound", "12",
+                             "--format", "csv"]),
+    ("family-t-1-10.json", ["export", "--family-t", "1:10", "--format", "json"]),
+    ("w-1000000007-3-digits-60.json", ["export", "--p", "13", "--q", "8",
+                                       "--w", "1000000007,3", "--digits", "60",
+                                       "--format", "json"]),
+    ("w-5-2-digits-200.json", ["export", "--p", "13", "--q", "8", "--w", "5,2",
+                               "--digits", "200", "--format", "json"]),
+]
+
+
+def _run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("name,argv", CORPUS, ids=[name for name, _ in CORPUS])
+def test_cli_output_matches_corpus(name, argv):
+    code, out = _run(argv)
+    assert code == 0
+    assert out == (DATA / name).read_bytes()
+
+
+if __name__ == "__main__":
+    DATA.mkdir(exist_ok=True)
+    for name, argv in CORPUS:
+        path = DATA / name
+        if not path.exists():
+            code, out = _run(argv)
+            if code != 0:
+                raise SystemExit("%s exited with %d" % (name, code))
+            path.write_bytes(out)
+            print("wrote %s (%d bytes)" % (path, len(out)))
