@@ -181,7 +181,8 @@ def enumerate_joins(sol: YpqEinstein, k_list: Optional[Sequence] = None,
     values or every coprime pair with w_bound >= w1 > w2 >= 1.
 
     Per-item failures (e.g. gluing-pair rejection) become error records
-    rather than aborting the batch.
+    rather than aborting the batch; a failed internal cross-check is kept
+    apart by the prefix "ConsistencyError: " on its error text.
     """
     if (k_list is None) == (w_bound is None):
         raise DomainError("give exactly one of k_list and w_bound")
@@ -200,12 +201,15 @@ def enumerate_joins(sol: YpqEinstein, k_list: Optional[Sequence] = None,
     for w1, w2 in pairs:
         try:
             records.append(_assemble(sol, w1, w2))
-        except DomainError as exc:
+        except (DomainError, ConsistencyError) as exc:
+            error = str(exc)
+            if isinstance(exc, ConsistencyError):
+                error = "ConsistencyError: " + error
             l1, l2 = canonical_l(w1, w2, sol.fano_index)
             records.append(
                 SERecord(
                     ypq=sol, w1=w1, w2=w2, l1=l1, l2=l2,
-                    error=str(exc),
+                    error=error,
                     notes=FIXED_NOTES + ("construction rejected",),
                 )
             )

@@ -11,6 +11,7 @@ exists only for display convenience.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, isqrt
 from typing import Iterable, Union
 
@@ -270,6 +271,17 @@ def sturm_positive_on(p: Polynomial, lo, hi) -> bool:
     return p((lo + hi) / 2) > 0
 
 
+def _scaled_value(coeffs, m: int, d: int) -> int:
+    """d^deg * p(m/d) for p with integer coefficients ``coeffs`` (lowest
+    degree first), by Horner's rule on integers; same sign as p(m/d), d > 0."""
+    acc = coeffs[-1]
+    dpow = d
+    for c in reversed(coeffs[:-1]):
+        acc = acc * m + c * dpow
+        dpow *= d
+    return acc
+
+
 class AlgebraicRoot:
     """A real algebraic number: the unique root of ``poly`` in (lo, hi).
 
@@ -305,20 +317,39 @@ class AlgebraicRoot:
         width = Fraction(width)
         if width <= 0:
             raise DomainError("refinement width must be positive")
-        lo, hi = self.lo, self.hi
-        flo = self.poly(lo)
-        while hi - lo >= width:
-            mid = (lo + hi) / 2
-            fmid = self.poly(mid)
-            if fmid == 0:
+        wn, wd = width.numerator, width.denominator
+        for a, b, d in self._bisection():
+            if a == b:
                 # rational root: collapse to a tiny bracketing interval
-                eps = width / 4
+                mid, eps = Fraction(a, d), width / 4
                 return mid - eps, mid + eps
-            if (flo > 0) != (fmid > 0):
-                hi = mid
+            if (b - a) * wd < wn * d:
+                return Fraction(a, d), Fraction(b, d)
+
+    def _bisection(self):
+        """Yield the bisection intervals of the root as integer triples
+        (a, b, d), meaning (a/d, b/d), starting from (lo, hi).
+
+        Both ends share the denominator d, which doubles at each step, so a
+        step costs one integer Horner evaluation of d^deg * poly(m/d) and no
+        gcd.  A midpoint m/d that is a root ends the sequence with (m, m, d).
+        """
+        coeffs = [int(c) for c in self.poly.coeffs]
+        lo, hi = self.lo, self.hi
+        d = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+        lo_positive = _scaled_value(coeffs, a, d) > 0
+        while True:
+            yield a, b, d
+            m, d = a + b, 2 * d
+            v = _scaled_value(coeffs, m, d)
+            if v == 0:
+                yield m, m, d
+                return
+            if (v > 0) != lo_positive:
+                a, b = 2 * a, m
             else:
-                lo, flo = mid, fmid
-        return lo, hi
+                a, b = m, 2 * b
 
     def decimal_bounds(self, digits: int = 40):
         """Certified decimal enclosure (lo_str, hi_str) with ``digits`` fractional
@@ -334,22 +365,15 @@ class AlgebraicRoot:
         return float((lo + hi) / 2)
 
     def _cmp_fraction(self, x: Fraction) -> int:
-        if self.poly(x) == 0:
-            # x is a rational root of poly; the isolated root is x iff inside
-            if self.lo < x < self.hi:
-                return 0
-        lo, hi = self.lo, self.hi
-        flo = self.poly(lo)
-        while lo < x < hi:
-            mid = (lo + hi) / 2
-            fmid = self.poly(mid)
-            if fmid == 0:
-                return -1 if x > mid else 1
-            if (flo > 0) != (fmid > 0):
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        return -1 if hi <= x else 1
+        xn, xd = x.numerator, x.denominator
+        coeffs = [int(c) for c in self.poly.coeffs]
+        if self.lo < x < self.hi and _scaled_value(coeffs, xn, xd) == 0:
+            # x is a rational root of poly inside the interval: the root itself
+            return 0
+        for a, b, d in self._bisection():
+            # x = xn/xd leaves (a/d, b/d), or the midpoint root (a == b) is not x
+            if not a * xd < xn * d < b * xd:
+                return -1 if b * xd <= xn * d else 1
 
     def __lt__(self, other):
         if isinstance(other, AlgebraicRoot):
@@ -475,17 +499,11 @@ def real_roots(p: Polynomial, width=DEFAULT_ROOT_WIDTH) -> list:
     rational, rest = _rational_roots(p)
     irrational = _isolate_irrational(rest, width)
     merged = sorted(rational) + irrational
-    merged.sort(key=lambda r: float(r))
-    # float sort is a heuristic; verify exactly for adjacent pairs
+    # the roots are distinct, so a < b decides every pair exactly
+    merged.sort(key=cmp_to_key(lambda a, b: -1 if a < b else 1))
     for a, b in zip(merged, merged[1:]):
-        if isinstance(a, AlgebraicRoot) or isinstance(b, AlgebraicRoot):
-            alg, other, flipped = (a, b, False) if isinstance(a, AlgebraicRoot) else (b, a, True)
-            if isinstance(other, AlgebraicRoot):
-                ok = a < b
-            else:
-                ok = (alg > other) if flipped else (alg < other)
-            if not ok:
-                raise ConsistencyError("root ordering failed")
+        if not a < b:
+            raise ConsistencyError("root ordering failed")
     return merged
 
 

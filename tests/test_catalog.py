@@ -211,6 +211,29 @@ class TestEnumerateJoins:
         assert "construction rejected" in bad.notes
         assert recs[0].error is None and recs[1].error is None
 
+    def test_consistency_error_becomes_error_record(self, monkeypatch, capsys):
+        real = catalog._assemble
+
+        def broken(s, w1, w2, l=None):
+            if (w1, w2) == (3, 1):
+                raise DomainError("forced rejection")
+            if (w1, w2) == (3, 2):
+                raise ConsistencyError("forced cross-check failure")
+            return real(s, w1, w2, l)
+
+        monkeypatch.setattr(catalog, "_assemble", broken)
+        recs = enumerate_joins(solve(13, 8), w_bound=3)
+        assert [(r.w1, r.w2) for r in recs] == [(2, 1), (3, 1), (3, 2)]
+        assert recs[0].error is None
+        assert recs[2].error == "ConsistencyError: forced cross-check failure"
+        # the same record shape as any other rejected construction
+        rejected, broken_rec = record_to_dict(recs[1]), record_to_dict(recs[2])
+        assert rejected.keys() == broken_rec.keys()
+        assert rejected["notes"] == broken_rec["notes"]
+        code, out, _ = run_cli(["join", "--p", "13", "--q", "8", "--w-bound", "3"], capsys)
+        assert code == 1
+        assert "error: ConsistencyError: forced cross-check failure" in out
+
 
 # ------------------------------------------------------------ verification
 

@@ -9,9 +9,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sejoin.join import se_ray_from_w
 from sejoin.kernel import (
     AlgebraicRoot,
     ConsistencyError,
@@ -383,3 +384,111 @@ def test_real_roots_are_roots_and_counted(coeffs):
             assert sf(r.lo) * sf(r.hi) < 0
     bound = 1 + max(abs(c) for c in p.coeffs) * 10
     assert count_roots_open(p, -bound, bound) == len(roots)
+
+
+# ------------------------------------------------------ integer bisection
+
+
+def _fraction_bisection(root, width):
+    """Reference: the plain Fraction bisection that refined_interval must
+    reproduce step for step, midpoint-root collapse included."""
+    lo, hi = root.lo, root.hi
+    flo = root.poly(lo)
+    while hi - lo >= width:
+        mid = (lo + hi) / 2
+        fmid = root.poly(mid)
+        if fmid == 0:
+            eps = width / 4
+            return mid - eps, mid + eps
+        if (flo > 0) != (fmid > 0):
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return lo, hi
+
+
+def _fraction_cmp(root, x):
+    """Reference sign of root - x by Fraction bisection."""
+    if root.poly(x) == 0 and root.lo < x < root.hi:
+        return 0
+    lo, hi = root.lo, root.hi
+    flo = root.poly(lo)
+    while lo < x < hi:
+        mid = (lo + hi) / 2
+        fmid = root.poly(mid)
+        if fmid == 0:
+            return -1 if x > mid else 1
+        if (flo > 0) != (fmid > 0):
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return -1 if hi <= x else 1
+
+
+def _assert_bisection_agrees(root, digits, probes=()):
+    # a decimal width, and a width that some bisection step meets exactly
+    for width in (F(1, 10**digits), (root.hi - root.lo) / 2**digits):
+        assert root.refined_interval(width) == _fraction_bisection(root, width)
+    for x in (root.lo, root.hi, (root.lo + root.hi) / 2) + tuple(probes):
+        assert root._cmp_fraction(x) == _fraction_cmp(root, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(-20, 20), min_size=2, max_size=5),
+    st.integers(-20, 20).filter(bool),
+    st.integers(1, 60),
+    st.fractions(0, 1, max_denominator=999),
+    st.fractions(0, 1, max_denominator=999),
+)
+def test_integer_bisection_matches_fraction_bisection(low, lead, digits, f1, f2):
+    p = Polynomial(low + [lead])
+    assume(square_free_part(p).degree == p.degree)
+    roots = [r for r in real_roots(p, width=F(10)) if isinstance(r, AlgebraicRoot)]
+    assume(roots)
+    for root in roots:
+        _assert_bisection_agrees(root, digits)
+        # shrink towards an inner bracket with non-dyadic ends; the outer
+        # interval isolates, so any ends between the two still do
+        inner_lo, inner_hi = _fraction_bisection(root, (root.hi - root.lo) / 8)
+        lo = root.lo + (inner_lo - root.lo) * f1
+        hi = root.hi - (root.hi - inner_hi) * f2
+        shrunk = AlgebraicRoot(root.poly, lo, hi)
+        probes = (inner_lo + (inner_hi - inner_lo) * f1, lo - 1, hi + F(1, 3))
+        _assert_bisection_agrees(shrunk, digits, probes)
+
+
+@pytest.mark.parametrize("w", [(5, 2), (7, 3), (35, 11)])
+def test_integer_bisection_on_se_ray_roots(w):
+    ray = se_ray_from_w(*w)
+    # the ratio interval is w2/w1 times the dyadic interval of k
+    assert all(d & (d - 1) for d in (ray.ratio.lo.denominator, ray.ratio.hi.denominator))
+    for root in (ray.k, ray.ratio):
+        for digits in (1, 20, 60):
+            _assert_bisection_agrees(root, digits)
+
+
+@pytest.mark.parametrize("poly,lo,hi,root", [
+    (Polynomial((-1, 2)), 0, 1, F(1, 2)),          # first midpoint
+    (Polynomial((-3, 8)), 0, 1, F(3, 8)),          # third midpoint
+    (Polynomial((-5, 12)), F(1, 3), F(1, 2), F(5, 12)),  # non-dyadic ends
+])
+def test_integer_bisection_midpoint_root(poly, lo, hi, root):
+    r = AlgebraicRoot(poly, lo, hi)
+    for digits in (1, 5, 40):
+        width = F(1, 10**digits)
+        assert r.refined_interval(width) == (root - width / 4, root + width / 4)
+        assert r.refined_interval(width) == _fraction_bisection(r, width)
+    assert r._cmp_fraction(root) == 0
+    assert r < root + F(1, 10**50) and r > root - F(1, 10**50)
+    for x in (root - F(1, 7), root + F(1, 9), lo, hi):
+        assert r._cmp_fraction(x) == _fraction_cmp(r, x)
+
+
+def test_real_roots_exact_order_below_float_resolution():
+    # 131836323/93222358 exceeds sqrt(2) by about 4e-17, under the spacing
+    # of floats near 1.41; only an exact comparison orders the two
+    r = F(131836323, 93222358)
+    roots = real_roots(Polynomial((-2, 0, 1)) * Polynomial((-r.numerator, r.denominator)))
+    assert roots[2] == r
+    assert roots[0] < 0 < roots[1] < r
