@@ -35,6 +35,10 @@ CORPUS = [
                                        "--format", "json"]),
     ("w-5-2-digits-200.json", ["export", "--p", "13", "--q", "8", "--w", "5,2",
                                "--digits", "200", "--format", "json"]),
+    ("ypq-max-60.txt", ["ypq", "--max", "60"]),
+    ("ypq-max-60.json", ["ypq", "--max", "60", "--json"]),
+    ("join-13-8-w-bound-6.txt", ["join", "--p", "13", "--q", "8", "--w-bound", "6"]),
+    ("join-13-8-k-2.json", ["join", "--p", "13", "--q", "8", "--k", "2", "--json"]),
 ]
 
 
