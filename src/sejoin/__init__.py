@@ -11,7 +11,6 @@ from .kernel import (
 from .ypq import (
     YpqEinstein,
     einstein_ray,
-    enumerate_ypq_parameters,
     family_member,
     fano_index,
     hirzebruch_quotient,
@@ -29,7 +28,7 @@ from .join import (
     w_from_k,
 )
 from .bott import BottOrbifold, CohClass
-from .topology import AbelianGroup, TorsionInvariant, betti_profile, homotopy_distinct
+from .topology import AbelianGroup, TorsionInvariant, homotopy_distinct
 from .metric import CalabiData, CalabiProfile, ProfileInvalidError
 from .catalog import SERecord, build_record, enumerate_joins, verify_paper_examples
 
@@ -43,7 +42,6 @@ __all__ = [
     "Polynomial",
     "YpqEinstein",
     "einstein_ray",
-    "enumerate_ypq_parameters",
     "family_member",
     "fano_index",
     "hirzebruch_quotient",
@@ -61,7 +59,6 @@ __all__ = [
     "CohClass",
     "AbelianGroup",
     "TorsionInvariant",
-    "betti_profile",
     "homotopy_distinct",
     "CalabiData",
     "CalabiProfile",

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from math import gcd
+from typing import List, Sequence, Tuple, Union
 
 from .kernel import ConsistencyError, DomainError
 
@@ -74,16 +75,6 @@ class CohClass:
         object.__setattr__(self, "coeffs", tuple(Fraction(x) for x in self.coeffs))
         if len(self.coeffs) != 3:
             raise DomainError("need exactly three coefficients")
-
-
-def fan(a: int, b: int, c: int):
-    """Primitive collections {v_i, u_i} of the fan: v_i the standard basis,
-    u1 = -v1 - a*v2 - b*v3, u2 = -v2 - c*v3, u3 = -v3."""
-    return (
-        ((1, 0, 0), (-1, -a, -b)),
-        ((0, 1, 0), (0, -1, -c)),
-        ((0, 0, 1), (0, 0, -1)),
-    )
 
 
 def c1_orb(orb: BottOrbifold, basis: str = "xxx") -> CohClass:
@@ -181,135 +172,6 @@ def is_log_fano(orb: BottOrbifold) -> bool:
     )
 
 
-# ------------------------------------------------------------ cohomology ring
-
-
-class RingElement:
-    """Element of the degree-truncated cohomology ring
-    Q[x1,x2,x3] / (x1^2, x2(a*x1 + x2), x3(b*x1 + c*x2 + x3)),
-    supported on the eight square-free monomials."""
-
-    __slots__ = ("abc", "coeffs")
-
-    def __init__(self, abc: Tuple[int, int, int], coeffs: Dict[Tuple[int, int, int], Fraction] = None):
-        self.abc = tuple(abc)
-        self.coeffs = {}
-        if coeffs:
-            for mono, coeff in coeffs.items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    self._accumulate(mono, coeff)
-
-    def _accumulate(self, mono, coeff):
-        for reduced, factor in _reduce_monomial(mono, self.abc):
-            key = reduced
-            new = self.coeffs.get(key, Fraction(0)) + coeff * factor
-            if new:
-                self.coeffs[key] = new
-            elif key in self.coeffs:
-                del self.coeffs[key]
-
-    @classmethod
-    def generator(cls, abc, i: int) -> "RingElement":
-        if i not in (1, 2, 3):
-            raise DomainError("generator index must be 1, 2 or 3")
-        mono = tuple(1 if j == i - 1 else 0 for j in range(3))
-        return cls(abc, {mono: Fraction(1)})
-
-    @classmethod
-    def from_class(cls, c: CohClass) -> "RingElement":
-        xc = _to_x(c)
-        return cls(
-            c.abc,
-            {
-                (1, 0, 0): xc[0],
-                (0, 1, 0): xc[1],
-                (0, 0, 1): xc[2],
-            },
-        )
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        if self.abc != other.abc:
-            raise DomainError("mixed ambient spaces")
-        out = RingElement(self.abc, dict(self.coeffs))
-        for mono, coeff in other.coeffs.items():
-            out._accumulate(mono, coeff)
-        return out
-
-    def __mul__(self, other):
-        if isinstance(other, RingElement):
-            if self.abc != other.abc:
-                raise DomainError("mixed ambient spaces")
-            out = RingElement(self.abc)
-            for m1, c1 in self.coeffs.items():
-                for m2, c2 in other.coeffs.items():
-                    prod = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                    out._accumulate(prod, c1 * c2)
-            return out
-        out = RingElement(self.abc)
-        for mono, coeff in self.coeffs.items():
-            out._accumulate(mono, coeff * Fraction(other))
-        return out
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RingElement)
-            and self.abc == other.abc
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.abc, frozenset(self.coeffs.items())))
-
-    def coefficient(self, mono: Tuple[int, int, int]) -> Fraction:
-        return self.coeffs.get(tuple(mono), Fraction(0))
-
-    def top_coefficient(self) -> Fraction:
-        """Coefficient of the volume monomial x1*x2*x3."""
-        return self.coefficient((1, 1, 1))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "RingElement(0)"
-        names = ("x1", "x2", "x3")
-        parts = []
-        for mono in sorted(self.coeffs, key=lambda t: (sum(t), t)):
-            label = "*".join(n for n, e in zip(names, mono) if e) or "1"
-            parts.append("%s*%s" % (self.coeffs[mono], label))
-        return "RingElement(%s)" % " + ".join(parts)
-
-
-def _reduce_monomial(mono, abc):
-    """Rewrite a monomial with exponents as a combination of square-free
-    monomials using x1^2 = 0, x2^2 = -a*x1*x2, x3^2 = -b*x1*x3 - c*x2*x3;
-    anything above total degree 3 dies."""
-    a, b, c = abc
-    e1, e2, e3 = mono
-    if e1 + e2 + e3 > 3:
-        return []
-    if e1 >= 2:
-        return []
-    if e2 >= 2:
-        out = []
-        for reduced, factor in _reduce_monomial((e1 + 1, e2 - 1, e3), abc):
-            out.append((reduced, factor * -a))
-        return out
-    if e3 >= 2:
-        out = []
-        for reduced, factor in _reduce_monomial((e1 + 1, e2, e3 - 1), abc):
-            out.append((reduced, factor * -b))
-        for reduced, factor in _reduce_monomial((e1, e2 + 1, e3 - 1), abc):
-            out.append((reduced, factor * -c))
-        return out
-    return [((e1, e2, e3), Fraction(1))]
-
-
-def ring_multiply(e1: RingElement, e2: RingElement) -> RingElement:
-    return e1 * e2
-
-
 # ------------------------------------------------------------------ H3 matrix
 
 
@@ -361,15 +223,9 @@ def h3_matrix(orb: BottOrbifold, kahler_coeffs: Sequence) -> Tuple[List[List[Fra
     for mrow in mat:
         den = 1
         for x in mrow:
-            den = den * x.denominator // _gcd(den, x.denominator)
+            den = den * x.denominator // gcd(den, x.denominator)
         int_rows.append([int(x * den) for x in mrow])
     return mat, _integer_rank(int_rows)
-
-
-def _gcd(x: int, y: int) -> int:
-    while y:
-        x, y = y, x % y
-    return x
 
 
 # --------------------------------------------------------------- monoid action

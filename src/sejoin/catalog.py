@@ -28,8 +28,8 @@ from .join import (
     smoothness_check,
     w_from_k,
 )
-from .kernel import AlgebraicRoot, ConsistencyError, DomainError, fraction_to_decimal
-from .metric import CalabiData, CalabiProfile, ke_conditions, ke_profile, r3_from_ray
+from .kernel import AlgebraicRoot, ConsistencyError, DomainError
+from .metric import CalabiData, CalabiProfile, ke_conditions, ke_profile
 from .topology import TorsionInvariant, h4_torsion, homotopy_distinct
 from .ypq import YpqEinstein, family_member, is_quasi_regular, solve
 
@@ -49,7 +49,6 @@ class SERecord:
     w2: int
     l1: int
     l2: int
-    k: Union[Fraction, AlgebraicRoot, None] = None
     ray: Optional[ReebRay] = None
     smooth: Optional[bool] = None
     smooth_witnesses: Tuple[Tuple[int, int, int], ...] = ()
@@ -62,6 +61,10 @@ class SERecord:
     profile: Optional[CalabiProfile] = None
     error: Optional[str] = None
     notes: Tuple[str, ...] = FIXED_NOTES
+
+    @property
+    def k(self) -> Union[Fraction, AlgebraicRoot, None]:
+        return None if self.ray is None else self.ray.k
 
     @property
     def sort_key(self):
@@ -104,7 +107,6 @@ def _assemble(sol: YpqEinstein, w1: int, w2: int, l=None) -> SERecord:
         w2=w2,
         l1=l1,
         l2=l2,
-        k=ray.k,
         ray=ray,
         smooth=smooth,
         smooth_witnesses=tuple(witnesses),
@@ -120,18 +122,7 @@ def _assemble(sol: YpqEinstein, w1: int, w2: int, l=None) -> SERecord:
         notes.append("irregular ray: no quotient orbifold")
         return SERecord(torsion=torsion, notes=tuple(notes), **base)
     quotient = quotient_orbifold(spec, ray)
-    r3 = r3_from_ray(w1, w2, ray.v3_0, ray.v3_inf)
-    data = CalabiData(
-        a=sol.a,
-        m2_0=sol.m2_0,
-        m2_inf=sol.m2_inf,
-        fano_index=sol.fano_index,
-        v3_0=ray.v3_0,
-        v3_inf=ray.v3_inf,
-        m3=quotient.m3,
-        n=quotient.n,
-        r3=r3,
-    )
+    data = CalabiData.from_join(spec, ray, quotient)
     ke1, ke2 = ke_conditions(data)
     profile = ke_profile(data) if (ke1 and ke2) else None
     log_fano = is_log_fano(quotient.bott())
@@ -143,7 +134,7 @@ def _assemble(sol: YpqEinstein, w1: int, w2: int, l=None) -> SERecord:
         )
     return SERecord(
         quotient=quotient,
-        r3=r3,
+        r3=data.r3,
         ke1=ke1,
         ke2=ke2,
         log_fano=log_fano,
@@ -329,9 +320,7 @@ def verify_paper_examples(corrupt: Optional[str] = None) -> VerificationReport:
     )
 
     for t in range(1, 11):
-        k2 = 255 * t + 10
-        sol = family_member(k2)
-        rec = _assemble(sol, 17, 3)
+        rec = family_record(255 * t + 10)
         prefix = "family.t%d" % t
         check(prefix + ".l", (306 * t + 13, 4), (rec.l1, rec.l2))
         check(prefix + ".n", 51 * (306 * t + 13), rec.quotient.n)
@@ -341,7 +330,7 @@ def verify_paper_examples(corrupt: Optional[str] = None) -> VerificationReport:
         check(prefix + ".r3", Fraction(1, 2), rec.r3)
         check(prefix + ".ke", (True, True), (rec.ke1, rec.ke2))
 
-    rec0 = _assemble(family_member(0), 17, 3)
+    rec0 = family_record(0)
     check("family.k2_0.smooth", False, rec0.smooth)
     check("family.k2_0.m_vector", (1, 1, 21, 14, 34, 18), rec0.quotient.m)
     check("family.k2_0.n", 51, rec0.quotient.n)
@@ -369,18 +358,24 @@ def _fmt(value, digits: int):
     return str(value)
 
 
-def record_to_dict(rec: SERecord, digits: int = 40) -> Dict:
-    """JSON-ready dictionary: integers as decimal strings, rationals as
-    num/den strings, algebraic numbers as certified decimal interval pairs."""
-    sol = rec.ypq
-    out = {
-        "schema": SCHEMA_VERSION,
+def ypq_to_dict(sol: YpqEinstein) -> Dict:
+    """The first-factor keys of an exported record, as decimal strings."""
+    return {
         "p": str(sol.p),
         "q": str(sol.q),
         "v2": [str(sol.v2_0), str(sol.v2_inf)],
         "m2": str(sol.m2),
         "a": str(sol.a),
         "I": str(sol.fano_index),
+    }
+
+
+def record_to_dict(rec: SERecord, digits: int = 40) -> Dict:
+    """JSON-ready dictionary: integers as decimal strings, rationals as
+    num/den strings, algebraic numbers as certified decimal interval pairs."""
+    out = {
+        "schema": SCHEMA_VERSION,
+        **ypq_to_dict(rec.ypq),
         "w": [str(rec.w1), str(rec.w2)],
         "l1": str(rec.l1),
         "l2": str(rec.l2),
@@ -428,12 +423,19 @@ def record_to_dict(rec: SERecord, digits: int = 40) -> Dict:
     return out
 
 
-CSV_COLUMNS = (
-    "p", "q", "v2_0", "v2_inf", "m2", "a", "I", "w1", "w2", "l1", "l2",
-    "regular", "v3_0", "v3_inf", "s", "m3", "n", "b", "c", "m_vector",
-    "torsion_A", "torsion_B", "smooth", "ke1", "ke2", "log_fano", "r3",
-    "F_coeffs", "k", "error",
+# (CSV column, record_to_dict key, index into a pair or None)
+CSV_FIELDS = (
+    ("p", "p", None), ("q", "q", None), ("v2_0", "v2", 0), ("v2_inf", "v2", 1),
+    ("m2", "m2", None), ("a", "a", None), ("I", "I", None), ("w1", "w", 0),
+    ("w2", "w", 1), ("l1", "l1", None), ("l2", "l2", None),
+    ("regular", "regular", None), ("v3_0", "v3", 0), ("v3_inf", "v3", 1),
+    ("s", "s", None), ("m3", "m3", None), ("n", "n", None), ("b", "b", None),
+    ("c", "c", None), ("m_vector", "m_vector", None), ("torsion_A", "torsion", 0),
+    ("torsion_B", "torsion", 1), ("smooth", "smooth", None), ("ke1", "ke1", None),
+    ("ke2", "ke2", None), ("log_fano", "log_fano", None), ("r3", "r3", None),
+    ("F_coeffs", "F_coeffs", None), ("k", "k", None), ("error", "error", None),
 )
+CSV_COLUMNS = tuple(col for col, _, _ in CSV_FIELDS)
 
 
 def _csv_cell(value) -> str:
@@ -458,21 +460,11 @@ def export_records(records: Sequence[SERecord], fmt: str, digits: int = 40) -> s
         writer.writerow(CSV_COLUMNS)
         for d in dicts:
             row = []
-            for col in CSV_COLUMNS:
-                if col in ("v2_0", "v2_inf"):
-                    pair = d["v2"]
-                    row.append(_csv_cell(pair[0 if col == "v2_0" else 1]))
-                elif col in ("w1", "w2"):
-                    pair = d["w"]
-                    row.append(_csv_cell(pair[0 if col == "w1" else 1]))
-                elif col in ("v3_0", "v3_inf"):
-                    pair = d["v3"]
-                    row.append("" if pair is None else _csv_cell(pair[0 if col == "v3_0" else 1]))
-                elif col in ("torsion_A", "torsion_B"):
-                    pair = d["torsion"]
-                    row.append("" if pair is None else _csv_cell(pair[0 if col == "torsion_A" else 1]))
-                else:
-                    row.append(_csv_cell(d.get(col)))
+            for _, key, index in CSV_FIELDS:
+                value = d[key]
+                if index is not None and value is not None:
+                    value = value[index]
+                row.append(_csv_cell(value))
             writer.writerow(row)
         return buf.getvalue()
     raise DomainError("format must be json or csv, got %r" % (fmt,))

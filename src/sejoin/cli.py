@@ -30,10 +30,10 @@ from .catalog import (
     record_to_dict,
     verify_paper_examples,
     write_export,
+    ypq_to_dict,
 )
-from .kernel import AlgebraicRoot, DomainError, Polynomial, fraction_to_decimal
+from .kernel import DomainError, Polynomial, fraction_to_decimal
 from .metric import CalabiProfile
-from .ypq import YpqEinstein
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -67,18 +67,6 @@ def _parse_range(text: str):
         return [int(text)]
     except ValueError as exc:
         raise DomainError("bad range %r" % (text,)) from exc
-
-
-def _ypq_dict(sol: YpqEinstein):
-    return {
-        "p": str(sol.p),
-        "q": str(sol.q),
-        "v2": [str(sol.v2_0), str(sol.v2_inf)],
-        "m2": str(sol.m2),
-        "m2_pair": [str(sol.m2_0), str(sol.m2_inf)],
-        "a": str(sol.a),
-        "I": str(sol.fano_index),
-    }
 
 
 def _render_record(rec: SERecord, digits: int) -> str:
@@ -127,7 +115,8 @@ def _render_record(rec: SERecord, digits: int) -> str:
 def _cmd_ypq(args) -> int:
     sols = enumerate_ypq(args.max)
     if args.json:
-        print(json.dumps([_ypq_dict(s) for s in sols], sort_keys=True, indent=2))
+        rows = [dict(ypq_to_dict(s), m2_pair=[str(s.m2_0), str(s.m2_inf)]) for s in sols]
+        print(json.dumps(rows, sort_keys=True, indent=2))
         return 0
     # (p,q) = (1,0) is the round homogeneous structure; it sits outside the
     # p > q >= 1 enumeration and all its parameters are 1 by convention
@@ -258,7 +247,7 @@ def _cmd_export(args) -> int:
         sys.stdout.write(export_records(records, args.format, args.digits))
     else:
         write_export(records, args.format, args.out, args.digits)
-    return 0
+    return 1 if any(r.error for r in records) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,6 +321,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "digits", 1) < 1:
+            raise DomainError("--digits must be >= 1, got %d" % args.digits)
         return args.func(args)
     except DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Tuple, Union
 
-from .bott import BottOrbifold, CohClass, c1_orb_general
+from .bott import BottOrbifold, c1_orb_general
 from .kernel import (
     AlgebraicRoot,
     ConsistencyError,
@@ -259,15 +259,4 @@ def quotient_orbifold(spec: JoinSpec, ray: ReebRay) -> JoinQuotient:
         b_hat=b_hat,
         c_hat=c_hat,
         fano_index=spec.ypq.fano_index,
-    )
-
-
-def pullback_class(quotient: JoinQuotient) -> CohClass:
-    """Pullback of the polarizing class to the quotient: b*x1 + c*x2 in the
-    integer K-scaled coordinates (b, c) of ``JoinQuotient``, i.e. K*c1(L_n),
-    tagged with the integer twist (a, b, c)."""
-    return CohClass(
-        basis="xxx",
-        coeffs=(Fraction(quotient.b), Fraction(quotient.c), Fraction(0)),
-        abc=(quotient.a, quotient.b, quotient.c),
     )

@@ -4,8 +4,7 @@ Scalars are arbitrary-precision ``int`` and ``fractions.Fraction`` values,
 polynomials are dense coefficient tuples over Fraction (degree <= 5 in all
 uses here, but nothing below assumes that), and irrational roots are carried
 as (square-free polynomial, isolating interval) pairs that can be refined to
-any requested width.  No floats enter any computation; ``float()`` conversion
-exists only for display convenience.
+any requested width.  No floats enter any computation.
 """
 
 from __future__ import annotations
@@ -359,10 +358,6 @@ class AlgebraicRoot:
         lo, hi = self.refined_interval(Fraction(1, 10 ** (digits + 1)))
         return (fraction_to_decimal(lo, digits, "floor"),
                 fraction_to_decimal(hi, digits, "ceil"))
-
-    def __float__(self):
-        lo, hi = self.refined_interval(Fraction(1, 10**20))
-        return float((lo + hi) / 2)
 
     def _cmp_fraction(self, x: Fraction) -> int:
         xn, xd = x.numerator, x.denominator

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Tuple
 
-from .join import JoinSpec, ReebRay, quotient_orbifold
+from .join import JoinQuotient, JoinSpec, ReebRay
 from .kernel import (
     ConsistencyError,
     DegenerateEquationError,
@@ -85,11 +85,9 @@ class CalabiData:
         return self.m3 * self.v3_inf
 
     @classmethod
-    def from_join(cls, spec: JoinSpec, ray: ReebRay) -> "CalabiData":
-        """Assemble the Calabi data of a quasi-regular join."""
-        if not ray.quasi_regular:
-            raise DomainError("irregular ray has no Calabi data")
-        quotient = quotient_orbifold(spec, ray)
+    def from_join(cls, spec: JoinSpec, ray: ReebRay, quotient: JoinQuotient) -> "CalabiData":
+        """Assemble the Calabi data of a quasi-regular join from its
+        quotient orbifold."""
         return cls(
             a=spec.ypq.a,
             m2_0=spec.ypq.m2_0,
@@ -188,19 +186,3 @@ def ke_profile(data: CalabiData) -> CalabiProfile:
     if not sturm_positive_on(f, -1, 1):
         raise ProfileInvalidError("profile is not positive on (-1, 1)")
     return CalabiProfile(r3=r3, F=f, m3_0=data.m3_0, m3_inf=data.m3_inf)
-
-
-def metric_components(profile: CalabiProfile, n: int, z) -> Tuple[Fraction, Fraction, Fraction]:
-    """Exact metric coefficients at momentum value z in (-1, 1):
-    (base scale (1/r3 + z)*n, dz^2 coefficient 1/Theta, theta^2 coefficient
-    Theta)."""
-    z = Fraction(z)
-    if not -1 < z < 1:
-        raise DomainError("z must lie strictly inside (-1, 1)")
-    theta = profile.theta(z)
-    if theta == 0:
-        raise ProfileInvalidError("Theta vanishes inside (-1, 1)")
-    base = (1 / profile.r3 + z) * n
-    if base <= 0:
-        raise ProfileInvalidError("base scale must be positive")
-    return base, 1 / theta, theta

@@ -101,39 +101,7 @@ def h4_torsion(v0: int, vinf: int, m: int, l2: int, w1: int, w2: int, l1: int) -
     return TorsionInvariant(v0 * vinf * m * m * l2 * l2, w1 * w2 * l1 * l1)
 
 
-@dataclass(frozen=True)
-class BettiProfile:
-    b: Tuple[int, int, int, int, int, int, int, int]
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** i * bi for i, bi in enumerate(self.b))
-
-
-def betti_profile() -> BettiProfile:
-    """Betti numbers b0..b7 of every manifold in the family; the middle
-    groups vanish and the profile is Poincare-duality symmetric."""
-    return BettiProfile((1, 0, 2, 0, 0, 2, 0, 1))
-
-
 def homotopy_distinct(t1: TorsionInvariant, t2: TorsionInvariant) -> bool:
     """True iff the two torsion groups are non-isomorphic.  A False result
     only means this invariant does not separate them."""
     return t1.group() != t2.group()
-
-
-def hirzebruch_orb_cohomology(m0: int, minf: int, r: int) -> AbelianGroup:
-    """Orbifold cohomology of a Hirzebruch orbifold with ramification
-    (m0, minf) along its two sections, in degree r."""
-    if m0 < 1 or minf < 1:
-        raise DomainError("ramification orders must be >= 1")
-    if r < 0:
-        raise DomainError("degree must be >= 0")
-    if r % 2 == 1:
-        return AbelianGroup(0)
-    if r == 0:
-        return AbelianGroup(1)
-    if r == 2:
-        return AbelianGroup(2)
-    if r == 4:
-        return AbelianGroup(1, (m0, minf))
-    return AbelianGroup(0, (m0, minf))

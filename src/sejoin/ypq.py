@@ -161,18 +161,6 @@ def solve(p: int, q: int) -> Optional[YpqEinstein]:
     )
 
 
-def enumerate_ypq_parameters(p_max: int):
-    """All quasi-regular (p, q) with 1 <= q < p <= p_max, ascending."""
-    if p_max < 2:
-        return []
-    out = []
-    for p in range(2, p_max + 1):
-        for q in range(1, p):
-            if gcd(p, q) == 1 and is_quasi_regular(p, q):
-                out.append((p, q))
-    return out
-
-
 def family_member(k2: int) -> YpqEinstein:
     """Member k2 >= 0 of the quadratic sub-family p = 12k2^2 + 18k2 + 7,
     q = 12k2^2 + 16k2 + 5, whose quotient data is polynomial in k2."""

@@ -15,15 +15,12 @@ from sejoin.bott import (
     BASES,
     BottOrbifold,
     CohClass,
-    RingElement,
     basis_change,
     c1_orb,
     c1_orb_general,
-    fan,
     h3_matrix,
     is_log_fano,
     monoid_act,
-    ring_multiply,
     _to_x,
 )
 from sejoin.join import JoinSpec, quotient_orbifold, se_ray_from_w
@@ -91,32 +88,6 @@ def _positive_in_all_bases(abc, x_coeffs) -> bool:
     return all(
         coeff > 0 for basis in BASES for coeff in basis_change(cls, basis).coeffs
     )
-
-
-class TestFan:
-    def test_product_fan(self):
-        assert fan(0, 0, 0) == (
-            ((1, 0, 0), (-1, 0, 0)),
-            ((0, 1, 0), (0, -1, 0)),
-            ((0, 0, 1), (0, 0, -1)),
-        )
-
-    def test_golden_a_fan(self):
-        assert fan(70, 78540, 748) == (
-            ((1, 0, 0), (-1, -70, -78540)),
-            ((0, 1, 0), (0, -1, -748)),
-            ((0, 0, 1), (0, 0, -1)),
-        )
-
-    def test_pair_sums_lie_in_later_span(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            a, b, c = (rng.randrange(-9, 10) for _ in range(3))
-            pairs = fan(a, b, c)
-            # v_i + u_i has zero entries up to and including slot i
-            for i, (v, u) in enumerate(pairs):
-                total = tuple(x + y for x, y in zip(v, u))
-                assert all(total[j] == 0 for j in range(i + 1))
 
 
 class TestC1Orb:
@@ -260,60 +231,6 @@ class TestLogFano:
             assert bywalls == bybases
             agree_pos += bywalls
         assert agree_pos > 0  # the sample actually hits the cone
-
-
-class TestRing:
-    def test_defining_relations(self):
-        rng = random.Random(19)
-        for _ in range(30):
-            abc = tuple(rng.randrange(-8, 9) for _ in range(3))
-            x1 = RingElement.generator(abc, 1)
-            x2 = RingElement.generator(abc, 2)
-            x3 = RingElement.generator(abc, 3)
-            a, b, c = abc
-            assert (x1 * x1).coeffs == {}
-            assert x2 * x2 == (-a) * (x1 * x2)
-            assert x3 * x3 == (-b) * (x1 * x3) + (-c) * (x2 * x3)
-
-    def test_composed_relation(self):
-        abc = (5, 2, -3)
-        x1 = RingElement.generator(abc, 1)
-        x2 = RingElement.generator(abc, 2)
-        x3 = RingElement.generator(abc, 3)
-        lhs = ring_multiply(ring_multiply(x2, x2), x3)
-        assert lhs == (-5) * ring_multiply(ring_multiply(x1, x2), x3)
-        assert lhs.top_coefficient() == -5
-
-    def test_degree_overflow_is_zero(self):
-        abc = (1, 1, 1)
-        x1 = RingElement.generator(abc, 1)
-        x2 = RingElement.generator(abc, 2)
-        x3 = RingElement.generator(abc, 3)
-        vol = x1 * x2 * x3
-        assert (vol * x1).coeffs == {}
-        assert (vol * vol).coeffs == {}
-
-    def test_commutative_associative_exhaustive(self):
-        abc = (3, -2, 4)
-        gens = [RingElement.generator(abc, i) for i in (1, 2, 3)]
-        for e1, e2 in itertools.product(gens, repeat=2):
-            assert e1 * e2 == e2 * e1
-        for e1, e2, e3 in itertools.product(gens, repeat=3):
-            assert (e1 * e2) * e3 == e1 * (e2 * e3)
-
-    def test_top_coefficient_of_cubes(self):
-        ones = {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
-        w = RingElement((0, 0, 0), ones)
-        assert (w * w * w).top_coefficient() == 6
-        w = RingElement((1, 0, 0), ones)
-        assert (w * w * w).top_coefficient() == 3
-        w = RingElement((0, 0, 1), ones)
-        assert (w * w * w).top_coefficient() == 3
-
-    def test_from_class_respects_basis(self):
-        cls = c1_orb(GOLDEN_A, "xyx")
-        via_x = RingElement.from_class(basis_change(cls, "xxx"))
-        assert RingElement.from_class(cls) == via_x
 
 
 class TestH3Matrix:

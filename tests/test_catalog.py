@@ -546,6 +546,39 @@ class TestCliProfileAndExport:
         assert code == 1
         assert "cannot write" in err
 
+    def test_error_records_exit_1(self, monkeypatch, capsys):
+        real = catalog._assemble
+
+        def flaky(s, w1, w2, l=None):
+            if (w1, w2) == (3, 2):
+                raise DomainError("forced failure")
+            return real(s, w1, w2, l)
+
+        monkeypatch.setattr(catalog, "_assemble", flaky)
+        flags = ["--p", "13", "--q", "8", "--w-bound", "3"]
+        code, out, _ = run_cli(["join"] + flags, capsys)
+        assert code == 1
+        assert "error: forced failure" in out
+        code, out, _ = run_cli(["export"] + flags + ["--format", "json"], capsys)
+        assert code == 1
+        assert [d["error"] for d in json.loads(out)] == [None, None, "forced failure"]
+
+    @pytest.mark.parametrize("argv", [
+        ["join", "--p", "13", "--q", "8", "--k", "2", "--digits", "0"],
+        ["family", "--t", "1", "--digits", "-1"],
+        ["join", "--p", "13", "--q", "8", "--w", "5,2", "--digits", "0"],
+        ["export", "--family-t", "1", "--format", "json", "--digits", "0"],
+    ])
+    def test_digits_below_one_is_usage_error(self, argv, monkeypatch, capsys):
+        def unreachable(*args):
+            raise AssertionError("a record was built")
+
+        monkeypatch.setattr(catalog, "_assemble", unreachable)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "--digits must be >= 1" in err
+
     def test_export_flag_conflicts(self, capsys):
         code, _, err = run_cli(
             ["export", "--p", "13", "--q", "8", "--k", "2",

@@ -1,6 +1,5 @@
 """The package computes without floats: no float() call and no float
-literal appears in src/sejoin outside AlgebraicRoot.__float__, which exists
-only for display."""
+literal appears anywhere in src/sejoin."""
 
 import ast
 import pathlib
@@ -10,21 +9,8 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sejoin"
 
 
-def _display_only_nodes(tree):
-    for cls in ast.walk(tree):
-        if isinstance(cls, ast.ClassDef) and cls.name == "AlgebraicRoot":
-            for fn in cls.body:
-                if isinstance(fn, ast.FunctionDef) and fn.name == "__float__":
-                    return {id(n) for n in ast.walk(fn)}
-    return set()
-
-
 def _float_uses(source):
-    tree = ast.parse(source)
-    allowed = _display_only_nodes(tree)
-    for node in ast.walk(tree):
-        if id(node) in allowed:
-            continue
+    for node in ast.walk(ast.parse(source)):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "float"):
             yield node.lineno, "float() call"
@@ -42,4 +28,5 @@ def test_no_float_outside_display(path):
 def test_guard_finds_float_uses():
     src = ("x = float(1)\ny = 0.5\n"
            "class AlgebraicRoot:\n    def __float__(self):\n        return float(0.25)\n")
-    assert list(_float_uses(src)) == [(1, "float() call"), (2, "float literal 0.5")]
+    assert sorted(_float_uses(src)) == [(1, "float() call"), (2, "float literal 0.5"),
+                                        (5, "float literal 0.25"), (5, "float() call")]

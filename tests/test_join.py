@@ -17,7 +17,6 @@ from sejoin.join import (
     JoinSpec,
     ReebRay,
     canonical_l,
-    pullback_class,
     quotient_orbifold,
     se_cubic,
     se_ray_from_w,
@@ -297,16 +296,3 @@ class TestQuotientOrbifold:
             assert quo.c == quo.n * quo.c_hat
             count += 1
         assert count > 100
-
-
-class TestPullback:
-    def test_golden_values(self):
-        spec = JoinSpec(YPQ_A, 4, 15, 34, 11)
-        quo = quotient_orbifold(spec, se_ray_from_w(34, 11))
-        cls = pullback_class(quo)
-        assert cls.basis == "xxx"
-        assert cls.coeffs == (78540, 748, 0)
-
-        spec_b = JoinSpec(YPQ_B, 7, 45, 34, 11)
-        quo_b = quotient_orbifold(spec_b, se_ray_from_w(34, 11))
-        assert pullback_class(quo_b).coeffs == (78540, 1309, 0)

@@ -323,11 +323,6 @@ def test_algebraic_root_comparisons():
     assert not (sqrt2 < F(7, 5)) or not (sqrt2 > F(7, 5))
 
 
-def test_algebraic_root_float():
-    sqrt2 = AlgebraicRoot(Polynomial((-2, 0, 1)), 1, 2)
-    assert abs(float(sqrt2) - 2**0.5) < 1e-15
-
-
 def test_algebraic_root_immutable():
     r = AlgebraicRoot(Polynomial((-2, 0, 1)), 1, 2)
     with pytest.raises(AttributeError):

@@ -11,7 +11,7 @@ import pytest
 
 from sejoin.bott import _to_x, c1_orb
 from sejoin.catalog import build_record, enumerate_ypq, family_record
-from sejoin.join import JoinSpec, se_ray_from_w
+from sejoin.join import JoinSpec, quotient_orbifold, se_ray_from_w
 from sejoin.kernel import (
     ConsistencyError,
     DegenerateEquationError,
@@ -21,11 +21,8 @@ from sejoin.kernel import (
 )
 from sejoin.metric import (
     CalabiData,
-    CalabiProfile,
-    ProfileInvalidError,
     ke_conditions,
     ke_profile,
-    metric_components,
     r3_from_ray,
 )
 from sejoin.ypq import solve
@@ -67,20 +64,17 @@ class TestR3:
 class TestCalabiData:
     def test_from_join_golden_a(self):
         spec = JoinSpec(solve(13, 8), 4, 15, 34, 11)
-        data = CalabiData.from_join(spec, se_ray_from_w(34, 11))
+        ray = se_ray_from_w(34, 11)
+        data = CalabiData.from_join(spec, ray, quotient_orbifold(spec, ray))
         assert data == GOLDEN_A_DATA
         assert (data.m3_0, data.m3_inf) == (255, 165)
 
     def test_from_join_family_base(self):
         spec = JoinSpec(solve(7, 5), 1, 4, 17, 3)
-        data = CalabiData.from_join(spec, se_ray_from_w(17, 3))
+        ray = se_ray_from_w(17, 3)
+        data = CalabiData.from_join(spec, ray, quotient_orbifold(spec, ray))
         assert data == FAMILY0_DATA
         assert (data.m3_0, data.m3_inf) == (34, 18)
-
-    def test_rejects_irregular_ray(self):
-        spec = JoinSpec(solve(13, 8), 4, 15, 34, 11)
-        with pytest.raises(DomainError):
-            CalabiData.from_join(spec, se_ray_from_w(2, 1))
 
     def test_validation(self):
         with pytest.raises(DomainError):  # core not coprime
@@ -202,40 +196,6 @@ class TestKEProfile:
         assert pts[2][1] == Fraction(5, 144)
         with pytest.raises(DomainError):
             profile.grid(0)
-
-
-class TestMetricComponents:
-    def test_family_center(self):
-        profile = ke_profile(FAMILY0_DATA)
-        base, inv_theta, theta = metric_components(profile, 51, 0)
-        assert base == 102
-        assert theta == Fraction(5, 144)
-        assert inv_theta == Fraction(144, 5)
-
-    def test_golden_a_center(self):
-        profile = ke_profile(GOLDEN_A_DATA)
-        base, _, _ = metric_components(profile, 748, 0)
-        assert base == 2244
-
-    def test_z_bounds_strict(self):
-        profile = ke_profile(FAMILY0_DATA)
-        with pytest.raises(DomainError):
-            metric_components(profile, 51, 1)
-        with pytest.raises(DomainError):
-            metric_components(profile, 51, -1)
-
-    def test_zero_profile_rejected(self):
-        fake = CalabiProfile(
-            r3=Fraction(1, 2), F=Polynomial(()), m3_0=34, m3_inf=18,
-        )
-        with pytest.raises(ProfileInvalidError):
-            metric_components(fake, 51, 0)
-
-    def test_product_is_one(self):
-        profile = ke_profile(GOLDEN_A_DATA)
-        for z in (Fraction(-1, 2), Fraction(1, 7), Fraction(9, 10)):
-            _, inv_theta, theta = metric_components(profile, 748, z)
-            assert inv_theta * theta == 1
 
 
 class TestBottAgreesWithMetric:

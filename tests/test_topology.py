@@ -7,11 +7,8 @@ import pytest
 from sejoin.kernel import DomainError
 from sejoin.topology import (
     AbelianGroup,
-    BettiProfile,
     TorsionInvariant,
-    betti_profile,
     h4_torsion,
-    hirzebruch_orb_cohomology,
     homotopy_distinct,
     invariant_factors,
 )
@@ -105,23 +102,6 @@ class TestH4Torsion:
             h4_torsion(7, 5, 13, 15, 34, 11, -1)
 
 
-class TestBetti:
-    def test_profile(self):
-        assert betti_profile() == BettiProfile((1, 0, 2, 0, 0, 2, 0, 1))
-
-    def test_b2_and_b3(self):
-        prof = betti_profile().b
-        assert prof[2] == 2
-        assert prof[3] == 0
-
-    def test_euler_characteristic_zero(self):
-        assert betti_profile().euler_characteristic() == 0
-
-    def test_poincare_symmetric(self):
-        prof = betti_profile().b
-        assert prof == tuple(reversed(prof))
-
-
 class TestHomotopyDistinct:
     def test_worked_joins_distinct(self):
         t_a = h4_torsion(7, 5, 13, 15, 34, 11, 4)
@@ -147,40 +127,3 @@ class TestHomotopyDistinct:
         t2 = TorsionInvariant(6, 5)
         assert t1.group().order() != t2.group().order()
         assert homotopy_distinct(t1, t2) is True
-
-
-class TestHirzebruchOrbCohomology:
-    def test_degree_four(self):
-        g = hirzebruch_orb_cohomology(91, 65, 4)
-        assert g == AbelianGroup(1, (91, 65))
-        assert str(g) == "Z + Z_13 + Z_455"
-
-    def test_odd_vanishes(self):
-        assert hirzebruch_orb_cohomology(91, 65, 3).is_trivial()
-        assert hirzebruch_orb_cohomology(2, 3, 7).is_trivial()
-
-    def test_trivial_branch_high_degree(self):
-        assert hirzebruch_orb_cohomology(1, 1, 6).is_trivial()
-
-    def test_low_degrees(self):
-        assert hirzebruch_orb_cohomology(91, 65, 0) == AbelianGroup(1)
-        assert hirzebruch_orb_cohomology(91, 65, 2) == AbelianGroup(2)
-
-    def test_manifold_case_matches_surface(self):
-        expected = {0: AbelianGroup(1), 2: AbelianGroup(2), 4: AbelianGroup(1)}
-        for r in range(0, 12):
-            g = hirzebruch_orb_cohomology(1, 1, r)
-            if r in expected:
-                assert g == expected[r]
-            else:
-                assert g.is_trivial()
-
-    def test_high_even_degree_torsion_only(self):
-        g = hirzebruch_orb_cohomology(4, 6, 8)
-        assert g == AbelianGroup(0, (2, 12))
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(DomainError):
-            hirzebruch_orb_cohomology(0, 5, 2)
-        with pytest.raises(DomainError):
-            hirzebruch_orb_cohomology(2, 2, -2)

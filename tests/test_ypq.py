@@ -12,12 +12,12 @@ from math import gcd, isqrt
 
 import pytest
 
+from sejoin.catalog import enumerate_ypq
 from sejoin.kernel import AlgebraicRoot, ConsistencyError, DomainError, integrate_sym
 from sejoin.ypq import (
     YpqEinstein,
     einstein_integrand,
     einstein_ray,
-    enumerate_ypq_parameters,
     family_member,
     fano_index,
     hirzebruch_quotient,
@@ -150,7 +150,8 @@ class TestHirzebruchQuotient:
         assert hirzebruch_quotient(37, 33, 7, 4) == (37, 259, 148, 252)
 
     def test_twist_always_integral_over_enumeration(self):
-        for p, q in enumerate_ypq_parameters(150):
+        for sol in enumerate_ypq(150):
+            p, q = sol.p, sol.q
             v0, vinf = einstein_ray(p, q)
             m2, m2_0, m2_inf, a = hirzebruch_quotient(p, q, v0, vinf)
             assert (m2_0, m2_inf) == (m2 * v0, m2 * vinf)
@@ -196,21 +197,25 @@ class TestSolve:
             sol.p = 1
 
 
+def _pairs(p_max):
+    return [(s.p, s.q) for s in enumerate_ypq(p_max)]
+
+
 class TestEnumerate:
     def test_up_to_13(self):
-        assert enumerate_ypq_parameters(13) == [(7, 3), (7, 5), (13, 7), (13, 8)]
+        assert _pairs(13) == [(7, 3), (7, 5), (13, 7), (13, 8)]
 
     def test_up_to_19(self):
-        assert enumerate_ypq_parameters(19) == [
+        assert _pairs(19) == [
             (7, 3), (7, 5), (13, 7), (13, 8), (19, 5), (19, 16),
         ]
 
     def test_contains_37_33(self):
-        assert (37, 33) in enumerate_ypq_parameters(40)
+        assert (37, 33) in _pairs(40)
 
     def test_small_bounds_empty(self):
-        assert enumerate_ypq_parameters(1) == []
-        assert enumerate_ypq_parameters(6) == []
+        assert _pairs(2) == []
+        assert _pairs(6) == []
 
 
 class TestFamily:
@@ -255,7 +260,7 @@ class TestFamily:
 
 def test_random_quasi_regular_rays_integrate_to_zero():
     rng = random.Random(20260814)
-    pairs = enumerate_ypq_parameters(200)
+    pairs = _pairs(200)
     assert len(pairs) >= 8
     for p, q in pairs:
         v0, vinf = einstein_ray(p, q)
