@@ -28,7 +28,7 @@ from .join import (
     w_from_k,
 )
 from .bott import BottOrbifold, CohClass
-from .topology import AbelianGroup, TorsionInvariant, homotopy_distinct
+from .topology import TorsionInvariant, homotopy_distinct
 from .metric import CalabiData, CalabiProfile, ProfileInvalidError
 from .catalog import SERecord, build_record, enumerate_joins, verify_paper_examples
 
@@ -57,7 +57,6 @@ __all__ = [
     "w_from_k",
     "BottOrbifold",
     "CohClass",
-    "AbelianGroup",
     "TorsionInvariant",
     "homotopy_distinct",
     "CalabiData",

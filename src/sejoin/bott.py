@@ -167,9 +167,14 @@ def is_log_fano(orb: BottOrbifold) -> bool:
     """True iff the orbifold first Chern class has strictly positive
     coefficients in all four distinguished bases (equivalently, it lies in
     the Kaehler cone)."""
-    return all(
-        coeff > 0 for basis in BASES for coeff in c1_orb(orb, basis).coeffs
-    )
+    a, b, c = orb.abc
+    m1_0, m1_inf, m2_0, m2_inf, m3_0, m3_inf = orb.m
+    # the closed forms of c1_orb with s1, s2 computed once; s3 > 0 always
+    s1 = 1 / m1_0 + 1 / m1_inf
+    s2 = 1 / m2_0 + 1 / m2_inf
+    firsts = (s1 + a / m2_0 + b / m3_0, s1 + a / m2_0 - b / m3_inf,
+              s1 - a / m2_inf + (b - a * c) / m3_0, s1 - a / m2_inf - (b - a * c) / m3_inf)
+    return s2 + c / m3_0 > 0 and s2 - c / m3_inf > 0 and all(x > 0 for x in firsts)
 
 
 # ------------------------------------------------------------------ H3 matrix

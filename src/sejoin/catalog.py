@@ -71,33 +71,35 @@ class SERecord:
         return (self.ypq.p, self.ypq.q, self.w1, self.w2)
 
 
-def build_record(p: int, q: int, k=None, w=None, l=None) -> SERecord:
-    """Derive the full record from raw inputs.
-
-    Exactly one of ``k`` (rational > 1) and ``w`` (coprime weight pair) must
-    be given; ``l`` defaults to the canonical gluing pair.
-    """
+def quasi_regular_factor(p: int, q: int) -> YpqEinstein:
+    """The solved first factor Y^{p,q}; DomainError if its ray is irrational."""
     sol = solve(p, q)
     if sol is None:
         raise DomainError(
             "(%d, %d) has no quasi-regular transverse-Einstein ray" % (p, q)
         )
+    return sol
+
+
+def build_record(p: int, q: int, k=None, w=None) -> SERecord:
+    """Derive the full record from raw inputs, with the canonical gluing pair.
+
+    Exactly one of ``k`` (rational > 1) and ``w`` (coprime weight pair) must
+    be given.
+    """
+    sol = quasi_regular_factor(p, q)
     if (k is None) == (w is None):
         raise DomainError("give exactly one of k and w")
     if k is not None:
         w1, w2 = w_from_k(Fraction(k))
     else:
         w1, w2 = w
-    return _assemble(sol, w1, w2, l)
+    return _assemble(sol, w1, w2)
 
 
-def _assemble(sol: YpqEinstein, w1: int, w2: int, l=None) -> SERecord:
-    notes = list(FIXED_NOTES)
-    if l is None:
-        l1, l2 = canonical_l(w1, w2, sol.fano_index)
-        notes.append("canonical gluing")
-    else:
-        l1, l2 = l
+def _assemble(sol: YpqEinstein, w1: int, w2: int) -> SERecord:
+    l1, l2 = canonical_l(w1, w2, sol.fano_index)
+    notes = list(FIXED_NOTES) + ["canonical gluing"]
     spec = JoinSpec(ypq=sol, l1=l1, l2=l2, w1=w1, w2=w2)
     ray = se_ray_from_w(w1, w2)
     smooth, witnesses = smoothness_check(spec)
@@ -159,10 +161,7 @@ def enumerate_ypq(p_max: int) -> List[YpqEinstein]:
     for p in range(2, p_max + 1):
         for q in range(1, p):
             if gcd(p, q) == 1 and is_quasi_regular(p, q):
-                sol = solve(p, q)
-                if sol is None:
-                    raise DomainError("quasi-regular pair (%d, %d) failed to solve" % (p, q))
-                out.append(sol)
+                out.append(quasi_regular_factor(p, q))
     return out
 
 
@@ -341,21 +340,13 @@ def verify_paper_examples(corrupt: Optional[str] = None) -> VerificationReport:
 # ------------------------------------------------------------------- export
 
 
-def _fmt(value, digits: int):
+def _fmt(value: Union[Fraction, AlgebraicRoot, None], digits: int):
     if value is None:
         return None
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, Fraction):
         return "%d/%d" % (value.numerator, value.denominator)
-    if isinstance(value, AlgebraicRoot):
-        lo, hi = value.decimal_bounds(digits)
-        return [lo, hi]
-    if isinstance(value, (list, tuple)):
-        return [_fmt(v, digits) for v in value]
-    return str(value)
+    lo, hi = value.decimal_bounds(digits)
+    return [lo, hi]
 
 
 def ypq_to_dict(sol: YpqEinstein) -> Dict:

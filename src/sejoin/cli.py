@@ -27,6 +27,7 @@ from .catalog import (
     enumerate_ypq,
     export_records,
     family_record,
+    quasi_regular_factor,
     record_to_dict,
     verify_paper_examples,
     write_export,
@@ -69,11 +70,14 @@ def _parse_range(text: str):
         raise DomainError("bad range %r" % (text,)) from exc
 
 
+def _ypq_line(sol) -> str:
+    return "p=%d q=%d  v2=(%d,%d) m2=%d a=%d I=%d" % (
+        sol.p, sol.q, sol.v2_0, sol.v2_inf, sol.m2, sol.a, sol.fano_index)
+
+
 def _render_record(rec: SERecord, digits: int) -> str:
-    sol = rec.ypq
     lines = [
-        "p=%d q=%d  v2=(%d,%d) m2=%d a=%d I=%d"
-        % (sol.p, sol.q, sol.v2_0, sol.v2_inf, sol.m2, sol.a, sol.fano_index),
+        _ypq_line(rec.ypq),
         "w=(%d,%d) l=(%d,%d)" % (rec.w1, rec.w2, rec.l1, rec.l2),
     ]
     if rec.error is not None:
@@ -124,10 +128,7 @@ def _cmd_ypq(args) -> int:
     counts = {}
     for sol in sols:
         counts[sol.p] = counts.get(sol.p, 0) + 1
-        print(
-            "p=%d q=%d  v2=(%d,%d) m2=%d a=%d I=%d"
-            % (sol.p, sol.q, sol.v2_0, sol.v2_inf, sol.m2, sol.a, sol.fano_index)
-        )
+        print(_ypq_line(sol))
     if counts:
         summary = ", ".join("p=%d: %d" % (p, c) for p, c in sorted(counts.items()))
         print("ray counts per admissible p: %s" % summary)
@@ -137,26 +138,15 @@ def _cmd_ypq(args) -> int:
 
 
 def _record_args_to_records(args) -> List[SERecord]:
-    sources = [
-        args.k is not None,
-        args.w is not None,
-        getattr(args, "k_list", None) is not None,
-        getattr(args, "w_bound", None) is not None,
-    ]
-    if sum(sources) != 1:
+    sources = (args.k, args.w, args.k_list, args.w_bound)
+    if sum(v is not None for v in sources) != 1:
         raise DomainError("give exactly one of --k, --w, --k-list, --w-bound")
     if args.k is not None:
         return [build_record(args.p, args.q, k=_parse_rational(args.k))]
     if args.w is not None:
         return [build_record(args.p, args.q, w=_parse_pair(args.w))]
-    from .ypq import solve
-
-    sol = solve(args.p, args.q)
-    if sol is None:
-        raise DomainError(
-            "(%d, %d) has no quasi-regular transverse-Einstein ray" % (args.p, args.q)
-        )
-    if getattr(args, "k_list", None) is not None:
+    sol = quasi_regular_factor(args.p, args.q)
+    if args.k_list is not None:
         ks = [_parse_rational(t) for t in args.k_list.split(",")]
         return enumerate_joins(sol, k_list=ks)
     return enumerate_joins(sol, w_bound=args.w_bound)
@@ -205,31 +195,40 @@ def _cmd_profile(args) -> int:
             data = json.load(fh)
     except OSError as exc:
         raise RuntimeError("cannot read %s: %s" % (args.record, exc)) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise DomainError("%s is not valid JSON: %s" % (args.record, exc)) from exc
     if isinstance(data, list):
         if len(data) != 1:
             raise DomainError("record file must contain exactly one record, got %d" % len(data))
         data = data[0]
+    if not isinstance(data, dict):
+        raise DomainError("%s does not hold a record object" % args.record)
     coeffs = data.get("F_coeffs")
     r3 = data.get("r3")
     m_vector = data.get("m_vector")
     if coeffs is None or r3 is None or m_vector is None:
         print("record has no Einstein profile", file=sys.stderr)
         return 1
-    profile = CalabiProfile(
-        r3=Fraction(r3),
-        F=Polynomial([Fraction(cf) for cf in coeffs]),
-        m3_0=int(m_vector[4]),
-        m3_inf=int(m_vector[5]),
-    )
-    print("F coefficients: %s" % [str(cf) for cf in profile.F.coeffs])
-    print("%-12s %s" % ("z", "Theta(z)"))
-    for z, theta in profile.grid(args.grid):
-        if args.decimal:
-            print("%-12s %-24s %s" % (z, theta, fraction_to_decimal(theta, 50, "floor")))
-        else:
-            print("%-12s %s" % (z, theta))
+    try:
+        profile = CalabiProfile(
+            r3=Fraction(r3),
+            F=Polynomial([Fraction(cf) for cf in coeffs]),
+            m3_0=int(m_vector[4]),
+            m3_inf=int(m_vector[5]),
+        )
+        lines = ["F coefficients: %s" % [str(cf) for cf in profile.F.coeffs],
+                 "%-12s %s" % ("z", "Theta(z)")]
+        for z, theta in profile.grid(args.grid):
+            if args.decimal:
+                lines.append("%-12s %-24s %s"
+                             % (z, theta, fraction_to_decimal(theta, 50, "floor")))
+            else:
+                lines.append("%-12s %s" % (z, theta))
+    except DomainError:
+        raise
+    except (ValueError, TypeError, LookupError, ZeroDivisionError, OverflowError) as exc:
+        raise DomainError("malformed record in %s: %s" % (args.record, exc)) from exc
+    print("\n".join(lines))
     return 0
 
 
@@ -267,21 +266,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_ypq.add_argument("--json", action="store_true")
     p_ypq.set_defaults(func=_cmd_ypq)
 
-    def add_join_flags(sp, with_batch: bool):
+    def add_join_flags(sp):
         sp.add_argument("--p", type=int, default=None)
         sp.add_argument("--q", type=int, default=None)
         sp.add_argument("--k", default=None, help="rational k > 1, e.g. 2 or 3/2")
         sp.add_argument("--w", default=None, help="weights, e.g. 34,11")
-        if with_batch:
-            sp.add_argument("--k-list", dest="k_list", default=None,
-                            help="comma-separated rationals")
-            sp.add_argument("--w-bound", dest="w_bound", type=int, default=None,
-                            help="enumerate all coprime weight pairs up to bound")
+        sp.add_argument("--k-list", dest="k_list", default=None,
+                        help="comma-separated rationals")
+        sp.add_argument("--w-bound", dest="w_bound", type=int, default=None,
+                        help="enumerate all coprime weight pairs up to bound")
         sp.add_argument("--digits", type=int, default=40,
                         help="certified decimal digits for irrational values")
 
     p_join = sub.add_parser("join", help="build join records")
-    add_join_flags(p_join, with_batch=True)
+    add_join_flags(p_join)
     p_join.add_argument("--json", action="store_true")
     p_join.set_defaults(func=_cmd_join)
 
@@ -307,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.set_defaults(func=_cmd_profile)
 
     p_exp = sub.add_parser("export", help="write records as JSON or CSV")
-    add_join_flags(p_exp, with_batch=True)
+    add_join_flags(p_exp)
     p_exp.add_argument("--family-t", dest="family_t", default=None,
                        help="family step or range, e.g. 3 or 1:10")
     p_exp.add_argument("--format", required=True, choices=("json", "csv"))
@@ -321,8 +319,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "digits", 1) < 1:
-            raise DomainError("--digits must be >= 1, got %d" % args.digits)
+        digits = getattr(args, "digits", 1)
+        if digits < 1:
+            raise DomainError("--digits must be >= 1, got %d" % digits)
+        # decimals are printed from ints, and Python refuses to print an int
+        # longer than this (0: no limit; the call is absent before 3.10.7)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and digits > limit:
+            raise DomainError("--digits must be <= %d, got %d" % (limit, digits))
         return args.func(args)
     except DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)

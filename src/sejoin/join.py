@@ -21,8 +21,8 @@ from .kernel import (
     DegenerateEquationError,
     DomainError,
     Polynomial,
-    cubic_real_roots,
     integrate_sym,
+    real_roots,
 )
 from .ypq import YpqEinstein
 
@@ -109,7 +109,6 @@ class ReebRay:
 
     quasi_regular: bool
     k: Union[Fraction, AlgebraicRoot]
-    cubic: Polynomial
     v3_0: Optional[int] = None
     v3_inf: Optional[int] = None
     ratio: Union[Fraction, AlgebraicRoot, None] = None
@@ -133,7 +132,7 @@ def se_ray_from_w(w1: int, w2: int) -> ReebRay:
     """Solve the cubic for its unique root k in (1, oo) and convert to the
     Reeb ray with v3_inf/v3_0 = k*w2/w1."""
     cubic = se_cubic(w1, w2)
-    roots = [r for r in cubic_real_roots(cubic) if r > 1]
+    roots = [r for r in real_roots(cubic) if r > 1]
     if len(roots) != 1:
         raise ConsistencyError(
             "expected exactly one root of %r in (1, oo), got %d" % (cubic, len(roots))
@@ -146,10 +145,10 @@ def se_ray_from_w(w1: int, w2: int) -> ReebRay:
             raise ConsistencyError(
                 "cubic root k=%s fails the ray integral for w=(%d,%d)" % (k, w1, w2)
             )
-        return ReebRay(True, k, cubic, v3_0, v3_inf, ratio)
+        return ReebRay(True, k, v3_0, v3_inf, ratio)
     scale = Fraction(w2, w1)
     ratio = AlgebraicRoot(k.poly.scale_arg(1 / scale), scale * k.lo, scale * k.hi)
-    return ReebRay(False, k, cubic, ratio=ratio)
+    return ReebRay(False, k, ratio=ratio)
 
 
 def w_from_k(k) -> Tuple[int, int]:

@@ -521,9 +521,3 @@ def solve_quadratic_rational(qa, qb, qc) -> list:
         return sorted({r1, r2})
     return real_roots(Polynomial((qc, qb, qa)))
 
-
-def cubic_real_roots(p: Polynomial) -> list:
-    """All distinct real roots of a cubic, exact (rational or isolated)."""
-    if p.degree != 3:
-        raise DomainError("cubic_real_roots needs degree 3, got %d" % p.degree)
-    return real_roots(p)

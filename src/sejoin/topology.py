@@ -8,67 +8,11 @@ homotopy types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import gcd
+from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Tuple
 
 from .kernel import DomainError
-
-
-def invariant_factors(*orders: int) -> Tuple[int, ...]:
-    """Invariant factor decomposition of a direct sum of cyclic groups
-    Z_{orders[0]} + Z_{orders[1]} + ..., trivial factors dropped.
-
-    Uses only gcd/lcm pairwise reduction, no factorization: repeatedly
-    replace a non-dividing pair (a, b) by (gcd, lcm) until d1 | d2 | ...
-    """
-    vals = []
-    for d in orders:
-        if not isinstance(d, int) or d < 1:
-            raise DomainError("cyclic orders must be positive integers")
-        if d > 1:
-            vals.append(d)
-    changed = True
-    while changed:
-        changed = False
-        vals.sort()
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if vals[j] % vals[i] != 0:
-                    g = gcd(vals[i], vals[j])
-                    l = vals[i] * vals[j] // g
-                    vals[i], vals[j] = g, l
-                    changed = True
-        vals = [v for v in vals if v > 1]
-    return tuple(sorted(vals))
-
-
-@dataclass(frozen=True)
-class AbelianGroup:
-    """Isomorphism class of a finitely generated abelian group:
-    free rank plus invariant factors d1 | d2 | ... (all > 1)."""
-
-    free_rank: int
-    torsion: Tuple[int, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if self.free_rank < 0:
-            raise DomainError("free rank must be non-negative")
-        object.__setattr__(self, "torsion", invariant_factors(*self.torsion))
-
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
-    def order(self):
-        """Order of the torsion part (the whole group if rank 0)."""
-        total = 1
-        for d in self.torsion:
-            total *= d
-        return total
-
-    def __str__(self):
-        parts = ["Z"] * self.free_rank + ["Z_%d" % d for d in self.torsion]
-        return " + ".join(parts) if parts else "0"
 
 
 @dataclass(frozen=True)
@@ -83,8 +27,11 @@ class TorsionInvariant:
         if self.A < 1 or self.B < 1:
             raise DomainError("cyclic orders must be positive")
 
-    def group(self) -> AbelianGroup:
-        return AbelianGroup(0, (self.A, self.B))
+    @property
+    def factors(self) -> Tuple[int, ...]:
+        """Invariant factors d1 | d2 of Z_A + Z_B, trivial factors dropped:
+        (gcd(A, B), lcm(A, B))."""
+        return tuple(d for d in (gcd(self.A, self.B), lcm(self.A, self.B)) if d > 1)
 
 
 def h4_torsion(v0: int, vinf: int, m: int, l2: int, w1: int, w2: int, l1: int) -> TorsionInvariant:
@@ -104,4 +51,4 @@ def h4_torsion(v0: int, vinf: int, m: int, l2: int, w1: int, w2: int, l1: int) -
 def homotopy_distinct(t1: TorsionInvariant, t2: TorsionInvariant) -> bool:
     """True iff the two torsion groups are non-isomorphic.  A False result
     only means this invariant does not separate them."""
-    return t1.group() != t2.group()
+    return t1.factors != t2.factors

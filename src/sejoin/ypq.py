@@ -33,6 +33,13 @@ def _validate_pq(p: int, q: int) -> None:
         raise DomainError("p, q must be coprime, got gcd=%d" % gcd(p, q))
 
 
+def _reduced_pq(p: int, q: int) -> Tuple[int, int, int]:
+    """(l, alpha, beta) = (gcd(p+q, p-q), (p+q)/l, (p-q)/l) for a valid pair."""
+    _validate_pq(p, q)
+    l = gcd(p + q, p - q)
+    return l, (p + q) // l, (p - q) // l
+
+
 def einstein_integrand(p: int, q: int, v0, vinf) -> Polynomial:
     """The degree-2 polynomial in z whose vanishing integral over [-1, 1]
     characterises transverse-Einstein Reeb parameters (v0, vinf)."""
@@ -50,10 +57,7 @@ def ray_ratio(p: int, q: int) -> Tuple[Union[Fraction, AlgebraicRoot], Polynomia
     The ratio is > 1 always; it is a Fraction exactly when 4p^2 - 3q^2 is a
     perfect square (up to the factor l^2 scaling).
     """
-    _validate_pq(p, q)
-    l = gcd(p + q, p - q)
-    alpha = (p + q) // l
-    beta = (p - q) // l
+    _, alpha, beta = _reduced_pq(p, q)
     quad = Polynomial((-2 * alpha, alpha - beta, 2 * beta))
     roots = solve_quadratic_rational(2 * beta, alpha - beta, -2 * alpha)
     positive = [r for r in roots if r > 1]
@@ -90,12 +94,9 @@ def hirzebruch_quotient(p: int, q: int, v0: int, vinf: int) -> Tuple[int, int, i
     """Quotient data (m2, m2_0, m2_inf, a) for the rational ray v0/vinf in
     lowest terms: ramification orders m2*(v0, vinf) over the two sections of
     an a-twisted orbifold Hirzebruch surface."""
-    _validate_pq(p, q)
+    _, alpha, beta = _reduced_pq(p, q)
     if gcd(v0, vinf) != 1 or v0 <= vinf or vinf < 1:
         raise DomainError("ray must be coprime with v0 > vinf >= 1")
-    l = gcd(p + q, p - q)
-    alpha = (p + q) // l
-    beta = (p - q) // l
     m2 = p // gcd(p, abs(alpha * vinf - beta * v0))
     a_num = (p + q) * m2 * vinf - (p - q) * m2 * v0
     if a_num % p != 0:
@@ -127,10 +128,6 @@ class YpqEinstein:
     a: int
     fano_index: int
 
-    @property
-    def ratio(self) -> Fraction:
-        return Fraction(self.v2_0, self.v2_inf)
-
     def anticanonical_coefficients(self) -> Tuple[Fraction, Fraction]:
         """(b_hat, c_hat) = K*c1^orb(N)/I: the orbifold anticanonical class
         of the quotient N divided by the Fano index I, in the K-scaled basis
@@ -154,7 +151,7 @@ def solve(p: int, q: int) -> Optional[YpqEinstein]:
     m2, m2_0, m2_inf, a = hirzebruch_quotient(p, q, v0, vinf)
     idx = fano_index(m2, v0, vinf, a)
     return YpqEinstein(
-        p=p, q=q, l=gcd(p + q, p - q),
+        p=p, q=q, l=_reduced_pq(p, q)[0],
         v2_0=v0, v2_inf=vinf,
         m2=m2, m2_0=m2_0, m2_inf=m2_inf,
         a=a, fano_index=idx,

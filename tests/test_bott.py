@@ -219,6 +219,25 @@ class TestLogFano:
             xc = _to_x(c1_orb(orb))
             assert is_log_fano(orb) == _in_kahler_cone_by_walls(orb.abc, xc)
 
+    def test_matches_c1_orb_in_every_basis(self):
+        # criterion 7a's sampler, then rational last-stage twists as the
+        # quotients of quasi-regular joins carry
+        rng = random.Random(70001)
+        orbs = []
+        for _ in range(1000):
+            abc = tuple(rng.randrange(-4, 5) for _ in range(3))
+            orbs.append(BottOrbifold(*abc, tuple(rng.randrange(1, 7) for _ in range(6))))
+        for _ in range(300):
+            b, c = (Fraction(rng.randrange(-40, 41), rng.randrange(1, 8)) for _ in range(2))
+            m = tuple(Fraction(rng.randrange(1, 9), rng.randrange(1, 3)) for _ in range(6))
+            orbs.append(BottOrbifold(rng.randrange(-4, 5), b, c, m))
+        hits = 0
+        for orb in orbs:
+            expected = all(c > 0 for b in BASES for c in c1_orb(orb, b).coeffs)
+            assert is_log_fano(orb) == expected
+            hits += expected
+        assert 0 < hits < len(orbs)
+
     def test_four_basis_positivity_equals_wall_positivity(self):
         # arbitrary classes, not just c1: the two cone descriptions coincide
         rng = random.Random(17)

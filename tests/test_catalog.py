@@ -1,6 +1,7 @@
 """Record assembly, enumeration, paper verification, export, and the CLI."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -68,11 +69,6 @@ class TestBuildRecord:
     def test_golden_a_from_w_matches(self):
         assert build_record(13, 8, w=(34, 11)) == build_record(13, 8, k=2)
 
-    def test_explicit_l_matches_canonical(self):
-        rec = build_record(13, 8, w=(34, 11), l=(4, 15))
-        assert rec.quotient == build_record(13, 8, k=2).quotient
-        assert "canonical gluing" not in rec.notes
-
     def test_golden_b(self):
         rec = build_record(13, 7, k=2)
         assert (rec.ypq.a, rec.ypq.fano_index) == (36, 7)
@@ -110,10 +106,6 @@ class TestBuildRecord:
     def test_rejects_k_at_most_one(self):
         with pytest.raises(DomainError):
             build_record(13, 8, k=1)
-
-    def test_rejects_bad_gluing_pair(self):
-        with pytest.raises(DomainError):
-            build_record(13, 8, w=(34, 11), l=(6, 15))
 
     def test_sort_key(self):
         rec = build_record(13, 8, k=2)
@@ -198,10 +190,10 @@ class TestEnumerateJoins:
         sol = solve(13, 8)
         real = catalog._assemble
 
-        def flaky(s, w1, w2, l=None):
+        def flaky(s, w1, w2):
             if (w1, w2) == (3, 2):
                 raise DomainError("forced failure")
-            return real(s, w1, w2, l)
+            return real(s, w1, w2)
 
         monkeypatch.setattr(catalog, "_assemble", flaky)
         recs = enumerate_joins(sol, w_bound=3)
@@ -214,12 +206,12 @@ class TestEnumerateJoins:
     def test_consistency_error_becomes_error_record(self, monkeypatch, capsys):
         real = catalog._assemble
 
-        def broken(s, w1, w2, l=None):
+        def broken(s, w1, w2):
             if (w1, w2) == (3, 1):
                 raise DomainError("forced rejection")
             if (w1, w2) == (3, 2):
                 raise ConsistencyError("forced cross-check failure")
-            return real(s, w1, w2, l)
+            return real(s, w1, w2)
 
         monkeypatch.setattr(catalog, "_assemble", broken)
         recs = enumerate_joins(solve(13, 8), w_bound=3)
@@ -549,10 +541,10 @@ class TestCliProfileAndExport:
     def test_error_records_exit_1(self, monkeypatch, capsys):
         real = catalog._assemble
 
-        def flaky(s, w1, w2, l=None):
+        def flaky(s, w1, w2):
             if (w1, w2) == (3, 2):
                 raise DomainError("forced failure")
-            return real(s, w1, w2, l)
+            return real(s, w1, w2)
 
         monkeypatch.setattr(catalog, "_assemble", flaky)
         flags = ["--p", "13", "--q", "8", "--w-bound", "3"]
@@ -578,6 +570,47 @@ class TestCliProfileAndExport:
         assert code == 2
         assert out == ""
         assert "--digits must be >= 1" in err
+
+    @pytest.mark.parametrize("digits", ["4301", "5000"])
+    @pytest.mark.parametrize("argv", [
+        ["join", "--p", "13", "--q", "8", "--w", "5,2"],
+        ["family", "--t", "1"],
+        ["export", "--family-t", "1", "--format", "json"],
+    ])
+    def test_digits_above_int_str_limit_is_usage_error(self, argv, digits,
+                                                       monkeypatch, capsys):
+        def unreachable(*args):
+            raise AssertionError("a record was built")
+
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        monkeypatch.setattr(catalog, "_assemble", unreachable)
+        code, out, err = run_cli(argv + ["--digits", digits], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--digits must be <= 4300" in err
+
+    def test_digits_unbounded_without_int_str_limit(self, monkeypatch, capsys):
+        # the family record is rational, so --digits does not change its bytes
+        _, expected, _ = run_cli(["family", "--t", "1"], capsys)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        code, out, _ = run_cli(["family", "--t", "1", "--digits", "5000"], capsys)
+        assert code == 0
+        assert out == expected
+
+    @pytest.mark.parametrize("text", [
+        '{"F_coeffs": "abc", "r3": "1/2", "m_vector": ["1", "1", "2", "3", "4", "5"]}',
+        '{"F_coeffs": ["1"], "r3": "1/2", "m_vector": ["1"]}',
+        '{"F_coeffs": ["1"], "r3": [1], "m_vector": ["1", "1", "2", "3", "4", "5"]}',
+        '[1]',
+        '{"F_coeffs": ["1"], "r3": "1/0", "m_vector": ["1", "1", "2", "3", "4", "5"]}',
+    ], ids=["coeffs-text", "short-m-vector", "r3-list", "not-an-object", "r3-zero-den"])
+    def test_profile_malformed_record_is_usage_error(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(["profile", "--record", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_export_flag_conflicts(self, capsys):
         code, _, err = run_cli(

@@ -169,13 +169,12 @@ class TestSeRay:
         assert lo == "1.5213797068"
 
     def test_reebray_validation(self):
-        cubic = se_cubic(34, 11)
         with pytest.raises(DomainError):
-            ReebRay(True, Fraction(2), cubic, 34, 22, Fraction(22, 34))
+            ReebRay(True, Fraction(2), 34, 22, Fraction(22, 34))
         with pytest.raises(DomainError):
-            ReebRay(True, Fraction(2), cubic, 17, 11, Fraction(11, 18))
+            ReebRay(True, Fraction(2), 17, 11, Fraction(11, 18))
         with pytest.raises(DomainError):
-            ReebRay(False, Fraction(2), cubic, ratio=Fraction(11, 17))
+            ReebRay(False, Fraction(2), ratio=Fraction(11, 17))
 
 
 class TestWFromK:
@@ -263,15 +262,13 @@ class TestQuotientOrbifold:
             quotient_orbifold(spec, se_ray_from_w(2, 1))
 
     def test_degenerate_ray(self):
-        cubic = se_cubic(3, 1)
-        ray = ReebRay(True, Fraction(3), cubic, 3, 1, Fraction(1, 3))
+        ray = ReebRay(True, Fraction(3), 3, 1, Fraction(1, 3))
         spec = JoinSpec(YPQ_A, 1, 1, 3, 1)
         with pytest.raises(DegenerateEquationError):
             quotient_orbifold(spec, ray)
 
     def test_wrong_orientation(self):
-        cubic = se_cubic(3, 2)
-        ray = ReebRay(True, Fraction(2), cubic, 5, 1, Fraction(1, 5))
+        ray = ReebRay(True, Fraction(2), 5, 1, Fraction(1, 5))
         spec = JoinSpec(YPQ_A, 1, 1, 3, 2)
         with pytest.raises(DomainError):
             quotient_orbifold(spec, ray)

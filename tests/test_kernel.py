@@ -21,7 +21,6 @@ from sejoin.kernel import (
     DomainError,
     Polynomial,
     count_roots_open,
-    cubic_real_roots,
     fraction_to_decimal,
     integer_sqrt_exact,
     integrate_sym,
@@ -203,13 +202,13 @@ def test_real_roots_rational():
 
 def test_real_roots_cubic_rational():
     # 33k^3 - 12k^2 - 57k - 102 = 3(k - 2)(11k^2 + 18k + 17), complex pair
-    roots = cubic_real_roots(Polynomial((-102, -57, -12, 33)))
+    roots = real_roots(Polynomial((-102, -57, -12, 33)))
     assert roots == [F(2)]
 
 
 def test_real_roots_cubic_irrational():
     # k^3 - k - 2 has one real root near 1.5214
-    (root,) = cubic_real_roots(Polynomial((-2, -1, 0, 1)))
+    (root,) = real_roots(Polynomial((-2, -1, 0, 1)))
     assert isinstance(root, AlgebraicRoot)
     assert root > F(3, 2) and root < F(8, 5)
     assert root.hi - root.lo < DEFAULT_ROOT_WIDTH
@@ -237,11 +236,6 @@ def test_real_roots_repeated():
 def test_real_roots_zero_poly_rejected():
     with pytest.raises(DomainError):
         real_roots(Polynomial(()))
-
-
-def test_cubic_real_roots_wrong_degree():
-    with pytest.raises(DomainError):
-        cubic_real_roots(Polynomial((1, 1)))
 
 
 # ------------------------------------------------------------- quadratics

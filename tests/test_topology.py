@@ -5,65 +5,39 @@ import random
 import pytest
 
 from sejoin.kernel import DomainError
-from sejoin.topology import (
-    AbelianGroup,
-    TorsionInvariant,
-    h4_torsion,
-    homotopy_distinct,
-    invariant_factors,
-)
+from sejoin.topology import TorsionInvariant, h4_torsion, homotopy_distinct
 
 
 class TestInvariantFactors:
     def test_known_pairs(self):
-        assert invariant_factors(6, 4) == (2, 12)
-        assert invariant_factors(12, 2) == (2, 12)
-        assert invariant_factors(91, 65) == (13, 455)
+        assert TorsionInvariant(6, 4).factors == (2, 12)
+        assert TorsionInvariant(12, 2).factors == (2, 12)
+        assert TorsionInvariant(91, 65).factors == (13, 455)
 
     def test_drops_trivial(self):
-        assert invariant_factors(1, 1) == ()
-        assert invariant_factors(1, 5, 1) == (5,)
+        assert TorsionInvariant(1, 1).factors == ()
+        assert TorsionInvariant(1, 5).factors == (5,)
+        assert TorsionInvariant(5, 1).factors == (5,)
+        assert TorsionInvariant(6, 35).factors == (210,)
 
     def test_chain_divides(self):
         rng = random.Random(31)
         for _ in range(300):
-            orders = [rng.randrange(1, 400) for _ in range(rng.randrange(1, 5))]
-            fac = invariant_factors(*orders)
+            a, b = rng.randrange(1, 400), rng.randrange(1, 400)
+            fac = TorsionInvariant(a, b).factors
             for d1, d2 in zip(fac, fac[1:]):
                 assert d2 % d1 == 0
             # group order is preserved
-            prod = 1
-            for d in orders:
-                prod *= d
             prod_fac = 1
             for d in fac:
                 prod_fac *= d
-            assert prod == prod_fac
+            assert a * b == prod_fac
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
-            invariant_factors(0)
+            TorsionInvariant(0, 1)
         with pytest.raises(DomainError):
-            invariant_factors(-3)
-
-
-class TestAbelianGroup:
-    def test_canonicalizes(self):
-        assert AbelianGroup(0, (6, 4)) == AbelianGroup(0, (12, 2))
-        assert AbelianGroup(1, (1, 1)) == AbelianGroup(1)
-
-    def test_str(self):
-        assert str(AbelianGroup(1, (91, 65))) == "Z + Z_13 + Z_455"
-        assert str(AbelianGroup(0)) == "0"
-
-    def test_order(self):
-        assert AbelianGroup(0, (6, 4)).order() == 24
-        assert AbelianGroup(0).order() == 1
-
-    def test_trivial(self):
-        assert AbelianGroup(0).is_trivial()
-        assert not AbelianGroup(1).is_trivial()
-        assert not AbelianGroup(0, (2,)).is_trivial()
+            TorsionInvariant(4, -3)
 
 
 class TestH4Torsion:
@@ -76,7 +50,7 @@ class TestH4Torsion:
     def test_homogeneous(self):
         t = h4_torsion(1, 1, 1, 1, 1, 1, 1)
         assert t == TorsionInvariant(1, 1)
-        assert t.group().is_trivial()
+        assert t.factors == ()
 
     def test_multiplicative_in_l2(self):
         rng = random.Random(37)
@@ -125,5 +99,5 @@ class TestHomotopyDistinct:
     def test_order_mismatch_always_distinct(self):
         t1 = TorsionInvariant(6, 4)
         t2 = TorsionInvariant(6, 5)
-        assert t1.group().order() != t2.group().order()
+        assert t1.A * t1.B != t2.A * t2.B
         assert homotopy_distinct(t1, t2) is True
