@@ -221,7 +221,7 @@ def _cmd_profile(args) -> int:
         for z, theta in profile.grid(args.grid):
             if args.decimal:
                 lines.append("%-12s %-24s %s"
-                             % (z, theta, fraction_to_decimal(theta, 50, "floor")))
+                             % (z, theta, fraction_to_decimal(theta, 50)))
             else:
                 lines.append("%-12s %s" % (z, theta))
     except DomainError:

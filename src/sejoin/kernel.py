@@ -351,13 +351,28 @@ class AlgebraicRoot:
                 a, b = m, 2 * b
 
     def decimal_bounds(self, digits: int = 40):
-        """Certified decimal enclosure (lo_str, hi_str) with ``digits`` fractional
-        digits: lo_str rounded down, hi_str rounded up."""
+        """The one-unit decimal cell (lo_str, hi_str) containing the number x,
+        with ``digits`` fractional digits: lo_str = floor(x*10^digits)/10^digits
+        and hi_str one unit more.  The strings depend on x alone, not on the
+        isolating interval."""
         if digits < 1:
             raise DomainError("digits must be >= 1")
-        lo, hi = self.refined_interval(Fraction(1, 10 ** (digits + 1)))
-        return (fraction_to_decimal(lo, digits, "floor"),
-                fraction_to_decimal(hi, digits, "ceil"))
+        scale = 10**digits
+        coeffs = [int(c) for c in self.poly.coeffs]
+        tested = None
+        for a, b, d in self._bisection():
+            n = a * scale // d
+            if b * scale <= (n + 1) * d:
+                # (a/d, b/d) lies in the cell [n, n + 1]/scale
+                break
+            if b * scale <= (n + 2) * d and n + 1 != tested:
+                # the one grid point inside; bisection never reaches it
+                # when it is the root, so test it exactly
+                tested = n + 1
+                if _scaled_value(coeffs, tested, scale) == 0:
+                    n = tested
+                    break
+        return _scaled_to_decimal(n, digits), _scaled_to_decimal(n + 1, digits)
 
     def _cmp_fraction(self, x: Fraction) -> int:
         xn, xd = x.numerator, x.denominator
@@ -391,21 +406,18 @@ class AlgebraicRoot:
         return "AlgebraicRoot(%r, (%s, %s))" % (self.poly, self.lo, self.hi)
 
 
-def fraction_to_decimal(x: Fraction, digits: int, rounding: str = "floor") -> str:
-    """Decimal string of x with ``digits`` fractional digits, rounded toward
-    -infinity ("floor") or +infinity ("ceil")."""
-    x = Fraction(x)
-    scale = 10**digits
-    num = x.numerator * scale
-    q, r = divmod(num, x.denominator)  # floor division
-    if rounding == "ceil" and r:
-        q += 1
-    elif rounding not in ("floor", "ceil"):
-        raise DomainError("rounding must be 'floor' or 'ceil'")
+def _scaled_to_decimal(q: int, digits: int) -> str:
+    """Decimal string of q/10^digits with ``digits`` fractional digits."""
     sign = "-" if q < 0 else ""
-    q = abs(q)
-    whole, frac = divmod(q, scale)
+    whole, frac = divmod(abs(q), 10**digits)
     return "%s%d.%0*d" % (sign, whole, digits, frac)
+
+
+def fraction_to_decimal(x: Fraction, digits: int) -> str:
+    """Decimal string of x with ``digits`` fractional digits, rounded toward
+    -infinity."""
+    x = Fraction(x)
+    return _scaled_to_decimal(x.numerator * 10**digits // x.denominator, digits)
 
 
 def _divisors(n: int) -> list:
