@@ -157,12 +157,8 @@ def enumerate_ypq(p_max: int) -> List[YpqEinstein]:
     """All solved quasi-regular first factors with p <= p_max."""
     if p_max < 2:
         raise DomainError("p_max must be >= 2")
-    out = []
-    for p in range(2, p_max + 1):
-        for q in range(1, p):
-            if gcd(p, q) == 1 and is_quasi_regular(p, q):
-                out.append(quasi_regular_factor(p, q))
-    return out
+    return [quasi_regular_factor(p, q) for p in range(2, p_max + 1) for q in range(1, p)
+            if gcd(p, q) == 1 and is_quasi_regular(p, q)]
 
 
 def enumerate_joins(sol: YpqEinstein, k_list: Optional[Sequence] = None,
@@ -176,17 +172,13 @@ def enumerate_joins(sol: YpqEinstein, k_list: Optional[Sequence] = None,
     """
     if (k_list is None) == (w_bound is None):
         raise DomainError("give exactly one of k_list and w_bound")
-    pairs = []
     if k_list is not None:
-        for k in k_list:
-            pairs.append(w_from_k(Fraction(k)))
+        pairs = [w_from_k(Fraction(k)) for k in k_list]
+    elif w_bound < 2:
+        raise DomainError("w_bound must be >= 2")
     else:
-        if w_bound < 2:
-            raise DomainError("w_bound must be >= 2")
-        for w1 in range(2, w_bound + 1):
-            for w2 in range(1, w1):
-                if gcd(w1, w2) == 1:
-                    pairs.append((w1, w2))
+        pairs = [(w1, w2) for w1 in range(2, w_bound + 1) for w2 in range(1, w1)
+                 if gcd(w1, w2) == 1]
     records = []
     for w1, w2 in pairs:
         try:
@@ -250,9 +242,7 @@ class VerificationReport:
 def _corrupted(value):
     if isinstance(value, bool):
         return not value
-    if isinstance(value, int):
-        return value + 1
-    if isinstance(value, Fraction):
+    if isinstance(value, (int, Fraction)):
         return value + 1
     if isinstance(value, tuple) and value and isinstance(value[0], int):
         return (value[0] + 1,) + value[1:]
@@ -363,7 +353,7 @@ def ypq_to_dict(sol: YpqEinstein) -> Dict:
 
 def record_to_dict(rec: SERecord, digits: int = 40) -> Dict:
     """JSON-ready dictionary: integers as decimal strings, rationals as
-    num/den strings, algebraic numbers as certified decimal interval pairs."""
+    num/den strings, algebraic numbers as their one-unit decimal cells."""
     out = {
         "schema": SCHEMA_VERSION,
         **ypq_to_dict(rec.ypq),

@@ -9,7 +9,8 @@ Subcommands:
   profile       tabulate the Einstein profile of an exported record
   export        write a batch of records as JSON or CSV
 
-Exit codes: 0 success, 1 verification or construction failure, 2 usage error.
+Exit codes: 0 success, 1 verification or construction failure, 2 usage error
+(including ``profile --grid`` above MAX_GRID).
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ from .catalog import (
 )
 from .kernel import DomainError, Polynomial, fraction_to_decimal
 from .metric import CalabiProfile
+
+# upper bound on profile --grid: the table is built in memory at about 0.5 KB
+# per point, so 10^5 steps need about 60 MB
+MAX_GRID = 10**5
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -190,6 +195,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    if args.grid > MAX_GRID:
+        raise DomainError("--grid must be <= %d, got %d" % (MAX_GRID, args.grid))
     try:
         with open(args.record, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -299,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prof = sub.add_parser("profile", help="tabulate an exported Einstein profile")
     p_prof.add_argument("--record", required=True, help="JSON record file")
-    p_prof.add_argument("--grid", type=int, default=16, help="number of grid steps")
+    p_prof.add_argument("--grid", type=int, default=16,
+                        help="number of grid steps, at most %d" % MAX_GRID)
     p_prof.add_argument("--decimal", action="store_true",
                         help="also render Theta at 50 decimal digits")
     p_prof.set_defaults(func=_cmd_profile)

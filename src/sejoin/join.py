@@ -198,10 +198,11 @@ class JoinQuotient:
     The base N of the last stage is the a-twisted Hirzebruch orbifold with
     ramification (m1_0, m1_inf, m2_0, m2_inf) = m[:4], and the last stage is
     twisted by the line orbibundle L_n with c1(L_n) = n*c1^orb(N)/I on the
-    divisor classes x1, x2.  The integers (b_hat, c_hat) and (b, c) =
-    n*(b_hat, c_hat) are the coordinates of c1^orb(N)/I and c1(L_n) in the
-    K-scaled basis (x1/K, x2/K) with K = m2*v2_0*v2_inf = lcm(m2_0, m2_inf),
-    the basis in which both are integral; ``bott()`` carries c1(L_n) itself.
+    divisor classes x1, x2.  The integers (b, c) = n*(b_hat, c_hat), with
+    (b_hat, c_hat) from ``YpqEinstein.anticanonical_coefficients()``, are
+    the coordinates of c1(L_n) in the K-scaled basis (x1/K, x2/K) with
+    K = m2*v2_0*v2_inf = lcm(m2_0, m2_inf), in which they are integral;
+    ``bott()`` carries c1(L_n) itself.
     """
 
     a: int
@@ -211,8 +212,6 @@ class JoinQuotient:
     s: int
     m3: int
     n: int
-    b_hat: int
-    c_hat: int
     fano_index: int
 
     def bott(self) -> BottOrbifold:
@@ -244,8 +243,7 @@ def quotient_orbifold(spec: JoinSpec, ray: ReebRay) -> JoinQuotient:
     n = (diff // s) * spec.l1
     if gcd(n, m3) != 1:
         raise ConsistencyError("gcd(n, m3) = %d != 1" % gcd(n, m3))
-    b_hat_f, c_hat_f = spec.ypq.anticanonical_coefficients()
-    b_hat, c_hat = int(b_hat_f), int(c_hat_f)
+    b_hat, c_hat = (int(x) for x in spec.ypq.anticanonical_coefficients())
     m = (1, 1, spec.ypq.m2_0, spec.ypq.m2_inf, m3 * ray.v3_0, m3 * ray.v3_inf)
     return JoinQuotient(
         a=spec.ypq.a,
@@ -255,7 +253,5 @@ def quotient_orbifold(spec: JoinSpec, ray: ReebRay) -> JoinQuotient:
         s=s,
         m3=m3,
         n=n,
-        b_hat=b_hat,
-        c_hat=c_hat,
         fano_index=spec.ypq.fano_index,
     )

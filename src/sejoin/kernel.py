@@ -224,14 +224,6 @@ def _sign_variations(chain, x) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots_halfopen(p: Polynomial, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of p in (lo, hi]; requires p(lo), p(hi) != 0
-    after square-free reduction (callers deflate endpoint roots first)."""
-    sf = square_free_part(p)
-    chain = sturm_chain(sf)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
-
-
 def _deflate_root(p: Polynomial, r: Fraction) -> Polynomial:
     q, rem = divmod(p, Polynomial((-r, 1)))
     if not rem.is_zero():
@@ -252,7 +244,9 @@ def count_roots_open(p: Polynomial, lo, hi) -> int:
         p = _deflate_root(p, hi)
     if p.degree < 1:
         return 0
-    return count_roots_halfopen(p, lo, hi)
+    # Sturm's theorem on the square-free part, now nonzero at both ends
+    chain = sturm_chain(square_free_part(p))
+    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 
 def sturm_positive_on(p: Polynomial, lo, hi) -> bool:
@@ -359,19 +353,17 @@ class AlgebraicRoot:
             raise DomainError("digits must be >= 1")
         scale = 10**digits
         coeffs = [int(c) for c in self.poly.coeffs]
-        tested = None
         for a, b, d in self._bisection():
+            if (b - a) * scale > d:
+                continue  # wider than a cell
             n = a * scale // d
             if b * scale <= (n + 1) * d:
-                # (a/d, b/d) lies in the cell [n, n + 1]/scale
+                break  # (a/d, b/d) lies in the cell [n, n + 1]/scale
+            # (a/d, b/d) straddles the grid point (n + 1)/scale, which
+            # bisection never reaches if it is the root
+            if _scaled_value(coeffs, n + 1, scale) == 0:
+                n += 1
                 break
-            if b * scale <= (n + 2) * d and n + 1 != tested:
-                # the one grid point inside; bisection never reaches it
-                # when it is the root, so test it exactly
-                tested = n + 1
-                if _scaled_value(coeffs, tested, scale) == 0:
-                    n = tested
-                    break
         return _scaled_to_decimal(n, digits), _scaled_to_decimal(n + 1, digits)
 
     def _cmp_fraction(self, x: Fraction) -> int:
@@ -416,7 +408,6 @@ def _scaled_to_decimal(q: int, digits: int) -> str:
 def fraction_to_decimal(x: Fraction, digits: int) -> str:
     """Decimal string of x with ``digits`` fractional digits, rounded toward
     -infinity."""
-    x = Fraction(x)
     return _scaled_to_decimal(x.numerator * 10**digits // x.denominator, digits)
 
 

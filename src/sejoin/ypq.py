@@ -33,11 +33,12 @@ def _validate_pq(p: int, q: int) -> None:
         raise DomainError("p, q must be coprime, got gcd=%d" % gcd(p, q))
 
 
-def _reduced_pq(p: int, q: int) -> Tuple[int, int, int]:
-    """(l, alpha, beta) = (gcd(p+q, p-q), (p+q)/l, (p-q)/l) for a valid pair."""
+def _reduced_pq(p: int, q: int) -> Tuple[int, int]:
+    """(alpha, beta) = ((p+q)/l, (p-q)/l) with l = gcd(p+q, p-q), for a
+    valid pair."""
     _validate_pq(p, q)
     l = gcd(p + q, p - q)
-    return l, (p + q) // l, (p - q) // l
+    return (p + q) // l, (p - q) // l
 
 
 def einstein_integrand(p: int, q: int, v0, vinf) -> Polynomial:
@@ -57,7 +58,7 @@ def ray_ratio(p: int, q: int) -> Tuple[Union[Fraction, AlgebraicRoot], Polynomia
     The ratio is > 1 always; it is a Fraction exactly when 4p^2 - 3q^2 is a
     perfect square (up to the factor l^2 scaling).
     """
-    _, alpha, beta = _reduced_pq(p, q)
+    alpha, beta = _reduced_pq(p, q)
     quad = Polynomial((-2 * alpha, alpha - beta, 2 * beta))
     roots = solve_quadratic_rational(2 * beta, alpha - beta, -2 * alpha)
     positive = [r for r in roots if r > 1]
@@ -94,7 +95,7 @@ def hirzebruch_quotient(p: int, q: int, v0: int, vinf: int) -> Tuple[int, int, i
     """Quotient data (m2, m2_0, m2_inf, a) for the rational ray v0/vinf in
     lowest terms: ramification orders m2*(v0, vinf) over the two sections of
     an a-twisted orbifold Hirzebruch surface."""
-    _, alpha, beta = _reduced_pq(p, q)
+    alpha, beta = _reduced_pq(p, q)
     if gcd(v0, vinf) != 1 or v0 <= vinf or vinf < 1:
         raise DomainError("ray must be coprime with v0 > vinf >= 1")
     m2 = p // gcd(p, abs(alpha * vinf - beta * v0))
@@ -119,7 +120,6 @@ class YpqEinstein:
 
     p: int
     q: int
-    l: int
     v2_0: int
     v2_inf: int
     m2: int
@@ -151,7 +151,7 @@ def solve(p: int, q: int) -> Optional[YpqEinstein]:
     m2, m2_0, m2_inf, a = hirzebruch_quotient(p, q, v0, vinf)
     idx = fano_index(m2, v0, vinf, a)
     return YpqEinstein(
-        p=p, q=q, l=_reduced_pq(p, q)[0],
+        p=p, q=q,
         v2_0=v0, v2_inf=vinf,
         m2=m2, m2_0=m2_0, m2_inf=m2_inf,
         a=a, fano_index=idx,

@@ -18,8 +18,9 @@ from sejoin.catalog import (
     verify_paper_examples,
     write_export,
 )
-from sejoin.cli import main
+from sejoin.cli import MAX_GRID, main
 from sejoin.kernel import AlgebraicRoot, ConsistencyError, DomainError
+from sejoin.metric import CalabiProfile
 from sejoin.ypq import solve
 
 GOLDEN_A_F = ["23/5049", "2/935", "-4/935", "-2/935", "-7/25245"]
@@ -489,6 +490,20 @@ class TestCliProfileAndExport:
             ["profile", "--record", str(path), "--grid", "2", "--decimal"], capsys)
         assert code == 0
         assert "0.03472222222222222222222222222222222222222222222222" in out
+
+    def test_profile_grid_bound(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "t1.json"
+        run_cli(["export", "--family-t", "1", "--format", "json", "--out", str(path)],
+                capsys)
+        steps = []
+        monkeypatch.setattr(CalabiProfile, "grid", lambda self, n: steps.append(n) or [])
+        code, out, err = run_cli(
+            ["profile", "--record", str(path), "--grid", str(MAX_GRID + 1)], capsys)
+        assert (code, out, steps) == (2, "", [])
+        assert "--grid must be <= 100000" in err
+        code, _, _ = run_cli(
+            ["profile", "--record", str(path), "--grid", str(MAX_GRID)], capsys)
+        assert (code, steps) == (0, [MAX_GRID])
 
     def test_profile_without_ke_data(self, tmp_path, capsys):
         path = tmp_path / "irr.json"

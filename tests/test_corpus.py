@@ -11,6 +11,7 @@ which writes only the files that do not exist yet.
 
 import contextlib
 import io
+import json
 import pathlib
 
 import pytest
@@ -54,6 +55,32 @@ def test_cli_output_matches_corpus(name, argv):
     code, out = _run(argv)
     assert code == 0
     assert out == (DATA / name).read_bytes()
+
+
+def _intervals(node):
+    """Every ``*_interval`` value [lo, hi] in a decoded JSON document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key.endswith("_interval") and value is not None:
+                yield value
+            else:
+                yield from _intervals(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _intervals(value)
+
+
+def test_corpus_intervals_are_one_unit_cells():
+    pairs = [pair for path in sorted(DATA.glob("*.json"))
+             for pair in _intervals(json.loads(path.read_text(encoding="utf-8")))]
+    assert len(pairs) == 184
+    wide = []
+    for lo, hi in pairs:
+        digits = len(lo.split(".")[1])
+        if len(hi.split(".")[1]) != digits or \
+                int(hi.replace(".", "")) - int(lo.replace(".", "")) != 1:
+            wide.append((lo, hi))
+    assert wide == []
 
 
 if __name__ == "__main__":

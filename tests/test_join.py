@@ -226,7 +226,8 @@ class TestQuotientOrbifold:
         assert (quo.a, quo.b, quo.c) == (70, 78540, 748)
         assert quo.m == (1, 1, 91, 65, 255, 165)
         assert (quo.s, quo.m3, quo.n) == (1, 15, 748)
-        assert (quo.b_hat, quo.c_hat) == (105, 1)
+        assert YPQ_A.anticanonical_coefficients() == (105, 1)
+        assert (quo.b, quo.c) == (quo.n * 105, quo.n * 1)
 
     def test_golden_a_bott_carries_fiber_twist(self):
         spec = JoinSpec(YPQ_A, 4, 15, 34, 11)
@@ -289,7 +290,7 @@ class TestQuotientOrbifold:
             quo = quotient_orbifold(spec, se_ray_from_w(w1, w2))
             assert gcd(quo.n, quo.m3) == 1
             assert quo.s * quo.m3 == l2
-            assert quo.b == quo.n * quo.b_hat
-            assert quo.c == quo.n * quo.c_hat
+            b_hat, c_hat = YPQ_A.anticanonical_coefficients()
+            assert (quo.b, quo.c) == (quo.n * b_hat, quo.n * c_hat)
             count += 1
         assert count > 100

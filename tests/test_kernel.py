@@ -327,18 +327,10 @@ def test_algebraic_root_immutable():
 
 
 def test_fraction_to_decimal_rounding():
-    assert fraction_to_decimal(F(1, 3), 5, "floor") == "0.33333"
-    assert fraction_to_decimal(F(1, 3), 5, "ceil") == "0.33334"
-    assert fraction_to_decimal(F(-1, 3), 5, "floor") == "-0.33334"
-    assert fraction_to_decimal(F(-1, 3), 5, "ceil") == "-0.33333"
-    assert fraction_to_decimal(F(1, 2), 3, "floor") == "0.500"
-    assert fraction_to_decimal(F(1, 2), 3, "ceil") == "0.500"
-    assert fraction_to_decimal(F(5), 2, "floor") == "5.00"
-
-
-def test_fraction_to_decimal_bad_mode():
-    with pytest.raises(DomainError):
-        fraction_to_decimal(F(1), 2, "nearest")
+    assert fraction_to_decimal(F(1, 3), 5) == "0.33333"
+    assert fraction_to_decimal(F(-1, 3), 5) == "-0.33334"
+    assert fraction_to_decimal(F(1, 2), 3) == "0.500"
+    assert fraction_to_decimal(F(5), 2) == "5.00"
 
 
 # -------------------------------------------------------------- random laws
@@ -472,6 +464,56 @@ def test_integer_bisection_midpoint_root(poly, lo, hi, root):
     assert r < root + F(1, 10**50) and r > root - F(1, 10**50)
     for x in (root - F(1, 7), root + F(1, 9), lo, hi):
         assert r._cmp_fraction(x) == _fraction_cmp(r, x)
+
+
+# ------------------------------------------------------ canonical decimal cell
+
+
+def _cell(lo, hi, digits):
+    """The integer n of a decimal pair (n, n + 1)/10^digits, checked to be
+    one unit apart."""
+    assert len(lo.split(".")[1]) == len(hi.split(".")[1]) == digits
+    n_lo, n_hi = (int(t.replace(".", "")) for t in (lo, hi))
+    assert n_hi - n_lo == 1
+    return n_lo
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(-20, 20), min_size=2, max_size=5),
+    st.integers(-20, 20).filter(bool),
+    st.integers(1, 40),
+    st.fractions(0, 1, max_denominator=999),
+    st.fractions(0, 1, max_denominator=999),
+)
+def test_decimal_bounds_is_the_cell_of_the_number(low, lead, digits, f1, f2):
+    p = Polynomial(low + [lead])
+    assume(square_free_part(p).degree == p.degree)
+    roots = [r for r in real_roots(p, width=F(10)) if isinstance(r, AlgebraicRoot)]
+    assume(roots)
+    for root in roots:
+        bounds = root.decimal_bounds(digits)
+        n = _cell(*bounds, digits)
+        # floor(x * 10^digits) = n: x lies strictly inside the cell
+        assert root > F(n, 10**digits) and root < F(n + 1, 10**digits)
+        # the same number from other isolating intervals, dyadic or not
+        inner_lo, inner_hi = _fraction_bisection(root, (root.hi - root.lo) / 8)
+        lo = root.lo + (inner_lo - root.lo) * f1
+        hi = root.hi - (root.hi - inner_hi) * f2
+        for other in (AlgebraicRoot(root.poly, lo, hi),
+                      AlgebraicRoot(root.poly, inner_lo, inner_hi),
+                      root.refined(F(1, 10**(digits + 3)))):
+            assert other.decimal_bounds(digits) == bounds
+
+
+@pytest.mark.parametrize("poly,lo,hi,digits,bounds", [
+    (Polynomial((-1, 10)), 0, 1, 3, ("0.100", "0.101")),
+    (Polynomial((-1, 2)), 0, 1, 3, ("0.500", "0.501")),
+    (Polynomial((1, 10)), -1, 0, 3, ("-0.100", "-0.099")),
+    (Polynomial((-1, 10)), F(-1, 3), F(1, 7), 1, ("0.1", "0.2")),
+])
+def test_decimal_bounds_rational_root_on_the_grid(poly, lo, hi, digits, bounds):
+    assert AlgebraicRoot(poly, lo, hi).decimal_bounds(digits) == bounds
 
 
 def test_real_roots_exact_order_below_float_resolution():

@@ -176,13 +176,15 @@ class TestSolve:
     def test_golden_a(self):
         sol = solve(13, 8)
         assert sol == YpqEinstein(
-            p=13, q=8, l=1, v2_0=7, v2_inf=5,
+            p=13, q=8, v2_0=7, v2_inf=5,
             m2=13, m2_0=91, m2_inf=65, a=70, fano_index=12,
         )
 
     def test_golden_b(self):
         sol = solve(13, 7)
-        assert (sol.l, sol.v2_0, sol.v2_inf) == (2, 4, 3)
+        # l = gcd(20, 6) = 2 reduces the quadratic to alpha, beta = 10, 3
+        assert ray_ratio(13, 7)[1].coeffs == (-20, 7, 6)
+        assert (sol.v2_0, sol.v2_inf) == (4, 3)
         assert (sol.m2, sol.m2_0, sol.m2_inf) == (13, 52, 39)
         assert (sol.a, sol.fano_index) == (36, 7)
 
