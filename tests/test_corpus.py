@@ -40,6 +40,9 @@ CORPUS = [
     ("ypq-max-60.json", ["ypq", "--max", "60", "--json"]),
     ("join-13-8-w-bound-6.txt", ["join", "--p", "13", "--q", "8", "--w-bound", "6"]),
     ("join-13-8-k-2.json", ["join", "--p", "13", "--q", "8", "--k", "2", "--json"]),
+    ("ypq-max-200.json", ["ypq", "--max", "200", "--json"]),
+    ("join-7-3-k-list.json", ["join", "--p", "7", "--q", "3", "--k-list", "2,3,3/2,5/3",
+                              "--json"]),
 ]
 
 
