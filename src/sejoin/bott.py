@@ -100,33 +100,6 @@ def c1_orb(orb: BottOrbifold, basis: str = "xxx") -> CohClass:
     return CohClass(basis=basis, coeffs=coeffs, abc=orb.abc)
 
 
-def c1_orb_general(matrix: Sequence[Sequence[int]], m_pairs: Sequence[Tuple]) -> List[Fraction]:
-    """Orbifold first Chern class coefficients in the x-basis for a stage-n
-    tower given by a lower-triangular unipotent matrix and n ramification
-    pairs (m_i^0, m_i^inf):
-
-        coeff_j = 1/m_j^0 + 1/m_j^inf + sum_{i>j} matrix[i][j] / m_i^0
-    """
-    n = len(matrix)
-    if len(m_pairs) != n:
-        raise DomainError("need one ramification pair per stage")
-    for i in range(n):
-        if len(matrix[i]) != n or matrix[i][i] != 1:
-            raise DomainError("matrix must be square unipotent")
-        if any(matrix[i][j] != 0 for j in range(i + 1, n)):
-            raise DomainError("matrix must be lower triangular")
-    out = []
-    for j in range(n):
-        m0, minf = (Fraction(x) for x in m_pairs[j])
-        if m0 <= 0 or minf <= 0:
-            raise DomainError("ramification values must be positive")
-        coeff = 1 / m0 + 1 / minf
-        for i in range(j + 1, n):
-            coeff += Fraction(matrix[i][j], 1) / Fraction(m_pairs[i][0])
-        out.append(coeff)
-    return out
-
-
 def _to_x(cls: CohClass) -> Tuple[Fraction, Fraction, Fraction]:
     a, b, c = cls.abc
     alpha, beta, gamma = cls.coeffs

@@ -10,7 +10,8 @@ Subcommands:
   export        write a batch of records as JSON or CSV
 
 Exit codes: 0 success, 1 verification or construction failure, 2 usage error
-(including ``profile --grid`` above MAX_GRID).
+(including ``profile --grid`` above MAX_GRID, ``--w-bound`` above MAX_W_BOUND
+and ``ypq --max`` above MAX_YPQ).
 """
 
 from __future__ import annotations
@@ -40,6 +41,15 @@ from .metric import CalabiProfile
 # upper bound on profile --grid: the table is built in memory at about 0.5 KB
 # per point, so 10^5 steps need about 60 MB
 MAX_GRID = 10**5
+
+# upper bound on --w-bound: the batch holds about 0.3*N^2 records, all built
+# in memory before any is written, so 200 means about 12,000 records and
+# 150 MB
+MAX_W_BOUND = 200
+
+# upper bound on ypq --max: the census tests about 0.3*N^2 pairs, so 10^4
+# means about 3*10^7 square tests
+MAX_YPQ = 10**4
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -122,6 +132,8 @@ def _render_record(rec: SERecord, digits: int) -> str:
 
 
 def _cmd_ypq(args) -> int:
+    if args.max > MAX_YPQ:
+        raise DomainError("--max must be <= %d, got %d" % (MAX_YPQ, args.max))
     sols = enumerate_ypq(args.max)
     if args.json:
         rows = [dict(ypq_to_dict(s), m2_pair=[str(s.m2_0), str(s.m2_inf)]) for s in sols]
@@ -146,6 +158,8 @@ def _record_args_to_records(args) -> List[SERecord]:
     sources = (args.k, args.w, args.k_list, args.w_bound)
     if sum(v is not None for v in sources) != 1:
         raise DomainError("give exactly one of --k, --w, --k-list, --w-bound")
+    if args.w_bound is not None and args.w_bound > MAX_W_BOUND:
+        raise DomainError("--w-bound must be <= %d, got %d" % (MAX_W_BOUND, args.w_bound))
     if args.k is not None:
         return [build_record(args.p, args.q, k=_parse_rational(args.k))]
     if args.w is not None:
@@ -168,8 +182,7 @@ def _cmd_join(args) -> int:
         return 0
     records = _record_args_to_records(args)
     if args.json:
-        print(json.dumps([record_to_dict(r, args.digits) for r in records],
-                         sort_keys=True, indent=2))
+        sys.stdout.write(export_records(records, "json", args.digits))
     else:
         print("\n\n".join(_render_record(r, args.digits) for r in records))
     return 1 if any(r.error for r in records) else 0
@@ -267,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ypq = sub.add_parser("ypq", help="enumerate quasi-regular first factors")
     p_ypq.add_argument(
         "--max", type=int, required=True,
-        help="upper bound for p; the homogeneous pair (1,0) is listed "
-             "separately by convention with all parameters 1",
+        help="upper bound for p, at most %d; the homogeneous pair (1,0) is "
+             "listed separately by convention with all parameters 1" % MAX_YPQ,
     )
     p_ypq.add_argument("--json", action="store_true")
     p_ypq.set_defaults(func=_cmd_ypq)
@@ -281,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--k-list", dest="k_list", default=None,
                         help="comma-separated rationals")
         sp.add_argument("--w-bound", dest="w_bound", type=int, default=None,
-                        help="enumerate all coprime weight pairs up to bound")
+                        help="enumerate all coprime weight pairs up to bound, "
+                             "at most %d" % MAX_W_BOUND)
         sp.add_argument("--digits", type=int, default=40,
                         help="certified decimal digits for irrational values")
 

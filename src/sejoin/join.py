@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Tuple, Union
 
-from .bott import BottOrbifold, c1_orb_general
+from .bott import BottOrbifold, c1_orb
 from .kernel import (
     AlgebraicRoot,
     ConsistencyError,
@@ -218,7 +218,7 @@ class JoinQuotient:
         """The quotient as a Bott orbifold whose last stage is twisted by
         c1(L_n) = n*c1^orb(N)/I on x1, x2; raises ConsistencyError unless
         (b, c) = K*c1(L_n)."""
-        base = c1_orb_general(((1, 0), (self.a, 1)), (self.m[0:2], self.m[2:4]))
+        base = c1_orb(BottOrbifold(self.a, 0, 0, self.m)).coeffs[:2]
         twist = tuple(self.n * x / self.fano_index for x in base)
         scale = lcm(self.m[2], self.m[3])
         if (self.b, self.c) != tuple(scale * t for t in twist):

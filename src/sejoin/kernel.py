@@ -20,7 +20,7 @@ class DomainError(ValueError):
 
 
 class DegenerateEquationError(DomainError):
-    """Equation of lower degree than the solver handles (e.g. quadratic with A=0)."""
+    """Input that makes a defining quantity vanish, e.g. w1*v3_inf = w2*v3_0."""
 
 
 class ConsistencyError(RuntimeError):
@@ -37,20 +37,6 @@ def integer_sqrt_exact(n: int) -> Union[int, None]:
         raise DomainError("integer_sqrt_exact: negative argument %r" % (n,))
     r = isqrt(n)
     return r if r * r == n else None
-
-
-def rational_sqrt_exact(x: Fraction) -> Union[Fraction, None]:
-    """Exact rational square root of x >= 0, or None if irrational."""
-    x = Fraction(x)
-    if x < 0:
-        return None
-    rn = integer_sqrt_exact(x.numerator)
-    if rn is None:
-        return None
-    rd = integer_sqrt_exact(x.denominator)
-    if rd is None:
-        return None
-    return Fraction(rn, rd)
 
 
 class Polynomial:
@@ -503,24 +489,3 @@ def real_roots(p: Polynomial, width=DEFAULT_ROOT_WIDTH) -> list:
         if not a < b:
             raise ConsistencyError("root ordering failed")
     return merged
-
-
-def solve_quadratic_rational(qa, qb, qc) -> list:
-    """Real roots of qa*t^2 + qb*t + qc = 0, exact.
-
-    Roots are Fractions when the discriminant is a perfect rational square,
-    AlgebraicRoots otherwise; empty list when the discriminant is negative.
-    """
-    qa, qb, qc = Fraction(qa), Fraction(qb), Fraction(qc)
-    if qa == 0:
-        raise DegenerateEquationError("leading coefficient is zero")
-    disc = qb * qb - 4 * qa * qc
-    if disc < 0:
-        return []
-    root = rational_sqrt_exact(disc)
-    if root is not None:
-        r1 = (-qb - root) / (2 * qa)
-        r2 = (-qb + root) / (2 * qa)
-        return sorted({r1, r2})
-    return real_roots(Polynomial((qc, qb, qa)))
-

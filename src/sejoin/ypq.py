@@ -20,7 +20,7 @@ from .kernel import (
     Polynomial,
     integer_sqrt_exact,
     integrate_sym,
-    solve_quadratic_rational,
+    real_roots,
 )
 
 
@@ -41,6 +41,12 @@ def _reduced_pq(p: int, q: int) -> Tuple[int, int]:
     return (p + q) // l, (p - q) // l
 
 
+def _ray_sqrt(p: int, q: int) -> Optional[int]:
+    """r >= 0 with r^2 = 4p^2 - 3q^2 for a valid pair, or None when that is
+    not a square: the transverse-Einstein ray is then irrational."""
+    return integer_sqrt_exact(4 * p * p - 3 * q * q)
+
+
 def einstein_integrand(p: int, q: int, v0, vinf) -> Polynomial:
     """The degree-2 polynomial in z whose vanishing integral over [-1, 1]
     characterises transverse-Einstein Reeb parameters (v0, vinf)."""
@@ -55,13 +61,17 @@ def ray_ratio(p: int, q: int) -> Tuple[Union[Fraction, AlgebraicRoot], Polynomia
     plus the quadratic it solves: 2*beta*t^2 + (alpha - beta)*t - 2*alpha = 0
     with alpha = (p+q)/l, beta = (p-q)/l, l = gcd(p+q, p-q).
 
-    The ratio is > 1 always; it is a Fraction exactly when 4p^2 - 3q^2 is a
-    perfect square (up to the factor l^2 scaling).
+    The ratio is > 1 always; it is a Fraction exactly when r^2 = 4p^2 - 3q^2
+    for an integer r, and the roots are then (-r - q, r - q) / (2(p - q)).
     """
     alpha, beta = _reduced_pq(p, q)
     quad = Polynomial((-2 * alpha, alpha - beta, 2 * beta))
-    roots = solve_quadratic_rational(2 * beta, alpha - beta, -2 * alpha)
-    positive = [r for r in roots if r > 1]
+    r = _ray_sqrt(p, q)
+    if r is None:
+        roots = real_roots(quad)
+    else:
+        roots = [Fraction(-r - q, 2 * (p - q)), Fraction(r - q, 2 * (p - q))]
+    positive = [t for t in roots if t > 1]
     if len(positive) != 1:
         raise ConsistencyError("expected one ray ratio > 1, got %r" % (roots,))
     ratio = positive[0]
@@ -88,7 +98,7 @@ def is_quasi_regular(p: int, q: int) -> bool:
     """True iff the transverse-Einstein ray is rational, i.e. 4p^2 - 3q^2 is a
     perfect square."""
     _validate_pq(p, q)
-    return integer_sqrt_exact(4 * p * p - 3 * q * q) is not None
+    return _ray_sqrt(p, q) is not None
 
 
 def hirzebruch_quotient(p: int, q: int, v0: int, vinf: int) -> Tuple[int, int, int, int]:

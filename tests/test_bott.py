@@ -17,7 +17,6 @@ from sejoin.bott import (
     CohClass,
     basis_change,
     c1_orb,
-    c1_orb_general,
     h3_matrix,
     is_log_fano,
     monoid_act,
@@ -130,31 +129,6 @@ class TestC1Orb:
         ]
         orb = BottOrbifold(a, b, c, (1,) * 6)
         assert tuple(total) == c1_orb(orb).coeffs
-
-
-class TestC1OrbGeneral:
-    def test_matches_stage3_formula(self):
-        rng = random.Random(7)
-        for _ in range(100):
-            a, b, c = (rng.randrange(-15, 16) for _ in range(3))
-            m = tuple(Fraction(rng.randrange(1, 30), rng.randrange(1, 5)) for _ in range(6))
-            orb = BottOrbifold(a, b, c, m)
-            general = c1_orb_general(
-                [[1, 0, 0], [a, 1, 0], [b, c, 1]],
-                [(m[0], m[1]), (m[2], m[3]), (m[4], m[5])],
-            )
-            assert tuple(general) == c1_orb(orb).coeffs
-
-    def test_stage4_unit_m(self):
-        mat = [[1, 0, 0, 0], [2, 1, 0, 0], [3, 4, 1, 0], [5, 6, 7, 1]]
-        out = c1_orb_general(mat, [(1, 1)] * 4)
-        assert out == [12, 12, 9, 2]
-
-    def test_rejects_non_unipotent(self):
-        with pytest.raises(DomainError):
-            c1_orb_general([[2, 0], [1, 1]], [(1, 1), (1, 1)])
-        with pytest.raises(DomainError):
-            c1_orb_general([[1, 5], [0, 1]], [(1, 1), (1, 1)])
 
 
 class TestBasisChange:

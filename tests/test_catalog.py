@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from sejoin import catalog
+from sejoin import catalog, cli
 from sejoin.catalog import (
     SERecord,
     build_record,
@@ -18,7 +18,7 @@ from sejoin.catalog import (
     verify_paper_examples,
     write_export,
 )
-from sejoin.cli import MAX_GRID, main
+from sejoin.cli import MAX_GRID, MAX_W_BOUND, MAX_YPQ, main
 from sejoin.kernel import AlgebraicRoot, ConsistencyError, DomainError
 from sejoin.metric import CalabiProfile
 from sejoin.ypq import solve
@@ -364,6 +364,15 @@ class TestCliYpq:
         assert code == 2
         assert "error" in err
 
+    def test_max_bound(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "enumerate_ypq", lambda p_max: calls.append(p_max) or [])
+        code, out, err = run_cli(["ypq", "--max", str(MAX_YPQ + 1)], capsys)
+        assert (code, out, calls) == (2, "", [])
+        assert "--max must be <= 10000" in err
+        code, _, _ = run_cli(["ypq", "--max", str(MAX_YPQ), "--json"], capsys)
+        assert (code, calls) == (0, [MAX_YPQ])
+
 
 class TestCliJoin:
     def test_golden_a_human(self, capsys):
@@ -425,6 +434,24 @@ class TestCliJoin:
             code, _, err = run_cli(argv, capsys)
             assert code == 2, argv
             assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["join", "--p", "13", "--q", "8"],
+        ["join", "--p", "13", "--q", "8", "--json"],
+        ["export", "--p", "13", "--q", "8", "--format", "json"],
+    ])
+    def test_w_bound_limit(self, argv, capsys, monkeypatch):
+        def reached(*args):
+            raise AssertionError("a record was built above the bound")
+        monkeypatch.setattr(catalog, "_assemble", reached)
+        code, out, err = run_cli(argv + ["--w-bound", str(MAX_W_BOUND + 1)], capsys)
+        assert (code, out) == (2, "")
+        assert "--w-bound must be <= 200" in err
+        batches = []
+        monkeypatch.setattr(cli, "enumerate_joins",
+                            lambda sol, w_bound: batches.append(w_bound) or [])
+        code, _, _ = run_cli(argv + ["--w-bound", str(MAX_W_BOUND)], capsys)
+        assert (code, batches) == (0, [MAX_W_BOUND])
 
     def test_argparse_rejects_unknown_flag(self, capsys):
         code, _, _ = run_cli(["join", "--nope"], capsys)

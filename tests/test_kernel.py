@@ -17,7 +17,6 @@ from sejoin.kernel import (
     AlgebraicRoot,
     ConsistencyError,
     DEFAULT_ROOT_WIDTH,
-    DegenerateEquationError,
     DomainError,
     Polynomial,
     count_roots_open,
@@ -25,9 +24,7 @@ from sejoin.kernel import (
     integer_sqrt_exact,
     integrate_sym,
     poly_gcd,
-    rational_sqrt_exact,
     real_roots,
-    solve_quadratic_rational,
     square_free_part,
     sturm_positive_on,
 )
@@ -60,15 +57,6 @@ def test_integer_sqrt_exact_512_bit():
         if r > 1:
             assert integer_sqrt_exact(r * r + 1) is None
             assert integer_sqrt_exact(r * r - 1) is None
-
-
-def test_rational_sqrt_exact():
-    assert rational_sqrt_exact(F(4, 9)) == F(2, 3)
-    assert rational_sqrt_exact(F(2209)) == 47
-    assert rational_sqrt_exact(F(2, 3)) is None
-    assert rational_sqrt_exact(F(4, 7)) is None
-    assert rational_sqrt_exact(F(-1)) is None
-    assert rational_sqrt_exact(F(0)) == 0
 
 
 # ---------------------------------------------------------------- polynomials
@@ -236,44 +224,6 @@ def test_real_roots_repeated():
 def test_real_roots_zero_poly_rejected():
     with pytest.raises(DomainError):
         real_roots(Polynomial(()))
-
-
-# ------------------------------------------------------------- quadratics
-
-
-def test_solve_quadratic_rational_square_disc():
-    assert solve_quadratic_rational(5, 8, -21) == [F(-3), F(7, 5)]
-    assert solve_quadratic_rational(4, 3, -10) == [F(-2), F(5, 4)]
-    assert solve_quadratic_rational(4, 33, -70) == [F(-10), F(7, 4)]  # disc 47^2
-    assert solve_quadratic_rational(1, -2, 1) == [F(1)]
-
-
-def test_solve_quadratic_irrational():
-    roots = solve_quadratic_rational(1, 0, -2)
-    assert len(roots) == 2
-    assert all(isinstance(r, AlgebraicRoot) for r in roots)
-    assert roots[0] < 0 < roots[1]
-    assert roots[1] > F(141, 100) and roots[1] < F(142, 100)
-
-
-def test_solve_quadratic_negative_disc():
-    assert solve_quadratic_rational(1, 0, 1) == []
-
-
-def test_solve_quadratic_degenerate():
-    with pytest.raises(DegenerateEquationError):
-        solve_quadratic_rational(0, 1, 1)
-
-
-@given(st.integers(-30, 30), st.integers(-30, 30), st.integers(1, 30))
-def test_quadratic_roots_satisfy_equation(b, c, a):
-    roots = solve_quadratic_rational(a, b, c)
-    for r in roots:
-        if isinstance(r, Fraction):
-            assert a * r * r + b * r + c == 0
-        else:
-            # isolating interval within 1e-30 of a true root
-            assert r.poly(F(r.lo)) * r.poly(F(r.hi)) < 0
 
 
 # --------------------------------------------------------- AlgebraicRoot API

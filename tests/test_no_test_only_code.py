@@ -91,6 +91,23 @@ def _unreached(sources, roots):
     return [key for key, _, _, reported in defs if reported and key not in reached]
 
 
+def _wrapped():
+    """(module, attribute) pairs that ``benchmarks/tracer.py`` lists in
+    ``WRAPPED``, read by parsing that file."""
+    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets):
+            return [(module, attr) for _, module, attr, _ in ast.literal_eval(node.value)]
+    raise AssertionError("%s assigns no WRAPPED" % TRACER)
+
+
+def _undefined(sources, wrapped):
+    """The (module, attribute) pairs of ``wrapped`` that ``sources`` do not
+    define, as "module:attribute"."""
+    keys = {key for key, _, _, _ in _definitions(sources)}
+    return ["%s:%s" % pair for pair in wrapped if "%s.py:%s" % pair not in keys]
+
+
 def _entry_points():
     """``main``, the names the acceptance tests import from sejoin, and the
     attributes ``benchmarks/tracer.py`` lists in ``WRAPPED``."""
@@ -98,15 +115,15 @@ def _entry_points():
     for node in ast.walk(ast.parse(ACCEPTANCE.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sejoin"):
             names.update(alias.name for alias in node.names)
-    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets):
-            names.update(attr for _, _, attr, _ in ast.literal_eval(node.value))
+    names.update(attr for _, attr in _wrapped())
     return names
 
 
 def test_no_test_only_code():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    # a wrapped name that sejoin no longer defines would silently stop being
+    # an entry point, and the benchmark would fail to wrap it
+    assert _undefined(sources, _wrapped()) == []
     assert _unreached(sources, _entry_points() | set(ALLOWED)) == []
 
 
@@ -131,3 +148,15 @@ def test_guard_finds_helper_behind_a_test_only_method():
     }
     assert _unreached(sources, {"main"}) == ["a.py:_helper", "a.py:Tool.extra"]
     assert _unreached(sources, {"main", "Tool.extra"}) == []
+
+
+def test_guard_finds_undefined_wrapped_name():
+    sources = {
+        "kernel.py": "class Polynomial:\n    def __call__(self, x):\n        return x\n\n"
+                     "def real_roots(p):\n    return []\n",
+    }
+    wrapped = [("kernel", "Polynomial.__call__"), ("kernel", "real_roots"),
+               ("kernel", "Polynomial.degree"), ("kernel", "sturm_chain"), ("ypq", "solve")]
+    assert _undefined(sources, wrapped) == [
+        "kernel:Polynomial.degree", "kernel:sturm_chain", "ypq:solve"]
+    assert _undefined(sources, wrapped[:2]) == []

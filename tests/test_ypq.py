@@ -133,8 +133,15 @@ class TestEinsteinRay:
             for q in range(1, p):
                 if gcd(p, q) != 1:
                     continue
-                ratio, _ = ray_ratio(p, q)
+                ratio, quad = ray_ratio(p, q)
                 assert isinstance(ratio, Fraction) == is_quasi_regular(p, q)
+                # both sides above share one square test, so also check the
+                # ratio against its quadratic directly
+                if isinstance(ratio, Fraction):
+                    assert quad(ratio) == 0 and ratio > 1
+                else:
+                    assert ratio.poly == quad.primitive()
+                    assert quad(ratio.lo) * quad(ratio.hi) < 0
 
 
 class TestHirzebruchQuotient:
