@@ -7,7 +7,8 @@ the functions the benchmark tracer wraps.  A definition is reached when
 reached code names it: a function or class by its name, a method by its
 attribute name on any object.  Reaching a class reaches its class body and
 its dunder methods, which Python calls implicitly; its other methods must be
-named by reached code.
+named by reached code.  Every function the tracer wraps must still be
+defined: otherwise it would silently drop out of the entry points.
 """
 
 import ast
@@ -121,8 +122,6 @@ def _entry_points():
 
 def test_no_test_only_code():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
-    # a wrapped name that sejoin no longer defines would silently stop being
-    # an entry point, and the benchmark would fail to wrap it
     assert _undefined(sources, _wrapped()) == []
     assert _unreached(sources, _entry_points() | set(ALLOWED)) == []
 
