@@ -29,7 +29,7 @@ from .join import (
 )
 from .bott import BottOrbifold, CohClass
 from .topology import TorsionInvariant, homotopy_distinct
-from .metric import CalabiData, CalabiProfile, ProfileInvalidError
+from .metric import CalabiData, CalabiProfile
 from .catalog import SERecord, build_record, enumerate_joins, verify_paper_examples
 
 __version__ = "0.1.0"
@@ -61,7 +61,6 @@ __all__ = [
     "homotopy_distinct",
     "CalabiData",
     "CalabiProfile",
-    "ProfileInvalidError",
     "SERecord",
     "build_record",
     "enumerate_joins",

@@ -10,8 +10,8 @@ Subcommands:
   export        write a batch of records as JSON or CSV
 
 Exit codes: 0 success, 1 verification or construction failure, 2 usage error
-(including ``profile --grid`` above MAX_GRID, ``--w-bound`` above MAX_W_BOUND
-and ``ypq --max`` above MAX_YPQ).
+(including an input over one of the bounds MAX_GRID, MAX_F_COEFFS,
+MAX_W_BOUND, MAX_FAMILY and MAX_YPQ below).
 """
 
 from __future__ import annotations
@@ -42,6 +42,9 @@ from .metric import CalabiProfile
 # per point, so 10^5 steps need about 60 MB
 MAX_GRID = 10**5
 
+# an exported F is a quartic; a profile costs (coefficients)^2 * grid
+MAX_F_COEFFS = 5
+
 # upper bound on --w-bound: the batch holds about 0.3*N^2 records, all built
 # in memory before any is written, so 200 means about 12,000 records and
 # 150 MB
@@ -50,6 +53,9 @@ MAX_W_BOUND = 200
 # upper bound on ypq --max: the census tests about 0.3*N^2 pairs, so 10^4
 # means about 3*10^7 square tests
 MAX_YPQ = 10**4
+
+# upper bound on export --family-t steps, built in memory at 3 ms and 15 KB each
+MAX_FAMILY = 10**4
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -78,7 +84,9 @@ def _parse_range(text: str):
             raise DomainError("bad range %r" % (text,)) from exc
         if hi_i < lo_i:
             raise DomainError("empty range %r" % (text,))
-        return list(range(lo_i, hi_i + 1))
+        if hi_i - lo_i >= MAX_FAMILY:
+            raise DomainError("--family-t must span at most %d steps" % MAX_FAMILY)
+        return range(lo_i, hi_i + 1)
     try:
         return [int(text)]
     except ValueError as exc:
@@ -230,6 +238,8 @@ def _cmd_profile(args) -> int:
         print("record has no Einstein profile", file=sys.stderr)
         return 1
     try:
+        if len(coeffs) > MAX_F_COEFFS:
+            raise DomainError("F_coeffs must have at most %d entries" % MAX_F_COEFFS)
         profile = CalabiProfile(
             r3=Fraction(r3),
             F=Polynomial([Fraction(cf) for cf in coeffs]),
@@ -329,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("export", help="write records as JSON or CSV")
     add_join_flags(p_exp)
     p_exp.add_argument("--family-t", dest="family_t", default=None,
-                       help="family step or range, e.g. 3 or 1:10")
+                       help="family step or range, e.g. 3 or 1:10, at most %d "
+                            "steps" % MAX_FAMILY)
     p_exp.add_argument("--format", required=True, choices=("json", "csv"))
     p_exp.add_argument("--out", default=None, help="output path (stdout if omitted)")
     p_exp.set_defaults(func=_cmd_export)

@@ -169,21 +169,6 @@ class Polynomial:
         return "Polynomial(%s)" % " + ".join(terms)
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd via the Euclidean algorithm (exact over Fraction)."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return (Fraction(1) / a.leading()) * a
-
-
-def square_free_part(p: Polynomial) -> Polynomial:
-    if p.degree < 1:
-        return p
-    return p // poly_gcd(p, p.derivative())
-
-
 def integrate_sym(p: Polynomial) -> Fraction:
     """Exact integral of p over [-1, 1]: odd powers vanish, z^(2j) gives 2/(2j+1)."""
     total = Fraction(0)
@@ -230,8 +215,9 @@ def count_roots_open(p: Polynomial, lo, hi) -> int:
         p = _deflate_root(p, hi)
     if p.degree < 1:
         return 0
-    # Sturm's theorem on the square-free part, now nonzero at both ends
-    chain = sturm_chain(square_free_part(p))
+    # Sturm's theorem: with p nonzero at both ends, the chain counts distinct
+    # roots even when p has repeated factors
+    chain = sturm_chain(p)
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 
@@ -445,9 +431,10 @@ def _isolate_irrational(p: Polynomial, width) -> list:
     roots; returns AlgebraicRoots refined below ``width``."""
     if p.degree < 1:
         return []
-    sf = square_free_part(p)
+    chain = sturm_chain(p)
+    # the chain ends in gcd(p, p'); dividing it out leaves the square-free part
+    sf = p if chain[-1].degree < 1 else p // chain[-1]
     m = _cauchy_bound(sf)
-    chain = sturm_chain(sf)
 
     def var(x):
         return _sign_variations(chain, x)

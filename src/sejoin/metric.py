@@ -25,10 +25,6 @@ from .kernel import (
 )
 
 
-class ProfileInvalidError(RuntimeError):
-    """A constructed profile violated positivity or a boundary condition."""
-
-
 def r3_from_ray(w1: int, w2: int, v3_0: int, v3_inf: int) -> Fraction:
     """Polarization constant of the join metric:
     r3 = (w1*v3_inf - w2*v3_0) / (w1*v3_inf + w2*v3_0)."""
@@ -175,14 +171,14 @@ def ke_profile(data: CalabiData) -> CalabiProfile:
     anti = integrand.antiderivative()
     f = anti + Polynomial((-anti(-1),))
     if f(-1) != 0 or f(1) != 0:
-        raise ProfileInvalidError("profile endpoints do not vanish")
+        raise ConsistencyError("profile endpoints do not vanish")
     if f.derivative() != integrand:
-        raise ProfileInvalidError("profile derivative mismatch")
+        raise ConsistencyError("profile derivative mismatch")
     # F has simple zeros at the endpoints, so Theta' there is F'/(1 + r3*z)^2
     if f.derivative()(-1) != (1 - r3) ** 2 * Fraction(2, data.m3_inf):
-        raise ProfileInvalidError("Theta slope at -1 is wrong")
+        raise ConsistencyError("Theta slope at -1 is wrong")
     if f.derivative()(1) != -((1 + r3) ** 2) * Fraction(2, data.m3_0):
-        raise ProfileInvalidError("Theta slope at +1 is wrong")
+        raise ConsistencyError("Theta slope at +1 is wrong")
     if not sturm_positive_on(f, -1, 1):
-        raise ProfileInvalidError("profile is not positive on (-1, 1)")
+        raise ConsistencyError("profile is not positive on (-1, 1)")
     return CalabiProfile(r3=r3, F=f, m3_0=data.m3_0, m3_inf=data.m3_inf)

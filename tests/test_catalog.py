@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from sejoin import catalog, cli
+from sejoin import catalog, cli, metric
 from sejoin.catalog import (
     SERecord,
     build_record,
@@ -18,7 +18,7 @@ from sejoin.catalog import (
     verify_paper_examples,
     write_export,
 )
-from sejoin.cli import MAX_GRID, MAX_W_BOUND, MAX_YPQ, main
+from sejoin.cli import MAX_FAMILY, MAX_GRID, MAX_W_BOUND, MAX_YPQ, main
 from sejoin.kernel import AlgebraicRoot, ConsistencyError, DomainError
 from sejoin.metric import CalabiProfile
 from sejoin.ypq import solve
@@ -453,6 +453,16 @@ class TestCliJoin:
         code, _, _ = run_cli(argv + ["--w-bound", str(MAX_W_BOUND)], capsys)
         assert (code, batches) == (0, [MAX_W_BOUND])
 
+    def test_failed_profile_check_becomes_error_record(self, capsys, monkeypatch):
+        monkeypatch.setattr(metric, "sturm_positive_on", lambda f, lo, hi: False)
+        code, out, _ = run_cli(
+            ["join", "--p", "13", "--q", "8", "--k-list", "2,3", "--json"], capsys)
+        assert code == 1
+        data = json.loads(out)
+        assert [d["w"] for d in data] == [["17", "3"], ["34", "11"]]
+        assert [d["error"] for d in data] == [
+            "ConsistencyError: profile is not positive on (-1, 1)"] * 2
+
     def test_argparse_rejects_unknown_flag(self, capsys):
         code, _, _ = run_cli(["join", "--nope"], capsys)
         assert code == 2
@@ -645,7 +655,10 @@ class TestCliProfileAndExport:
         '{"F_coeffs": ["1"], "r3": [1], "m_vector": ["1", "1", "2", "3", "4", "5"]}',
         '[1]',
         '{"F_coeffs": ["1"], "r3": "1/0", "m_vector": ["1", "1", "2", "3", "4", "5"]}',
-    ], ids=["coeffs-text", "short-m-vector", "r3-list", "not-an-object", "r3-zero-den"])
+        '{"F_coeffs": ["1", "1", "1", "1", "1", "1"], "r3": "1/2",'
+        ' "m_vector": ["1", "1", "2", "3", "4", "5"]}',
+    ], ids=["coeffs-text", "short-m-vector", "r3-list", "not-an-object", "r3-zero-den",
+            "six-coeffs"])
     def test_profile_malformed_record_is_usage_error(self, text, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -653,6 +666,22 @@ class TestCliProfileAndExport:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_family_range_bound(self, capsys, monkeypatch):
+        def reached(k2):
+            raise AssertionError("a record was built above the bound")
+        monkeypatch.setattr(cli, "family_record", reached)
+        for text in ("1:%d" % (MAX_FAMILY + 1), "0:%d" % 10**30):
+            code, out, err = run_cli(
+                ["export", "--family-t", text, "--format", "json"], capsys)
+            assert (code, out) == (2, "")
+            assert "--family-t must span at most 10000 steps" in err
+        rec, steps = family_record(10), []
+        monkeypatch.setattr(cli, "family_record", lambda k2: steps.append(k2) or rec)
+        monkeypatch.setattr(cli, "export_records", lambda records, fmt, digits: "")
+        code, _, _ = run_cli(
+            ["export", "--family-t", "1:%d" % MAX_FAMILY, "--format", "json"], capsys)
+        assert (code, len(steps)) == (0, MAX_FAMILY)
 
     def test_export_flag_conflicts(self, capsys):
         code, _, err = run_cli(

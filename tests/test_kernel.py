@@ -23,9 +23,8 @@ from sejoin.kernel import (
     fraction_to_decimal,
     integer_sqrt_exact,
     integrate_sym,
-    poly_gcd,
     real_roots,
-    square_free_part,
+    sturm_chain,
     sturm_positive_on,
 )
 
@@ -117,13 +116,20 @@ def test_primitive():
     assert q.primitive().coeffs == (F(1), F(2))
 
 
-def test_poly_gcd_and_square_free():
+def _monic_gcd(a, b):
+    """Reference gcd by the Euclidean algorithm, independent of sturm_chain."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return (1 / a.leading()) * a
+
+
+def test_sturm_chain_ends_in_gcd():
     p = Polynomial((-1, 1))
-    sq = p * p * Polynomial((2, 1))
-    g = poly_gcd(sq, sq.derivative())
-    assert g.degree == 1 and g(1) == 0
-    sf = square_free_part(sq)
-    assert sf.degree == 2 and sf(1) == 0 and sf(-2) == 0
+    sq = p * p * Polynomial((2, 1))  # (z - 1)^2 (z + 2)
+    g = sturm_chain(sq)[-1]
+    # gcd(sq, sq') = z - 1, up to a constant factor
+    assert g.degree == 1 and (1 / g.leading()) * g == p
+    assert _monic_gcd(sq, sq.derivative()) == p
 
 
 # -------------------------------------------------------------- integrate_sym
@@ -311,10 +317,52 @@ def test_real_roots_are_roots_and_counted(coeffs):
         if isinstance(r, Fraction):
             assert p(r) == 0
         else:
-            sf = square_free_part(p)
+            sf = p // _monic_gcd(p, p.derivative())
             assert sf(r.lo) * sf(r.hi) < 0
     bound = 1 + max(abs(c) for c in p.coeffs) * 10
     assert count_roots_open(p, -bound, bound) == len(roots)
+
+
+def _below_sqrt(x, d):
+    """x < sqrt(d), decided exactly for d > 0."""
+    return x < 0 or x * x < d
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.fractions(-5, 5, max_denominator=4).filter(bool),
+    st.lists(st.tuples(st.integers(-5, 5), st.integers(1, 3), st.integers(1, 3)),
+             max_size=2),
+    st.integers(-10, 12).filter(lambda d: d < 0 or integer_sqrt_exact(d) is None),
+    st.integers(1, 3),
+    st.fractions(-6, 6, max_denominator=3),
+    st.fractions(-6, 6, max_denominator=3),
+)
+def test_repeated_factors_counted_once(c, linear, d, f, lo, hi):
+    # p = c * prod (b z - a)^e * (z^2 - d)^f, with d not a square
+    p = Polynomial((c,))
+    for a, b, e in linear:
+        for _ in range(e):
+            p = p * Polynomial((-a, b))
+    for _ in range(f):
+        p = p * Polynomial((-d, 0, 1))
+    rational = sorted({F(a, b) for a, b, _ in linear})
+    surds = d > 0  # the roots -sqrt(d) and sqrt(d), both irrational
+    assume(lo != hi)
+    lo, hi = min(lo, hi), max(lo, hi)
+    expected = sum(1 for r in rational if lo < r < hi)
+    if surds:
+        # lo < -sqrt(d) < hi, then lo < sqrt(d) < hi; no rational equals either
+        expected += (not _below_sqrt(-lo, d)) and _below_sqrt(-hi, d)
+        expected += _below_sqrt(lo, d) and not _below_sqrt(hi, d)
+    assert count_roots_open(p, lo, hi) == expected
+    roots = real_roots(p)
+    assert [r for r in roots if isinstance(r, Fraction)] == rational
+    surd_roots = [r for r in roots if isinstance(r, AlgebraicRoot)]
+    assert len(surd_roots) == 2 * surds
+    for root, sign in zip(surd_roots, (-1, 1)):
+        assert root.poly == Polynomial((-d, 0, 1))
+        assert root.lo * sign > 0 and root.hi * sign > 0
 
 
 # ------------------------------------------------------ integer bisection
@@ -374,7 +422,7 @@ def _assert_bisection_agrees(root, digits, probes=()):
 )
 def test_integer_bisection_matches_fraction_bisection(low, lead, digits, f1, f2):
     p = Polynomial(low + [lead])
-    assume(square_free_part(p).degree == p.degree)
+    assume(_monic_gcd(p, p.derivative()).degree == 0)
     roots = [r for r in real_roots(p, width=F(10)) if isinstance(r, AlgebraicRoot)]
     assume(roots)
     for root in roots:
@@ -438,7 +486,7 @@ def _cell(lo, hi, digits):
 )
 def test_decimal_bounds_is_the_cell_of_the_number(low, lead, digits, f1, f2):
     p = Polynomial(low + [lead])
-    assume(square_free_part(p).degree == p.degree)
+    assume(_monic_gcd(p, p.derivative()).degree == 0)
     roots = [r for r in real_roots(p, width=F(10)) if isinstance(r, AlgebraicRoot)]
     assume(roots)
     for root in roots:
