@@ -254,7 +254,8 @@ def verify_paper_examples(corrupt: Optional[str] = None) -> VerificationReport:
     (p, q, k) inputs and compare every stated value.
 
     ``corrupt`` mangles one expected value by check name; the report must
-    then fail on exactly that field (self-test hook for the harness).
+    then fail on exactly that field (self-test hook for the harness).  A
+    ``corrupt`` that names no check raises DomainError.
     """
     report = VerificationReport()
 
@@ -324,6 +325,8 @@ def verify_paper_examples(corrupt: Optional[str] = None) -> VerificationReport:
     check("family.k2_0.m_vector", (1, 1, 21, 14, 34, 18), rec0.quotient.m)
     check("family.k2_0.n", 51, rec0.quotient.n)
 
+    if corrupt is not None and corrupt not in {c.name for c in report.checks}:
+        raise DomainError("no check is named %r" % (corrupt,))
     return report
 
 

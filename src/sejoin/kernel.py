@@ -5,6 +5,11 @@ polynomials are dense coefficient tuples over Fraction (degree <= 5 in all
 uses here, but nothing below assumes that), and irrational roots are carried
 as (square-free polynomial, isolating interval) pairs that can be refined to
 any requested width.  No floats enter any computation.
+
+The hot paths run on integers: ``Polynomial.__call__`` is Horner's rule on
+one integer numerator and one positive integer denominator with a single
+Fraction at the end, and ``sturm_chain`` is an integer pseudo-remainder
+sequence.
 """
 
 from __future__ import annotations
@@ -70,10 +75,14 @@ class Polynomial:
         return self.coeffs[-1]
 
     def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
+        # Horner's rule on num/den, den > 0, for an int or Fraction x: no gcd
+        # until the single Fraction at the end
+        xn, xd = x.numerator, x.denominator
+        num, den = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            cd = c.denominator
+            num, den = num * xn * cd + c.numerator * den * xd, den * xd * cd
+        return Fraction(num, den)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
@@ -129,9 +138,6 @@ class Polynomial:
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[0]
 
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
     def derivative(self) -> "Polynomial":
         return Polynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
@@ -178,12 +184,52 @@ def integrate_sym(p: Polynomial) -> Fraction:
     return total
 
 
+def _content_free(ints: list) -> list:
+    """ints with trailing zeros stripped and the positive content divided out."""
+    while ints and ints[-1] == 0:
+        ints.pop()
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """prem(a, b) = lead(b)^(deg a - deg b + 1) * a mod b, on integer
+    coefficient lists (lowest degree first) with deg a >= deg b >= 0."""
+    db, lb = len(b) - 1, b[-1]
+    r = list(a)
+    for i in range(len(a) - 1, db - 1, -1):
+        q = r[i]
+        r = [lb * v for v in r[:i]]
+        for j in range(db):
+            r[i - db + j] -= q * b[j]
+    return r
+
+
 def sturm_chain(p: Polynomial) -> list:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
-    return chain
+    """Sturm sequence of p, computed on integers.
+
+    p is scaled to integer coefficients by a positive factor.  Each term
+    after p' is -prem(a, b) of the two terms a, b before it, with its sign
+    flipped when lead(b)^(deg a - deg b + 1) < 0 and its content divided
+    out.  Every term is therefore a positive multiple of the classical term
+    (p, p', -rem, ...): sign-variation counts are the same, and the last
+    term is gcd(p, p') up to a positive constant.
+    """
+    den = 1
+    for c in p.coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    a = _content_free([c.numerator * (den // c.denominator) for c in p.coeffs])
+    if not a:
+        return [p]
+    b = _content_free([i * c for i, c in enumerate(a) if i > 0])
+    chain = [a]
+    while b:
+        chain.append(b)
+        r = _pseudo_remainder(a, b)
+        if b[-1] > 0 or (len(a) - len(b)) % 2:
+            r = [-v for v in r]
+        a, b = b, _content_free(r)
+    return [Polynomial(t) for t in chain]
 
 
 def _sign_variations(chain, x) -> int:

@@ -260,6 +260,10 @@ class TestVerifyPaperExamples:
         report = verify_paper_examples(corrupt="A.smooth")
         assert [c.name for c in report.failures] == ["A.smooth"]
 
+    def test_corrupt_unknown_name_rejected(self):
+        with pytest.raises(DomainError, match="no check is named 'nope'"):
+            verify_paper_examples(corrupt="nope")
+
 
 # ------------------------------------------------------------------ export
 
@@ -502,7 +506,14 @@ class TestCliVerify:
     def test_corrupt_fails_with_field_name(self, capsys):
         code, out, _ = run_cli(["verify-paper", "--corrupt", "A.n"], capsys)
         assert code == 1
-        assert "FAIL A.n" in out
+        assert out.splitlines() == ["FAIL A.n: expected 749, got 748",
+                                    "FAIL: 1 of 103 checks failed"]
+
+    def test_corrupt_unknown_name_is_usage_error(self, capsys):
+        code, out, err = run_cli(["verify-paper", "--corrupt", "nope"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "no check is named 'nope'" in err
 
 
 class TestCliProfileAndExport:

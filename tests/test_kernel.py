@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sejoin.join import se_ray_from_w
@@ -119,7 +119,7 @@ def test_primitive():
 def _monic_gcd(a, b):
     """Reference gcd by the Euclidean algorithm, independent of sturm_chain."""
     while not b.is_zero():
-        a, b = b, a % b
+        a, b = b, divmod(a, b)[1]
     return (1 / a.leading()) * a
 
 
@@ -130,6 +130,73 @@ def test_sturm_chain_ends_in_gcd():
     # gcd(sq, sq') = z - 1, up to a constant factor
     assert g.degree == 1 and (1 / g.leading()) * g == p
     assert _monic_gcd(sq, sq.derivative()) == p
+
+
+def _fraction_horner(coeffs, x):
+    """Reference value of sum coeffs[i] * x^i: Horner's rule on Fractions."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+small_fractions = st.fractions(-20, 20, max_denominator=50)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(small_fractions, max_size=7),
+    st.one_of(st.integers(-10**6, 10**6), st.fractions(-100, 100, max_denominator=10**6)),
+)
+def test_polynomial_call_matches_fraction_horner(coeffs, x):
+    # degree 0..6 and the zero polynomial, at int and Fraction points
+    value = Polynomial(coeffs)(x)
+    assert type(value) is Fraction
+    assert value == _fraction_horner(coeffs, x)
+
+
+def _classical_sturm(p):
+    """Reference Sturm sequence p, p', -rem, ... by Fraction long division on
+    coefficient lists (lowest degree first), independent of the kernel."""
+    def rem(a, b):
+        a = list(a)
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for j, c in enumerate(b):
+                a[shift + j] -= q * c
+            a.pop()  # the leading term cancels
+            while a and a[-1] == 0:
+                a.pop()
+        return a
+
+    chain = [list(p.coeffs), [i * c for i, c in enumerate(p.coeffs) if i > 0]]
+    while chain[-1]:
+        chain.append([-c for c in rem(chain[-2], chain[-1])])
+    chain.pop()
+    return [Polynomial(t) for t in chain]
+
+
+# zero coefficients make remainders that drop two or more degrees at once
+sparse_lead = st.lists(st.just(F(0)) | small_fractions, min_size=1, max_size=5).filter(
+    lambda cs: cs[-1] != 0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sparse_lead.filter(lambda cs: len(cs) > 1), sparse_lead, st.integers(1, 3))
+@example([0, 1, 0, 0, 1], [1], 1)  # z^4 + z: the third term has lead < 0 and degree 1
+def test_sturm_chain_is_positive_multiple_of_classical(base, factor, e):
+    # p = base * factor^e: Fraction coefficients, either sign of the leading
+    # coefficient, degree gaps, and for e > 1 a repeated factor, so that
+    # gcd(p, p') != 1
+    p = Polynomial(base)
+    for _ in range(e):
+        p = p * Polynomial(factor)
+    chain, classical = sturm_chain(p), _classical_sturm(p)
+    assert len(chain) == len(classical)
+    for term, ref in zip(chain, classical):
+        c = term.leading() / ref.leading()
+        assert c > 0 and term == ref * c
 
 
 # -------------------------------------------------------------- integrate_sym
