@@ -185,7 +185,8 @@ def integrate_sym(p: Polynomial) -> Fraction:
 
 
 def _content_free(ints: list) -> list:
-    """ints with trailing zeros stripped and the positive content divided out."""
+    """ints, stripped of trailing zeros in place, with the positive content
+    divided out."""
     while ints and ints[-1] == 0:
         ints.pop()
     g = gcd(*ints)
@@ -219,8 +220,6 @@ def sturm_chain(p: Polynomial) -> list:
     for c in p.coeffs:
         den = den * c.denominator // gcd(den, c.denominator)
     a = _content_free([c.numerator * (den // c.denominator) for c in p.coeffs])
-    if not a:
-        return [p]
     b = _content_free([i * c for i, c in enumerate(a) if i > 0])
     chain = [a]
     while b:
