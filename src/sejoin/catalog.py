@@ -147,6 +147,11 @@ def _assemble(sol: YpqEinstein, w1: int, w2: int) -> SERecord:
     )
 
 
+def family_k2(t: int) -> int:
+    """k2 of step t of the quadratic sub-family: 255t + 10."""
+    return 255 * t + 10
+
+
 def family_record(k2: int) -> SERecord:
     """Record for the quadratic sub-family member k2, joined with its
     fixed weight pair (17, 3) and canonical gluing."""
@@ -310,7 +315,7 @@ def verify_paper_examples(corrupt: Optional[str] = None) -> VerificationReport:
     )
 
     for t in range(1, 11):
-        rec = family_record(255 * t + 10)
+        rec = family_record(family_k2(t))
         prefix = "family.t%d" % t
         check(prefix + ".l", (306 * t + 13, 4), (rec.l1, rec.l2))
         check(prefix + ".n", 51 * (306 * t + 13), rec.quotient.n)

@@ -28,6 +28,7 @@ from .catalog import (
     enumerate_joins,
     enumerate_ypq,
     export_records,
+    family_k2,
     family_record,
     quasi_regular_factor,
     record_to_dict,
@@ -199,7 +200,7 @@ def _cmd_join(args) -> int:
 def _cmd_family(args) -> int:
     if (args.t is None) == (args.k2 is None):
         raise DomainError("give exactly one of --t and --k2")
-    k2 = 255 * args.t + 10 if args.t is not None else args.k2
+    k2 = family_k2(args.t) if args.t is not None else args.k2
     rec = family_record(k2)
     if args.json:
         print(json.dumps(record_to_dict(rec, args.digits), sort_keys=True, indent=2))
@@ -238,13 +239,18 @@ def _cmd_profile(args) -> int:
         print("record has no Einstein profile", file=sys.stderr)
         return 1
     try:
-        if len(coeffs) > MAX_F_COEFFS:
-            raise DomainError("F_coeffs must have at most %d entries" % MAX_F_COEFFS)
+        if not isinstance(coeffs, list) or len(coeffs) > MAX_F_COEFFS:
+            raise DomainError("F_coeffs must be a list of at most %d entries" % MAX_F_COEFFS)
+        if not isinstance(m_vector, list) or len(m_vector) != 6:
+            raise DomainError("m_vector must be a list of 6 entries")
+        m3_0, m3_inf = int(m_vector[4]), int(m_vector[5])
+        if m3_0 < 1 or m3_inf < 1:
+            raise DomainError("m_vector's last two entries must be positive")
         profile = CalabiProfile(
             r3=Fraction(r3),
             F=Polynomial([Fraction(cf) for cf in coeffs]),
-            m3_0=int(m_vector[4]),
-            m3_inf=int(m_vector[5]),
+            m3_0=m3_0,
+            m3_inf=m3_inf,
         )
         lines = ["F coefficients: %s" % [str(cf) for cf in profile.F.coeffs],
                  "%-12s %s" % ("z", "Theta(z)")]
@@ -267,7 +273,7 @@ def _cmd_export(args) -> int:
         if any(v is not None for v in (args.p, args.q, args.k, args.w,
                                        args.k_list, args.w_bound)):
             raise DomainError("--family-t cannot be combined with join flags")
-        records = [family_record(255 * t + 10) for t in _parse_range(args.family_t)]
+        records = [family_record(family_k2(t)) for t in _parse_range(args.family_t)]
     else:
         if args.p is None or args.q is None:
             raise DomainError("export needs --family-t or --p/--q with a weight choice")

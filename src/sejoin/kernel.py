@@ -1,10 +1,13 @@
 """Exact arithmetic kernel.
 
 Scalars are arbitrary-precision ``int`` and ``fractions.Fraction`` values,
-polynomials are dense coefficient tuples over Fraction (degree <= 5 in all
-uses here, but nothing below assumes that), and irrational roots are carried
-as (square-free polynomial, isolating interval) pairs that can be refined to
-any requested width.  No floats enter any computation.
+polynomials are dense coefficient tuples over Fraction, and irrational roots
+are carried as (square-free polynomial, isolating interval) pairs that can be
+refined to any requested width.  No floats enter any computation.
+
+``real_roots`` solves only square-free polynomials with p(0) != 0, as the SE
+cubic and the Y^{p,q} quadratic are, and raises DomainError on any other
+input.  ``AlgebraicRoot`` compares with rationals only.
 
 The hot paths run on integers: ``Polynomial.__call__`` is Horner's rule on
 one integer numerator and one positive integer denominator with a single
@@ -15,7 +18,7 @@ sequence.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
+from heapq import merge
 from math import gcd, isqrt
 from typing import Iterable, Union
 
@@ -134,9 +137,6 @@ class Polynomial:
                 for j in range(d + 1):
                     rem[i - d + j] -= q * other.coeffs[j]
         return Polynomial(quo), Polynomial(rem[:d])
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
 
     def derivative(self) -> "Polynomial":
         return Polynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
@@ -298,6 +298,8 @@ class AlgebraicRoot:
     The polynomial is stored in primitive integer form; the invariant that the
     interval isolates exactly one root (with a sign change) is checked at
     construction.  Refinement methods are pure: they return data, never mutate.
+    It compares with rationals only: ``<`` or ``>`` between two AlgebraicRoots
+    raises TypeError, since bisecting two intervals of one number never ends.
     """
 
     __slots__ = ("poly", "lo", "hi")
@@ -396,19 +398,12 @@ class AlgebraicRoot:
 
     def __lt__(self, other):
         if isinstance(other, AlgebraicRoot):
-            a, b = self, other
-            while True:
-                if a.hi <= b.lo:
-                    return True
-                if b.hi <= a.lo:
-                    return False
-                a = a.refined((a.hi - a.lo) / 4)
-                b = b.refined((b.hi - b.lo) / 4)
+            return NotImplemented
         return self._cmp_fraction(Fraction(other)) < 0
 
     def __gt__(self, other):
         if isinstance(other, AlgebraicRoot):
-            return other < self
+            return NotImplemented
         return self._cmp_fraction(Fraction(other)) > 0
 
     def __repr__(self):
@@ -442,27 +437,20 @@ def _divisors(n: int) -> list:
 
 
 def _rational_roots(p: Polynomial):
-    """All rational roots (each listed once) and p with them deflated out."""
+    """The rational roots of p, ascending, and p with them deflated out; p(0)
+    must be nonzero, and a repeated rational root raises DomainError."""
     roots = []
-    # factor out z^k first
-    while not p.is_zero() and p.coeffs[0] == 0:
-        if Fraction(0) not in roots:
-            roots.append(Fraction(0))
-        p = Polynomial(p.coeffs[1:])
-    if p.degree < 1:
-        return roots, p
     ip = p.primitive()
-    a0 = int(ip.coeffs[0])
-    an = int(ip.coeffs[-1])
+    a0, an = int(ip.coeffs[0]), int(ip.coeffs[-1])
     for num in _divisors(a0):
         for den in _divisors(an):
             for cand in (Fraction(num, den), Fraction(-num, den)):
                 if p(cand) == 0:
-                    if cand not in roots:
-                        roots.append(cand)
-                    while p(cand) == 0 and p.degree >= 1:
-                        p = _deflate_root(p, cand)
-    return roots, p
+                    roots.append(cand)
+                    p = _deflate_root(p, cand)
+                    if p(cand) == 0:
+                        raise DomainError("repeated root %s" % (cand,))
+    return sorted(roots), p
 
 
 def _cauchy_bound(p: Polynomial) -> Fraction:
@@ -471,15 +459,14 @@ def _cauchy_bound(p: Polynomial) -> Fraction:
     return 1 + m
 
 
-def _isolate_irrational(p: Polynomial, width) -> list:
-    """Isolating intervals for all real roots of p, which must have no rational
-    roots; returns AlgebraicRoots refined below ``width``."""
-    if p.degree < 1:
-        return []
+def _isolate_irrational(p: Polynomial) -> list:
+    """AlgebraicRoots, refined below DEFAULT_ROOT_WIDTH, for all real roots of
+    p, which must be square-free with no rational roots.  They come back in
+    ascending, disjoint intervals; a repeated root raises DomainError."""
     chain = sturm_chain(p)
-    # the chain ends in gcd(p, p'); dividing it out leaves the square-free part
-    sf = p if chain[-1].degree < 1 else p // chain[-1]
-    m = _cauchy_bound(sf)
+    if chain[-1].degree >= 1:
+        raise DomainError("repeated root: gcd(p, p') = %r" % (chain[-1],))
+    m = _cauchy_bound(p)
 
     def var(x):
         return _sign_variations(chain, x)
@@ -491,11 +478,11 @@ def _isolate_irrational(p: Polynomial, width) -> list:
         cnt = vlo - vhi
         if cnt == 0:
             continue
-        if cnt == 1 and sf(lo) * sf(hi) < 0:
-            out.append(AlgebraicRoot(sf, lo, hi).refined(width))
+        if cnt == 1 and p(lo) * p(hi) < 0:
+            out.append(AlgebraicRoot(p, lo, hi).refined(DEFAULT_ROOT_WIDTH))
             continue
         mid = (lo + hi) / 2
-        if sf(mid) == 0:
+        if p(mid) == 0:
             raise ConsistencyError("unexpected rational root %s" % (mid,))
         vm = var(mid)
         stack.append((lo, mid, vlo, vm))
@@ -504,20 +491,18 @@ def _isolate_irrational(p: Polynomial, width) -> list:
     return out
 
 
-def real_roots(p: Polynomial, width=DEFAULT_ROOT_WIDTH) -> list:
-    """All distinct real roots of p, sorted ascending.
-
-    Rational roots come back as Fractions; irrational ones as AlgebraicRoots
-    with isolating intervals narrower than ``width``.
-    """
-    if p.is_zero():
-        raise DomainError("zero polynomial vanishes identically")
+def real_roots(p: Polynomial) -> list:
+    """All real roots of p, ascending: Fractions for the rational ones and
+    AlgebraicRoots narrower than DEFAULT_ROOT_WIDTH for the others.  p must be
+    square-free with p(0) != 0, as the SE cubic and the Y^{p,q} quadratic are
+    (README, library layout); any other p raises DomainError."""
+    if p.is_zero() or p.coeffs[0] == 0:
+        raise DomainError("real_roots needs p(0) != 0, got %r" % (p,))
     rational, rest = _rational_roots(p)
-    irrational = _isolate_irrational(rest, width)
-    merged = sorted(rational) + irrational
-    # the roots are distinct, so a < b decides every pair exactly
-    merged.sort(key=cmp_to_key(lambda a, b: -1 if a < b else 1))
+    # both lists ascend, so merge compares only a Fraction with an AlgebraicRoot
+    merged = list(merge(rational, _isolate_irrational(rest)))
     for a, b in zip(merged, merged[1:]):
-        if not a < b:
+        both = isinstance(a, AlgebraicRoot) and isinstance(b, AlgebraicRoot)
+        if not (a.hi <= b.lo if both else a < b):
             raise ConsistencyError("root ordering failed")
     return merged

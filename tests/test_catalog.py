@@ -668,8 +668,13 @@ class TestCliProfileAndExport:
         '{"F_coeffs": ["1"], "r3": "1/0", "m_vector": ["1", "1", "2", "3", "4", "5"]}',
         '{"F_coeffs": ["1", "1", "1", "1", "1", "1"], "r3": "1/2",'
         ' "m_vector": ["1", "1", "2", "3", "4", "5"]}',
+        '{"F_coeffs": "12345", "r3": "1/2", "m_vector": ["1", "1", "2", "3", "4", "5"]}',
+        '{"F_coeffs": ["1"], "r3": "1/2", "m_vector": "112345"}',
+        '{"F_coeffs": ["1"], "r3": "1/2", "m_vector": ["1", "1", "2", "3", "4", "5", "6"]}',
+        '{"F_coeffs": ["1"], "r3": "1/2", "m_vector": ["1", "1", "2", "3", "0", "5"]}',
     ], ids=["coeffs-text", "short-m-vector", "r3-list", "not-an-object", "r3-zero-den",
-            "six-coeffs"])
+            "six-coeffs", "coeffs-digit-text", "m-vector-text", "seven-m-vector",
+            "zero-fiber"])
     def test_profile_malformed_record_is_usage_error(self, text, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(text)

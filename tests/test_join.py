@@ -11,6 +11,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sejoin.join import (
     JoinQuotient,
@@ -30,6 +32,8 @@ from sejoin.kernel import (
     DegenerateEquationError,
     DomainError,
     count_roots_open,
+    real_roots,
+    sturm_chain,
 )
 from sejoin.ypq import solve
 
@@ -140,6 +144,23 @@ class TestSeCubic:
             bound = 1 + max(abs(c) for c in cubic.coeffs) // cubic.coeffs[-1] + 1
             assert count_roots_open(cubic, 1, Fraction(bound)) == 1
             assert cubic(1) < 0
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 18), st.data())
+    def test_one_simple_real_root(self, digits, data):
+        # the contract real_roots relies on (README, library layout): one real
+        # root, simple, above 1; the constant term -3*w1 is nonzero
+        w1 = data.draw(st.integers(max(2, 10**(digits - 1)), 10**digits))
+        w2 = data.draw(st.integers(1, w1 - 1))
+        assume(gcd(w1, w2) == 1)
+        cubic = se_cubic(w1, w2)
+        bound = 1 + max(abs(c) for c in cubic.coeffs[:-1]) / cubic.coeffs[-1]
+        assert count_roots_open(cubic, -bound, bound) == 1
+        assert sturm_chain(cubic)[-1].degree == 0
+        if w1 < 10**4:
+            # trial division in real_roots grows with sqrt(w1)
+            (root,) = real_roots(cubic)
+            assert root > 1
 
 
 class TestSeRay:

@@ -6,6 +6,7 @@ reproduces them bit-exactly, plus algebraic laws on random inputs.
 """
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,11 @@ def _monic_gcd(a, b):
     while not b.is_zero():
         a, b = b, divmod(a, b)[1]
     return (1 / a.leading()) * a
+
+
+def _solvable(p):
+    """p(0) != 0 and p square-free: the input real_roots accepts."""
+    return p.coeffs[0] != 0 and _monic_gcd(p, p.derivative()).degree == 0
 
 
 def test_sturm_chain_ends_in_gcd():
@@ -291,7 +297,16 @@ def test_real_roots_mixed():
 
 def test_real_roots_repeated():
     p = Polynomial((-1, 1)) * Polynomial((-1, 1))
-    assert real_roots(p) == [F(1)]
+    with pytest.raises(DomainError):
+        real_roots(p)
+
+
+def test_real_roots_outside_contract_rejected():
+    with pytest.raises(DomainError):
+        real_roots(Polynomial((0, -2, 0, 1)))    # z^3 - 2z, a root at 0
+    sq = Polynomial((-2, 0, 1))
+    with pytest.raises(DomainError):
+        real_roots(sq * sq)                      # (z^2 - 2)^2, repeated surd
 
 
 def test_real_roots_zero_poly_rejected():
@@ -329,11 +344,31 @@ def test_algebraic_root_decimal_bounds_certified():
     assert len(lo.split(".")[1]) == 30 and len(hi.split(".")[1]) == 30
 
 
+def _assert_incomparable(a, b):
+    """a < b and a > b raise TypeError at once; the alarm fails the test
+    instead of letting a comparison that never returns hang the suite."""
+    def hang(signum, frame):
+        raise AssertionError("comparison of %r and %r did not return" % (a, b))
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(TypeError):
+            a < b
+        with pytest.raises(TypeError):
+            a > b
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_algebraic_root_comparisons():
     sqrt2 = AlgebraicRoot(Polynomial((-2, 0, 1)), 1, 2)
     sqrt3 = AlgebraicRoot(Polynomial((-3, 0, 1)), 1, 2)
-    assert sqrt2 < sqrt3
-    assert sqrt3 > sqrt2
+    _assert_incomparable(sqrt2, sqrt3)
+    _assert_incomparable(sqrt3, sqrt2)
+    # the same number twice: bisecting both intervals would never separate them
+    _assert_incomparable(sqrt2, AlgebraicRoot(Polynomial((-2, 0, 1)), 1, 3))
+    _assert_incomparable(sqrt2, AlgebraicRoot(Polynomial((-4, 0, 0, 0, 1)), 1, 2))
     assert sqrt2 > F(14, 10)
     assert sqrt2 < F(142, 100)
     assert sqrt2 > 1
@@ -379,13 +414,16 @@ def test_real_roots_are_roots_and_counted(coeffs):
     p = Polynomial(coeffs)
     if p.degree < 1:
         return
+    if not _solvable(p):
+        with pytest.raises(DomainError):
+            real_roots(p)
+        return
     roots = real_roots(p)
     for r in roots:
         if isinstance(r, Fraction):
             assert p(r) == 0
         else:
-            sf = p // _monic_gcd(p, p.derivative())
-            assert sf(r.lo) * sf(r.hi) < 0
+            assert p(r.lo) * p(r.hi) < 0
     bound = 1 + max(abs(c) for c in p.coeffs) * 10
     assert count_roots_open(p, -bound, bound) == len(roots)
 
@@ -423,6 +461,13 @@ def test_repeated_factors_counted_once(c, linear, d, f, lo, hi):
         expected += (not _below_sqrt(-lo, d)) and _below_sqrt(-hi, d)
         expected += _below_sqrt(lo, d) and not _below_sqrt(hi, d)
     assert count_roots_open(p, lo, hi) == expected
+    fractions = [F(a, b) for a, b, _ in linear]
+    square_free = (f == 1 and all(e == 1 for _, _, e in linear)
+                   and len(set(fractions)) == len(fractions))
+    if 0 in fractions or not square_free:
+        with pytest.raises(DomainError):
+            real_roots(p)
+        return
     roots = real_roots(p)
     assert [r for r in roots if isinstance(r, Fraction)] == rational
     surd_roots = [r for r in roots if isinstance(r, AlgebraicRoot)]
@@ -471,6 +516,21 @@ def _fraction_cmp(root, x):
     return -1 if hi <= x else 1
 
 
+def _widened(root):
+    """root on the widest interval (c - 5/2^j, c + 5/2^j) about the centre c
+    of its isolating interval that still isolates it with a sign change."""
+    c, half = (root.lo + root.hi) / 2, F(5)
+    while (count_roots_open(root.poly, c - half, c + half) != 1
+           or root.poly(c - half) * root.poly(c + half) >= 0):
+        half /= 2
+    return AlgebraicRoot(root.poly, c - half, c + half)
+
+
+def _wide_surd_roots(p):
+    """The irrational roots of p, each on a wide isolating interval."""
+    return [_widened(r) for r in real_roots(p) if isinstance(r, AlgebraicRoot)]
+
+
 def _assert_bisection_agrees(root, digits, probes=()):
     # a decimal width, and a width that some bisection step meets exactly
     for width in (F(1, 10**digits), (root.hi - root.lo) / 2**digits):
@@ -489,8 +549,8 @@ def _assert_bisection_agrees(root, digits, probes=()):
 )
 def test_integer_bisection_matches_fraction_bisection(low, lead, digits, f1, f2):
     p = Polynomial(low + [lead])
-    assume(_monic_gcd(p, p.derivative()).degree == 0)
-    roots = [r for r in real_roots(p, width=F(10)) if isinstance(r, AlgebraicRoot)]
+    assume(_solvable(p))
+    roots = _wide_surd_roots(p)
     assume(roots)
     for root in roots:
         _assert_bisection_agrees(root, digits)
@@ -553,8 +613,8 @@ def _cell(lo, hi, digits):
 )
 def test_decimal_bounds_is_the_cell_of_the_number(low, lead, digits, f1, f2):
     p = Polynomial(low + [lead])
-    assume(_monic_gcd(p, p.derivative()).degree == 0)
-    roots = [r for r in real_roots(p, width=F(10)) if isinstance(r, AlgebraicRoot)]
+    assume(_solvable(p))
+    roots = _wide_surd_roots(p)
     assume(roots)
     for root in roots:
         bounds = root.decimal_bounds(digits)

@@ -13,7 +13,14 @@ from math import gcd, isqrt
 import pytest
 
 from sejoin.catalog import enumerate_ypq
-from sejoin.kernel import AlgebraicRoot, ConsistencyError, DomainError, integrate_sym
+from sejoin.kernel import (
+    AlgebraicRoot,
+    ConsistencyError,
+    DomainError,
+    Polynomial,
+    integrate_sym,
+    sturm_chain,
+)
 from sejoin.ypq import (
     YpqEinstein,
     einstein_integrand,
@@ -32,6 +39,14 @@ def _square_oracle(p, q):
     d = 4 * p * p - 3 * q * q
     r = isqrt(d)
     return r * r == d
+
+
+def _ray_quadratic(p, q):
+    """2*beta*t^2 + (alpha - beta)*t - 2*alpha with (alpha, beta) = (p+q, p-q)/l,
+    l = gcd(p+q, p-q)."""
+    l = gcd(p + q, p - q)
+    alpha, beta = (p + q) // l, (p - q) // l
+    return Polynomial((-2 * alpha, alpha - beta, 2 * beta))
 
 
 class TestValidation:
@@ -128,12 +143,24 @@ class TestEinsteinRay:
                 lhs = (alpha - beta) ** 2 + 16 * alpha * beta
                 assert lhs * l * l == 4 * (4 * p * p - 3 * q * q)
 
+    def test_ray_quadratic_is_square_free(self):
+        # real_roots needs a square-free polynomial with p(0) != 0; ray_ratio
+        # returns this quadratic (checked for p < 60 above), and solving it
+        # for every p < 200 would take about 16 s
+        for p in range(2, 200):
+            for q in range(1, p):
+                if gcd(p, q) == 1:
+                    quad = _ray_quadratic(p, q)
+                    assert sturm_chain(quad)[-1].degree == 0
+                    assert quad.coeffs[0] != 0
+
     def test_ray_rational_iff_quasi_regular(self):
         for p in range(2, 60):
             for q in range(1, p):
                 if gcd(p, q) != 1:
                     continue
                 ratio, quad = ray_ratio(p, q)
+                assert quad == _ray_quadratic(p, q)
                 assert isinstance(ratio, Fraction) == is_quasi_regular(p, q)
                 # both sides above share one square test, so also check the
                 # ratio against its quadratic directly
