@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import List, Sequence, Tuple, Union
 
-from .kernel import ConsistencyError, DomainError
+from .kernel import ConsistencyError, DomainError, clear_denominators
 
 # basis tags: position i is "x" or "y" for the i-th basis element;
 # "xyx" means {x1, y2, x3}
@@ -197,13 +196,7 @@ def h3_matrix(orb: BottOrbifold, kahler_coeffs: Sequence) -> Tuple[List[List[Fra
         [c3, Fraction(0), c1 - c3 * b],
         [Fraction(0), c3, c2 - c3 * c],
     ]
-    int_rows = []
-    for mrow in mat:
-        den = 1
-        for x in mrow:
-            den = den * x.denominator // gcd(den, x.denominator)
-        int_rows.append([int(x * den) for x in mrow])
-    return mat, _integer_rank(int_rows)
+    return mat, _integer_rank([clear_denominators(mrow)[0] for mrow in mat])
 
 
 # --------------------------------------------------------------- monoid action

@@ -234,24 +234,13 @@ def _cmd_profile(args) -> int:
         raise DomainError("%s does not hold a record object" % args.record)
     coeffs = data.get("F_coeffs")
     r3 = data.get("r3")
-    m_vector = data.get("m_vector")
-    if coeffs is None or r3 is None or m_vector is None:
+    if coeffs is None or r3 is None:
         print("record has no Einstein profile", file=sys.stderr)
         return 1
     try:
         if not isinstance(coeffs, list) or len(coeffs) > MAX_F_COEFFS:
             raise DomainError("F_coeffs must be a list of at most %d entries" % MAX_F_COEFFS)
-        if not isinstance(m_vector, list) or len(m_vector) != 6:
-            raise DomainError("m_vector must be a list of 6 entries")
-        m3_0, m3_inf = int(m_vector[4]), int(m_vector[5])
-        if m3_0 < 1 or m3_inf < 1:
-            raise DomainError("m_vector's last two entries must be positive")
-        profile = CalabiProfile(
-            r3=Fraction(r3),
-            F=Polynomial([Fraction(cf) for cf in coeffs]),
-            m3_0=m3_0,
-            m3_inf=m3_inf,
-        )
+        profile = CalabiProfile(r3=Fraction(r3), F=Polynomial([Fraction(cf) for cf in coeffs]))
         lines = ["F coefficients: %s" % [str(cf) for cf in profile.F.coeffs],
                  "%-12s %s" % ("z", "Theta(z)")]
         for z, theta in profile.grid(args.grid):
@@ -262,7 +251,7 @@ def _cmd_profile(args) -> int:
                 lines.append("%-12s %s" % (z, theta))
     except DomainError:
         raise
-    except (ValueError, TypeError, LookupError, ZeroDivisionError, OverflowError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise DomainError("malformed record in %s: %s" % (args.record, exc)) from exc
     print("\n".join(lines))
     return 0

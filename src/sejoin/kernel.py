@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import merge
-from math import gcd, isqrt
-from typing import Iterable, Union
+from math import gcd, isqrt, lcm
+from typing import Iterable, Tuple, Union
 
 
 class DomainError(ValueError):
@@ -45,6 +45,13 @@ def integer_sqrt_exact(n: int) -> Union[int, None]:
         raise DomainError("integer_sqrt_exact: negative argument %r" % (n,))
     r = isqrt(n)
     return r if r * r == n else None
+
+
+def clear_denominators(values) -> Tuple[list, int]:
+    """(ints, d) for Fractions values: d is the lcm of their denominators and
+    ints[i] = d * values[i], an integer."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 class Polynomial:
@@ -154,13 +161,8 @@ class Polynomial:
         """Integer-coefficient, content-free, positive-leading normal form."""
         if self.is_zero():
             return self
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
+        ints, _ = clear_denominators(self.coeffs)
+        g = gcd(*ints)
         if ints[-1] < 0:
             g = -g
         return Polynomial(v // g for v in ints)
@@ -216,10 +218,7 @@ def sturm_chain(p: Polynomial) -> list:
     (p, p', -rem, ...): sign-variation counts are the same, and the last
     term is gcd(p, p') up to a positive constant.
     """
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    a = _content_free([c.numerator * (den // c.denominator) for c in p.coeffs])
+    a = _content_free(clear_denominators(p.coeffs)[0])
     b = _content_free([i * c for i, c in enumerate(a) if i > 0])
     chain = [a]
     while b:
@@ -347,9 +346,7 @@ class AlgebraicRoot:
         gcd.  A midpoint m/d that is a root ends the sequence with (m, m, d).
         """
         coeffs = [int(c) for c in self.poly.coeffs]
-        lo, hi = self.lo, self.hi
-        d = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
-        a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+        (a, b), d = clear_denominators((self.lo, self.hi))
         lo_positive = _scaled_value(coeffs, a, d) > 0
         while True:
             yield a, b, d

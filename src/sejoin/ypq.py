@@ -85,12 +85,13 @@ def ray_ratio(p: int, q: int) -> Tuple[Union[Fraction, AlgebraicRoot], Polynomia
 
 def einstein_ray(p: int, q: int) -> Tuple[int, int]:
     """Coprime positive pair (v2_0, v2_inf) spanning the rational
-    transverse-Einstein ray.  Requires is_quasi_regular(p, q)."""
-    ratio, _ = ray_ratio(p, q)
-    if not isinstance(ratio, Fraction):
+    transverse-Einstein ray.  An irrational ray is rejected by the square
+    test of is_quasi_regular, before any root is isolated."""
+    if not is_quasi_regular(p, q):
         raise DomainError(
             "(%d, %d) is not quasi-regular; the Einstein ray is irrational" % (p, q)
         )
+    ratio, _ = ray_ratio(p, q)
     return ratio.numerator, ratio.denominator
 
 
@@ -153,11 +154,12 @@ class YpqEinstein:
 
 
 def solve(p: int, q: int) -> Optional[YpqEinstein]:
-    """Full quasi-regular solution for (p, q), or None if the ray is irrational."""
-    ratio, _ = ray_ratio(p, q)
-    if not isinstance(ratio, Fraction):
+    """Full quasi-regular solution for (p, q), or None if the ray is
+    irrational, which the square test of is_quasi_regular decides without
+    isolating a root."""
+    if not is_quasi_regular(p, q):
         return None
-    v0, vinf = ratio.numerator, ratio.denominator
+    v0, vinf = einstein_ray(p, q)
     m2, m2_0, m2_inf, a = hirzebruch_quotient(p, q, v0, vinf)
     idx = fano_index(m2, v0, vinf, a)
     return YpqEinstein(

@@ -660,21 +660,28 @@ class TestCliProfileAndExport:
         assert code == 0
         assert out == expected
 
+    def test_profile_needs_only_f_and_r3(self, tmp_path, capsys):
+        # the profile is (r3, F): a record without m_vector tabulates the same
+        path = tmp_path / "t1.json"
+        run_cli(["export", "--family-t", "1", "--format", "json", "--out", str(path)],
+                capsys)
+        _, expected, _ = run_cli(["profile", "--record", str(path), "--grid", "4"], capsys)
+        rec = json.loads(path.read_text())[0]
+        path.write_text(json.dumps({"F_coeffs": rec["F_coeffs"], "r3": rec["r3"]}))
+        code, out, err = run_cli(["profile", "--record", str(path), "--grid", "4"], capsys)
+        assert (code, err) == (0, "")
+        assert out == expected and "F coefficients: %s" % (FAMILY_F,) in out
+
     @pytest.mark.parametrize("text", [
         '{"F_coeffs": "abc", "r3": "1/2", "m_vector": ["1", "1", "2", "3", "4", "5"]}',
-        '{"F_coeffs": ["1"], "r3": "1/2", "m_vector": ["1"]}',
         '{"F_coeffs": ["1"], "r3": [1], "m_vector": ["1", "1", "2", "3", "4", "5"]}',
         '[1]',
         '{"F_coeffs": ["1"], "r3": "1/0", "m_vector": ["1", "1", "2", "3", "4", "5"]}',
         '{"F_coeffs": ["1", "1", "1", "1", "1", "1"], "r3": "1/2",'
         ' "m_vector": ["1", "1", "2", "3", "4", "5"]}',
         '{"F_coeffs": "12345", "r3": "1/2", "m_vector": ["1", "1", "2", "3", "4", "5"]}',
-        '{"F_coeffs": ["1"], "r3": "1/2", "m_vector": "112345"}',
-        '{"F_coeffs": ["1"], "r3": "1/2", "m_vector": ["1", "1", "2", "3", "4", "5", "6"]}',
-        '{"F_coeffs": ["1"], "r3": "1/2", "m_vector": ["1", "1", "2", "3", "0", "5"]}',
-    ], ids=["coeffs-text", "short-m-vector", "r3-list", "not-an-object", "r3-zero-den",
-            "six-coeffs", "coeffs-digit-text", "m-vector-text", "seven-m-vector",
-            "zero-fiber"])
+    ], ids=["coeffs-text", "r3-list", "not-an-object", "r3-zero-den", "six-coeffs",
+            "coeffs-digit-text"])
     def test_profile_malformed_record_is_usage_error(self, text, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(text)

@@ -220,6 +220,7 @@ def test_integrate_sym_values():
     assert integrate_sym(Polynomial((84, -552, -252))) == 2 * 84 - F(2, 3) * 252
 
 
+@settings(derandomize=True, database=None)
 @given(st.lists(st.integers(-50, 50), min_size=1, max_size=6))
 def test_integrate_sym_matches_antiderivative(coeffs):
     p = Polynomial(coeffs)
@@ -394,7 +395,7 @@ def test_fraction_to_decimal_rounding():
 # -------------------------------------------------------------- random laws
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, derandomize=True, database=None)
 @given(
     st.lists(st.integers(-9, 9), min_size=1, max_size=5),
     st.lists(st.integers(-9, 9), min_size=1, max_size=5),
@@ -408,7 +409,7 @@ def test_poly_divmod_law(a, b):
     assert r.is_zero() or r.degree < pb.degree
 
 
-@settings(max_examples=40)
+@settings(max_examples=40, derandomize=True, database=None)
 @given(st.lists(st.integers(-6, 6), min_size=2, max_size=5))
 def test_real_roots_are_roots_and_counted(coeffs):
     p = Polynomial(coeffs)
@@ -539,7 +540,7 @@ def _assert_bisection_agrees(root, digits, probes=()):
         assert root._cmp_fraction(x) == _fraction_cmp(root, x)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     st.lists(st.integers(-20, 20), min_size=2, max_size=5),
     st.integers(-20, 20).filter(bool),
@@ -603,7 +604,7 @@ def _cell(lo, hi, digits):
     return n_lo
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     st.lists(st.integers(-20, 20), min_size=2, max_size=5),
     st.integers(-20, 20).filter(bool),

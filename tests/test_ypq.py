@@ -12,7 +12,9 @@ from math import gcd, isqrt
 
 import pytest
 
+from sejoin import ypq
 from sejoin.catalog import enumerate_ypq
+from sejoin.cli import main
 from sejoin.kernel import (
     AlgebraicRoot,
     ConsistencyError,
@@ -225,6 +227,24 @@ class TestSolve:
     def test_irregular_returns_none(self):
         assert solve(2, 1) is None
         assert solve(13, 5) is None
+
+    def test_square_test_alone_rejects_irrational(self, monkeypatch, capsys):
+        # the square test decides quasi-regularity, so no root of the ray
+        # quadratic is isolated; for p near 10^16 that isolation would
+        # trial-divide 2*alpha
+        def isolate(poly):
+            raise AssertionError("isolated a root of %r" % (poly,))
+
+        monkeypatch.setattr(ypq, "real_roots", isolate)
+        assert solve(13, 5) is None
+        with pytest.raises(DomainError):
+            einstein_ray(13, 5)
+        assert (solve(13, 8).v2_0, solve(13, 8).v2_inf) == (7, 5)
+        assert main(["join", "--p", "10000000000000061", "--q", "2", "--k", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: (10000000000000061, 2) has no quasi-regular "
+                       "transverse-Einstein ray\n")
 
     def test_record_is_immutable(self):
         sol = solve(13, 8)
