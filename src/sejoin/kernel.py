@@ -2,8 +2,9 @@
 
 Scalars are arbitrary-precision ``int`` and ``fractions.Fraction`` values,
 polynomials are dense coefficient tuples over Fraction, and irrational roots
-are carried as (square-free polynomial, isolating interval) pairs that can be
-refined to any requested width.  No floats enter any computation.
+are carried as (square-free polynomial, isolating interval) pairs, refined
+only where a comparison or ``decimal_bounds`` needs it.  No floats enter any
+computation.
 
 ``real_roots`` solves only square-free polynomials with p(0) != 0, as the SE
 cubic and the Y^{p,q} quadratic are, and raises DomainError on any other
@@ -33,10 +34,6 @@ class DegenerateEquationError(DomainError):
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check that should be impossible to fail has failed."""
-
-
-# interval width below which isolated roots are refined by default
-DEFAULT_ROOT_WIDTH = Fraction(1, 10**30)
 
 
 def integer_sqrt_exact(n: int) -> Union[int, None]:
@@ -319,10 +316,6 @@ class AlgebraicRoot:
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraicRoot is immutable")
 
-    def refined(self, width) -> "AlgebraicRoot":
-        lo, hi = self.refined_interval(width)
-        return AlgebraicRoot(self.poly, lo, hi)
-
     def refined_interval(self, width):
         """Bisect until hi - lo < width; returns (lo, hi) without mutating."""
         width = Fraction(width)
@@ -368,18 +361,14 @@ class AlgebraicRoot:
         if digits < 1:
             raise DomainError("digits must be >= 1")
         scale = 10**digits
-        coeffs = [int(c) for c in self.poly.coeffs]
-        for a, b, d in self._bisection():
-            if (b - a) * scale > d:
-                continue  # wider than a cell
-            n = a * scale // d
-            if b * scale <= (n + 1) * d:
-                break  # (a/d, b/d) lies in the cell [n, n + 1]/scale
-            # (a/d, b/d) straddles the grid point (n + 1)/scale, which
-            # bisection never reaches if it is the root
-            if _scaled_value(coeffs, n + 1, scale) == 0:
+        lo, hi = self.refined_interval(Fraction(1, scale))
+        n = lo.numerator * scale // lo.denominator
+        if hi.numerator * scale > (n + 1) * hi.denominator:
+            # (lo, hi) is narrower than a cell and holds one grid point
+            # g = (n + 1)/scale: x >= g iff poly(g) is 0 or has poly's sign at lo
+            g = self.poly(Fraction(n + 1, scale))
+            if g == 0 or (g > 0) == (self.poly(lo) > 0):
                 n += 1
-                break
         return _scaled_to_decimal(n, digits), _scaled_to_decimal(n + 1, digits)
 
     def _cmp_fraction(self, x: Fraction) -> int:
@@ -457,9 +446,10 @@ def _cauchy_bound(p: Polynomial) -> Fraction:
 
 
 def _isolate_irrational(p: Polynomial) -> list:
-    """AlgebraicRoots, refined below DEFAULT_ROOT_WIDTH, for all real roots of
-    p, which must be square-free with no rational roots.  They come back in
-    ascending, disjoint intervals; a repeated root raises DomainError."""
+    """AlgebraicRoots for all real roots of p, which must be square-free with
+    no rational roots, each on the interval its Sturm count isolated.  They
+    come back in ascending, disjoint intervals; a repeated root raises
+    DomainError."""
     chain = sturm_chain(p)
     if chain[-1].degree >= 1:
         raise DomainError("repeated root: gcd(p, p') = %r" % (chain[-1],))
@@ -476,7 +466,7 @@ def _isolate_irrational(p: Polynomial) -> list:
         if cnt == 0:
             continue
         if cnt == 1 and p(lo) * p(hi) < 0:
-            out.append(AlgebraicRoot(p, lo, hi).refined(DEFAULT_ROOT_WIDTH))
+            out.append(AlgebraicRoot(p, lo, hi))
             continue
         mid = (lo + hi) / 2
         if p(mid) == 0:
@@ -490,9 +480,9 @@ def _isolate_irrational(p: Polynomial) -> list:
 
 def real_roots(p: Polynomial) -> list:
     """All real roots of p, ascending: Fractions for the rational ones and
-    AlgebraicRoots narrower than DEFAULT_ROOT_WIDTH for the others.  p must be
-    square-free with p(0) != 0, as the SE cubic and the Y^{p,q} quadratic are
-    (README, library layout); any other p raises DomainError."""
+    AlgebraicRoots on isolating intervals, unrefined, for the others.  p must
+    be square-free with p(0) != 0, as the SE cubic and the Y^{p,q} quadratic
+    are (README, library layout); any other p raises DomainError."""
     if p.is_zero() or p.coeffs[0] == 0:
         raise DomainError("real_roots needs p(0) != 0, got %r" % (p,))
     rational, rest = _rational_roots(p)

@@ -13,11 +13,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sejoin.join import se_ray_from_w
+from sejoin.join import se_cubic, se_ray_from_w
 from sejoin.kernel import (
     AlgebraicRoot,
     ConsistencyError,
-    DEFAULT_ROOT_WIDTH,
     DomainError,
     Polynomial,
     count_roots_open,
@@ -28,6 +27,7 @@ from sejoin.kernel import (
     sturm_chain,
     sturm_positive_on,
 )
+from sejoin.ypq import ray_ratio
 
 F = Fraction
 
@@ -279,7 +279,6 @@ def test_real_roots_cubic_irrational():
     (root,) = real_roots(Polynomial((-2, -1, 0, 1)))
     assert isinstance(root, AlgebraicRoot)
     assert root > F(3, 2) and root < F(8, 5)
-    assert root.hi - root.lo < DEFAULT_ROOT_WIDTH
     lo, hi = root.decimal_bounds(10)
     assert lo == "1.5213797068"
     assert hi == "1.5213797069"
@@ -330,10 +329,10 @@ def test_algebraic_root_validation():
 
 def test_algebraic_root_refinement_pure():
     r = AlgebraicRoot(Polynomial((-2, 0, 1)), 1, 2)
-    r2 = r.refined(F(1, 10**6))
-    assert r2.hi - r2.lo < F(1, 10**6)
+    lo, hi = r.refined_interval(F(1, 10**6))
+    assert hi - lo < F(1, 10**6)
     assert (r.lo, r.hi) == (F(1), F(2))
-    assert r2.lo >= r.lo and r2.hi <= r.hi
+    assert lo >= r.lo and hi <= r.hi
 
 
 def test_algebraic_root_decimal_bounds_certified():
@@ -424,7 +423,10 @@ def test_real_roots_are_roots_and_counted(coeffs):
         if isinstance(r, Fraction):
             assert p(r) == 0
         else:
-            assert p(r.lo) * p(r.hi) < 0
+            # r isolates a root of p's irrational factor, and its interval
+            # may also hold a rational root of p: (z+1)(z^2+3z+1) on (-2, 0)
+            assert r.poly(r.lo) * r.poly(r.hi) < 0
+            assert divmod(p, r.poly)[1].is_zero()
     bound = 1 + max(abs(c) for c in p.coeffs) * 10
     assert count_roots_open(p, -bound, bound) == len(roots)
 
@@ -519,11 +521,12 @@ def _fraction_cmp(root, x):
 
 def _widened(root):
     """root on the widest interval (c - 5/2^j, c + 5/2^j) about the centre c
-    of its isolating interval that still isolates it with a sign change."""
-    c, half = (root.lo + root.hi) / 2, F(5)
+    of its refinement below 10^-30 that still isolates it with a sign change."""
+    c, half = sum(root.refined_interval(F(1, 10**30))) / 2, F(5)
     while (count_roots_open(root.poly, c - half, c + half) != 1
            or root.poly(c - half) * root.poly(c + half) >= 0):
         half /= 2
+        assert half > F(1, 10**30), "no isolating interval about %s" % (c,)
     return AlgebraicRoot(root.poly, c - half, c + half)
 
 
@@ -628,7 +631,7 @@ def test_decimal_bounds_is_the_cell_of_the_number(low, lead, digits, f1, f2):
         hi = root.hi - (root.hi - inner_hi) * f2
         for other in (AlgebraicRoot(root.poly, lo, hi),
                       AlgebraicRoot(root.poly, inner_lo, inner_hi),
-                      root.refined(F(1, 10**(digits + 3)))):
+                      AlgebraicRoot(root.poly, *root.refined_interval(F(1, 10**(digits + 3))))):
             assert other.decimal_bounds(digits) == bounds
 
 
@@ -637,9 +640,35 @@ def test_decimal_bounds_is_the_cell_of_the_number(low, lead, digits, f1, f2):
     (Polynomial((-1, 2)), 0, 1, 3, ("0.500", "0.501")),
     (Polynomial((1, 10)), -1, 0, 3, ("-0.100", "-0.099")),
     (Polynomial((-1, 10)), F(-1, 3), F(1, 7), 1, ("0.1", "0.2")),
+    # brackets narrower than a cell that hold a grid point: the root is
+    # below it, above it, or on it
+    (Polynomial((-1, 7)), F(1425, 10**4), F(1505, 10**4), 2, ("0.14", "0.15")),
+    (Polynomial((-1, 7)), F(139, 1000), F(1435, 10**4), 2, ("0.14", "0.15")),
+    (Polynomial((-3, 20)), F(1495, 10**4), F(1505, 10**4), 2, ("0.15", "0.16")),
+    (Polynomial((-2, 0, 1)), F(14139, 10**4), F(14145, 10**4), 3, ("1.414", "1.415")),
 ])
 def test_decimal_bounds_rational_root_on_the_grid(poly, lo, hi, digits, bounds):
     assert AlgebraicRoot(poly, lo, hi).decimal_bounds(digits) == bounds
+
+
+def test_roots_are_refined_only_to_print_digits(monkeypatch):
+    calls = []
+    refined_interval = AlgebraicRoot.refined_interval
+
+    def counted(self, width):
+        calls.append(width)
+        return refined_interval(self, width)
+
+    monkeypatch.setattr(AlgebraicRoot, "refined_interval", counted)
+    (k,) = real_roots(se_cubic(5, 2))
+    t, _ = ray_ratio(13, 5)
+    assert k > 1 and t > 1
+    assert calls == []
+    assert k.decimal_bounds(40) == ("1.7478477657396181608648273246901858997656",
+                                    "1.7478477657396181608648273246901858997657")
+    assert t.decimal_bounds(40) == ("1.2197063340164078567239922342723212312558",
+                                    "1.2197063340164078567239922342723212312559")
+    assert calls == [F(1, 10**40)] * 2
 
 
 def test_real_roots_exact_order_below_float_resolution():
