@@ -6,9 +6,10 @@ are carried as (square-free polynomial, isolating interval) pairs, refined
 only where a comparison or ``decimal_bounds`` needs it.  No floats enter any
 computation.
 
-``real_roots`` solves only square-free polynomials with p(0) != 0, as the SE
-cubic and the Y^{p,q} quadratic are, and raises DomainError on any other
-input.  ``AlgebraicRoot`` compares with rationals only.
+``real_roots`` solves only square-free polynomials of degree at most 3 with
+p(0) != 0, as the SE cubic and the Y^{p,q} quadratic are, and raises
+DomainError on any other input; the degree alone isolates their irrational
+roots.  ``AlgebraicRoot`` compares with rationals only.
 
 The hot paths run on integers: ``Polynomial.__call__`` is Horner's rule on
 one integer numerator and one positive integer denominator with a single
@@ -446,45 +447,32 @@ def _cauchy_bound(p: Polynomial) -> Fraction:
 
 
 def _isolate_irrational(p: Polynomial) -> list:
-    """AlgebraicRoots for all real roots of p, which must be square-free with
-    no rational roots, each on the interval its Sturm count isolated.  They
-    come back in ascending, disjoint intervals; a repeated root raises
-    DomainError."""
-    chain = sturm_chain(p)
-    if chain[-1].degree >= 1:
-        raise DomainError("repeated root: gcd(p, p') = %r" % (chain[-1],))
-    m = _cauchy_bound(p)
-
-    def var(x):
-        return _sign_variations(chain, x)
-
-    out = []
-    stack = [(-m, m, var(-m), var(m))]
-    while stack:
-        lo, hi, vlo, vhi = stack.pop()
-        cnt = vlo - vhi
-        if cnt == 0:
-            continue
-        if cnt == 1 and p(lo) * p(hi) < 0:
-            out.append(AlgebraicRoot(p, lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        if p(mid) == 0:
-            raise ConsistencyError("unexpected rational root %s" % (mid,))
-        vm = var(mid)
-        stack.append((lo, mid, vlo, vm))
-        stack.append((mid, hi, vm, vhi))
-    out.sort(key=lambda r: r.lo)
-    return out
+    """AlgebraicRoots, ascending, for the real roots of p, of degree <= 3
+    with no rational root.  A quadratic's lie on either side of its vertex
+    v = -b/2a, and it has none when p(v) has the sign of a; an irreducible
+    cubic has one or three, all in its Cauchy box (-m, m), and the Sturm
+    count of AlgebraicRoot certifies one or raises DomainError on three."""
+    if p.degree == 2:
+        _, b, a = p.coeffs
+        v = -b / (2 * a)
+        if (p(v) > 0) == (a > 0):
+            return []
+        m = _cauchy_bound(p)
+        return [AlgebraicRoot(p, -m, v), AlgebraicRoot(p, v, m)]
+    if p.degree == 3:
+        m = _cauchy_bound(p)
+        return [AlgebraicRoot(p, -m, m)]
+    return []
 
 
 def real_roots(p: Polynomial) -> list:
     """All real roots of p, ascending: Fractions for the rational ones and
     AlgebraicRoots on isolating intervals, unrefined, for the others.  p must
-    be square-free with p(0) != 0, as the SE cubic and the Y^{p,q} quadratic
-    are (README, library layout); any other p raises DomainError."""
-    if p.is_zero() or p.coeffs[0] == 0:
-        raise DomainError("real_roots needs p(0) != 0, got %r" % (p,))
+    be square-free of degree at most 3 with p(0) != 0, as the SE cubic and the
+    Y^{p,q} quadratic are (README, library layout); any other p raises
+    DomainError."""
+    if p.is_zero() or p.coeffs[0] == 0 or p.degree > 3:
+        raise DomainError("real_roots needs p(0) != 0 and degree <= 3, got %r" % (p,))
     rational, rest = _rational_roots(p)
     # both lists ascend, so merge compares only a Fraction with an AlgebraicRoot
     merged = list(merge(rational, _isolate_irrational(rest)))

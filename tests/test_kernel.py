@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from sejoin import kernel
 from sejoin.join import se_cubic, se_ray_from_w
 from sejoin.kernel import (
     AlgebraicRoot,
@@ -124,9 +125,32 @@ def _monic_gcd(a, b):
     return (1 / a.leading()) * a
 
 
-def _solvable(p):
-    """p(0) != 0 and p square-free: the input real_roots accepts."""
+def _square_free(p):
+    """p(0) != 0 and p square-free."""
     return p.coeffs[0] != 0 and _monic_gcd(p, p.derivative()).degree == 0
+
+
+def _has_rational_root(p):
+    """Whether p has a root u/v, u | p(0) and v | lead(p), by brute force."""
+    ints = p.primitive().coeffs
+    a0, an = abs(int(ints[0])), abs(int(ints[-1]))
+    return any(p(F(s * u, v)) == 0
+               for u in range(1, a0 + 1) if a0 % u == 0
+               for v in range(1, an + 1) if an % v == 0
+               for s in (1, -1))
+
+
+def _cubic_discriminant(p):
+    d, c, b, a = p.coeffs
+    return 18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d
+
+
+def _solvable(p):
+    """The input real_roots accepts: p(0) != 0, p square-free of degree at
+    most 3, and not a cubic whose three real roots are all irrational."""
+    if not _square_free(p) or p.degree > 3:
+        return False
+    return p.degree < 3 or _cubic_discriminant(p) < 0 or _has_rational_root(p)
 
 
 def test_sturm_chain_ends_in_gcd():
@@ -307,6 +331,10 @@ def test_real_roots_outside_contract_rejected():
     sq = Polynomial((-2, 0, 1))
     with pytest.raises(DomainError):
         real_roots(sq * sq)                      # (z^2 - 2)^2, repeated surd
+    with pytest.raises(DomainError):
+        real_roots(Polynomial((1, -3, 0, 1)))    # z^3 - 3z + 1, three surds
+    with pytest.raises(DomainError):
+        real_roots(Polynomial((1, 0, -10, 0, 1)))  # z^4 - 10z^2 + 1, degree 4
 
 
 def test_real_roots_zero_poly_rejected():
@@ -446,6 +474,7 @@ def _below_sqrt(x, d):
     st.fractions(-6, 6, max_denominator=3),
     st.fractions(-6, 6, max_denominator=3),
 )
+@example(F(1), [], 2, 1, F(-6), F(6))  # z^2 - 2: its vertex 0 ends both intervals
 def test_repeated_factors_counted_once(c, linear, d, f, lo, hi):
     # p = c * prod (b z - a)^e * (z^2 - d)^f, with d not a square
     p = Polynomial((c,))
@@ -467,7 +496,7 @@ def test_repeated_factors_counted_once(c, linear, d, f, lo, hi):
     fractions = [F(a, b) for a, b, _ in linear]
     square_free = (f == 1 and all(e == 1 for _, _, e in linear)
                    and len(set(fractions)) == len(fractions))
-    if 0 in fractions or not square_free:
+    if 0 in fractions or not square_free or p.degree > 3:
         with pytest.raises(DomainError):
             real_roots(p)
         return
@@ -477,7 +506,9 @@ def test_repeated_factors_counted_once(c, linear, d, f, lo, hi):
     assert len(surd_roots) == 2 * surds
     for root, sign in zip(surd_roots, (-1, 1)):
         assert root.poly == Polynomial((-d, 0, 1))
-        assert root.lo * sign > 0 and root.hi * sign > 0
+        # the interval lies on the root's side of 0, which may be one end
+        assert root.lo * sign >= 0 and root.hi * sign >= 0
+        assert root > 0 if sign > 0 else root < 0
 
 
 # ------------------------------------------------------ integer bisection
@@ -530,9 +561,29 @@ def _widened(root):
     return AlgebraicRoot(root.poly, c - half, c + half)
 
 
+def _surd_roots(p):
+    """The irrational roots of p, of any degree, by bisecting the Cauchy box
+    of p with its rational roots deflated until each cell holds one root and
+    a sign change."""
+    rest = kernel._rational_roots(p)[1]
+    if rest.degree < 1:
+        return []
+    m = 1 + max(abs(c) for c in rest.coeffs[:-1]) / abs(rest.leading())
+    out, stack = [], [(-m, m)]
+    while stack:
+        lo, hi = stack.pop()
+        count = count_roots_open(rest, lo, hi)
+        if count == 1 and rest(lo) * rest(hi) < 0:
+            out.append(AlgebraicRoot(rest, lo, hi))
+        elif count:
+            mid = (lo + hi) / 2
+            stack += [(lo, mid), (mid, hi)]
+    return out
+
+
 def _wide_surd_roots(p):
     """The irrational roots of p, each on a wide isolating interval."""
-    return [_widened(r) for r in real_roots(p) if isinstance(r, AlgebraicRoot)]
+    return [_widened(r) for r in _surd_roots(p)]
 
 
 def _assert_bisection_agrees(root, digits, probes=()):
@@ -553,7 +604,7 @@ def _assert_bisection_agrees(root, digits, probes=()):
 )
 def test_integer_bisection_matches_fraction_bisection(low, lead, digits, f1, f2):
     p = Polynomial(low + [lead])
-    assume(_solvable(p))
+    assume(_square_free(p))
     roots = _wide_surd_roots(p)
     assume(roots)
     for root in roots:
@@ -617,7 +668,7 @@ def _cell(lo, hi, digits):
 )
 def test_decimal_bounds_is_the_cell_of_the_number(low, lead, digits, f1, f2):
     p = Polynomial(low + [lead])
-    assume(_solvable(p))
+    assume(_square_free(p))
     roots = _wide_surd_roots(p)
     assume(roots)
     for root in roots:
@@ -669,6 +720,27 @@ def test_roots_are_refined_only_to_print_digits(monkeypatch):
     assert t.decimal_bounds(40) == ("1.2197063340164078567239922342723212312558",
                                     "1.2197063340164078567239922342723212312559")
     assert calls == [F(1, 10**40)] * 2
+
+
+def test_each_irrational_root_gets_one_sturm_count(monkeypatch):
+    # the degree isolates: the SE cubic's one root costs one chain, the
+    # Y^{p,q} quadratic's two roots one each, and a quadratic with no real
+    # root, left over from a rational root of the cubic, none
+    chains = []
+    sturm = kernel.sturm_chain
+
+    def counted(p):
+        chains.append(p)
+        return sturm(p)
+
+    monkeypatch.setattr(kernel, "sturm_chain", counted)
+    counts = []
+    for call in (lambda: real_roots(se_cubic(5, 2)), lambda: ray_ratio(13, 5),
+                 lambda: real_roots(se_cubic(34, 11))):
+        del chains[:]
+        call()
+        counts.append(len(chains))
+    assert counts == [1, 2, 0]
 
 
 def test_real_roots_exact_order_below_float_resolution():
