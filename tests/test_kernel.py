@@ -8,6 +8,7 @@ reproduces them bit-exactly, plus algebraic laws on random inputs.
 import random
 import signal
 from fractions import Fraction
+from math import floor, gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -702,7 +703,8 @@ def test_decimal_bounds_rational_root_on_the_grid(poly, lo, hi, digits, bounds):
     assert AlgebraicRoot(poly, lo, hi).decimal_bounds(digits) == bounds
 
 
-def test_roots_are_refined_only_to_print_digits(monkeypatch):
+def _counted_refinements(patch):
+    """The widths of the refined_interval calls made while ``patch`` holds."""
     calls = []
     refined_interval = AlgebraicRoot.refined_interval
 
@@ -710,7 +712,12 @@ def test_roots_are_refined_only_to_print_digits(monkeypatch):
         calls.append(width)
         return refined_interval(self, width)
 
-    monkeypatch.setattr(AlgebraicRoot, "refined_interval", counted)
+    patch.setattr(AlgebraicRoot, "refined_interval", counted)
+    return calls
+
+
+def test_roots_are_refined_only_to_print_digits(monkeypatch):
+    calls = _counted_refinements(monkeypatch)
     (k,) = real_roots(se_cubic(5, 2))
     t, _ = ray_ratio(13, 5)
     assert k > 1 and t > 1
@@ -719,7 +726,112 @@ def test_roots_are_refined_only_to_print_digits(monkeypatch):
                                     "1.7478477657396181608648273246901858997657")
     assert t.decimal_bounds(40) == ("1.2197063340164078567239922342723212312558",
                                     "1.2197063340164078567239922342723212312559")
-    assert calls == [F(1, 10**40)] * 2
+    # one refinement per printed root, to the bracket that Newton starts from
+    assert calls == [F(1, 2**16)] * 2
+
+
+def _plain_cell(root, digits):
+    """Reference: floor(x * 10^digits) for the root x of root.poly in
+    (root.lo, root.hi), by Fraction bisection, with the polynomial summed
+    term by term, until the bracket lies in one cell."""
+    def value(x):
+        return sum(c * x**i for i, c in enumerate(root.poly.coeffs))
+
+    scale = 10**digits
+    lo, hi = root.lo, root.hi
+    lo_positive = value(lo) > 0
+    while True:
+        n = floor(lo * scale)
+        if hi <= F(n + 1, scale):
+            return n
+        mid = (lo + hi) / 2
+        v = value(mid)
+        if v == 0:
+            return floor(mid * scale)
+        if (v > 0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+
+
+@st.composite
+def printed_roots(draw):
+    """The irrational roots that records print: the SE cubic's k and its
+    ratio k*w2/w1, with w1 drawn decade by decade up to 10^13, or a Y^{p,q}
+    ray ratio with p <= 500."""
+    if draw(st.booleans()):
+        decade = draw(st.integers(1, 13))
+        w1 = draw(st.integers(max(2, 10**(decade - 1)), 10**decade))
+        # trial division of the cubic costs about sqrt(w2) per divisor of w1
+        w2 = draw(st.integers(1, min(w1 - 1, 10**4)))
+        assume(gcd(w1, w2) == 1)
+        ray = se_ray_from_w(w1, w2)
+        assume(not ray.quasi_regular)
+        return [ray.k, ray.ratio]
+    p = draw(st.integers(2, 500))
+    q = draw(st.integers(1, p - 1))
+    assume(gcd(p, q) == 1)
+    ratio, _ = ray_ratio(p, q)
+    assume(not isinstance(ratio, Fraction))
+    return [ratio]
+
+
+@settings(max_examples=60, deadline=None)
+@given(printed_roots(), st.integers(1, 400))
+@example(ray_ratio(13, 5)[:1], 400)
+def test_newton_cells_match_plain_bisection(roots, digits):
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _counted_refinements(patch)
+        cells = [_cell(*root.decimal_bounds(digits), digits) for root in roots]
+    assert cells == [_plain_cell(root, digits) for root in roots]
+    # Newton's cell passed the exact test: no root fell back to bisection
+    assert calls == [F(1, 2**16)] * len(roots)
+
+
+@pytest.mark.parametrize("hi,digits", [(3, 40), (1 + F(1, 2**20), 1)])
+def test_decimal_bounds_falls_back_to_bisection(monkeypatch, hi, digits):
+    # roots 1 +- sqrt(2)*10^-15 about the critical point 1 of poly.  On
+    # (1, 3), as real_roots isolates it, Newton nears the double root only
+    # linearly and its 40-digit cells fail the exact test; on (1, 1 + 2^-20)
+    # its first iterate at 20 bits is 1, where poly' = 0
+    root = AlgebraicRoot(Polynomial((1 - F(2, 10**30), -2, 1)), 1, hi)
+    calls = _counted_refinements(monkeypatch)
+    assert _cell(*root.decimal_bounds(digits), digits) == _plain_cell(root, digits)
+    assert calls == [F(1, 2**16), F(1, 10**digits)]
+
+
+def test_decimal_bounds_cost_grows_with_newton_steps(monkeypatch):
+    # 44 evaluations were measured: about 20 bisection steps down to the
+    # 2^-16 bracket, eleven Newton steps of two each and the cell test.
+    # One-bit bisection to 4000 digits needs about 13,300.
+    calls = []
+    scaled_value = kernel._scaled_value
+
+    def counted(coeffs, m, d):
+        calls.append(d)
+        return scaled_value(coeffs, m, d)
+
+    (k,) = real_roots(se_cubic(5, 2))
+    monkeypatch.setattr(kernel, "_scaled_value", counted)
+    lo, _ = k.decimal_bounds(4000)
+    assert lo.startswith("1.7478477657396181608648273246901858997656")
+    assert len(calls) <= 88
+
+
+@pytest.mark.parametrize("coeffs,roots,rest", [
+    ((1, -5, 6), [F(1, 3), F(1, 2)], (6,)),     # 6z^2 - 5z + 1
+    ((-3, 0, 2), [], (-3, 0, 2)),              # 2z^2 - 3: discriminant 24
+    ((1, 0, 1), [], (1, 0, 1)),                # z^2 + 1: discriminant -4
+])
+def test_quadratic_rational_roots_by_discriminant(monkeypatch, coeffs, roots, rest):
+    monkeypatch.setattr(kernel, "_divisors", pytest.fail)
+    assert kernel._rational_roots(Polynomial(coeffs)) == (roots, Polynomial(rest))
+
+
+def test_quadratic_zero_discriminant_is_a_repeated_root(monkeypatch):
+    monkeypatch.setattr(kernel, "_divisors", pytest.fail)
+    with pytest.raises(DomainError, match="repeated root 1"):
+        kernel._rational_roots(Polynomial((1, -2, 1)))
 
 
 def test_each_irrational_root_gets_one_sturm_count(monkeypatch):

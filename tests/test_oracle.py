@@ -78,8 +78,8 @@ def test_checker_imports_nothing_from_sejoin():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(PAIRS), st.one_of(rational_k(), weights()), st.integers(1, 200))
-@example((13, 8), {"w": (5, 2)}, 200)              # irregular
+@given(st.sampled_from(PAIRS), st.one_of(rational_k(), weights()), st.integers(1, 1000))
+@example((13, 8), {"w": (5, 2)}, 1000)             # irregular
 @example((13, 8), {"k": Fraction(2)}, 40)          # the golden quasi-regular record
 @example((13, 8), {"w": (999999, 999998)}, 1)      # k in [1.0, 1.1]
 def test_records_pass_the_independent_checker(pair, choice, digits):
@@ -105,7 +105,7 @@ def coprime_pair(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(coprime_pair(), st.integers(1, 200))
+@given(coprime_pair(), st.integers(1, 1000))
 @example((13, 5), 40)    # irrational ratio
 @example((13, 8), 40)    # rational ratio
 @example((6, 1), 1)      # ratio in [1.0, 1.1]
