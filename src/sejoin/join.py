@@ -146,9 +146,7 @@ def se_ray_from_w(w1: int, w2: int) -> ReebRay:
                 "cubic root k=%s fails the ray integral for w=(%d,%d)" % (k, w1, w2)
             )
         return ReebRay(True, k, v3_0, v3_inf, ratio)
-    scale = Fraction(w2, w1)
-    ratio = AlgebraicRoot(k.poly.scale_arg(1 / scale), scale * k.lo, scale * k.hi)
-    return ReebRay(False, k, ratio=ratio)
+    return ReebRay(False, k, ratio=k.scaled(Fraction(w2, w1)))
 
 
 def w_from_k(k) -> Tuple[int, int]:

@@ -15,10 +15,13 @@ its roots are rational.  ``AlgebraicRoot`` compares with rationals only.
 The hot paths run on integers: ``Polynomial.__call__`` is Horner's rule on
 one integer numerator and one positive integer denominator with a single
 Fraction at the end, and ``sturm_chain`` is an integer pseudo-remainder
-sequence.  ``decimal_bounds`` proposes a root's decimal cell by integer
-Newton steps, whose precision about doubles each step, and accepts it only
-on an exact sign test, so a d-digit cell costs O(log d) evaluations instead
-of the ~3.3 d of bisection.
+sequence whose signs are read by integer Horner evaluation, with no
+Fraction built.  Each ``AlgebraicRoot`` certifies its interval by one Sturm
+count, except a scaled root s*x (``AlgebraicRoot.scaled``), which inherits
+the certificate of x.  ``decimal_bounds`` proposes a root's decimal cell
+by integer Newton steps, whose precision about doubles each step, and
+accepts it only on an exact sign test, so a d-digit cell costs O(log d)
+evaluations instead of the ~3.3 d of bisection.
 """
 
 from __future__ import annotations
@@ -211,7 +214,8 @@ def _pseudo_remainder(a: list, b: list) -> list:
 
 
 def sturm_chain(p: Polynomial) -> list:
-    """Sturm sequence of p, computed on integers.
+    """Sturm sequence of p, as integer coefficient lists (lowest degree
+    first).
 
     p is scaled to integer coefficients by a positive factor.  Each term
     after p' is -prem(a, b) of the two terms a, b before it, with its sign
@@ -229,13 +233,13 @@ def sturm_chain(p: Polynomial) -> list:
         if b[-1] > 0 or (len(a) - len(b)) % 2:
             r = [-v for v in r]
         a, b = b, _content_free(r)
-    return [Polynomial(t) for t in chain]
+    return chain
 
 
-def _sign_variations(chain, x) -> int:
+def _sign_variations(chain, x: Fraction) -> int:
     signs = []
-    for q in chain:
-        v = q(x)
+    for term in chain:
+        v = _scaled_value(term, x.numerator, x.denominator)
         if v:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -255,10 +259,11 @@ def count_roots_open(p: Polynomial, lo, hi) -> int:
         raise DomainError("empty interval (%s, %s)" % (lo, hi))
     if p.is_zero():
         raise DomainError("zero polynomial vanishes identically")
-    while p(lo) == 0:
-        p = _deflate_root(p, lo)
-    while p(hi) == 0:
-        p = _deflate_root(p, hi)
+    ints = clear_denominators(p.coeffs)[0]
+    for x in (lo, hi):
+        while _scaled_value(ints, x.numerator, x.denominator) == 0:
+            p = _deflate_root(p, x)
+            ints = clear_denominators(p.coeffs)[0]
     if p.degree < 1:
         return 0
     # Sturm's theorem: with p nonzero at both ends, the chain counts distinct
@@ -304,9 +309,11 @@ class AlgebraicRoot:
 
     The polynomial is stored in primitive integer form; the invariant that the
     interval isolates exactly one root (with a sign change) is checked at
-    construction.  Refinement methods are pure: they return data, never mutate.
-    It compares with rationals only: ``<`` or ``>`` between two AlgebraicRoots
-    raises TypeError, since bisecting two intervals of one number never ends.
+    construction by a Sturm count, or carried over from x to s*x by
+    ``scaled``, which counts nothing.  Refinement methods are pure: they
+    return data, never mutate.  It compares with rationals only: ``<`` or
+    ``>`` between two AlgebraicRoots raises TypeError, since bisecting two
+    intervals of one number never ends.
     """
 
     __slots__ = ("poly", "lo", "hi")
@@ -316,7 +323,9 @@ class AlgebraicRoot:
         lo, hi = Fraction(lo), Fraction(hi)
         if not lo < hi:
             raise DomainError("empty isolating interval (%s, %s)" % (lo, hi))
-        if poly(lo) * poly(hi) >= 0:
+        coeffs = [int(c) for c in poly.coeffs]
+        if not coeffs or (_scaled_value(coeffs, lo.numerator, lo.denominator)
+                          * _scaled_value(coeffs, hi.numerator, hi.denominator) >= 0):
             raise DomainError("no sign change of %r on (%s, %s)" % (poly, lo, hi))
         if count_roots_open(poly, lo, hi) != 1:
             raise DomainError("interval (%s, %s) does not isolate one root" % (lo, hi))
@@ -326,6 +335,22 @@ class AlgebraicRoot:
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraicRoot is immutable")
+
+    def scaled(self, s) -> "AlgebraicRoot":
+        """The root s*x of poly(z/s) on (s*lo, s*hi), for s > 0.
+
+        z -> s*z maps the roots of poly to those of poly(z/s) in order and
+        keeps the signs at the ends, so the scaled interval isolates s*x
+        with a sign change as (lo, hi) isolates x: the certificate carries
+        over, and no Sturm count runs."""
+        s = Fraction(s)
+        if s <= 0:
+            raise DomainError("scale factor must be positive, got %s" % (s,))
+        out = object.__new__(AlgebraicRoot)
+        object.__setattr__(out, "poly", self.poly.scale_arg(1 / s).primitive())
+        object.__setattr__(out, "lo", s * self.lo)
+        object.__setattr__(out, "hi", s * self.hi)
+        return out
 
     def refined_interval(self, width):
         """Bisect until hi - lo < width; returns (lo, hi) without mutating."""

@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sejoin import kernel
+from sejoin.catalog import build_record
 from sejoin.join import se_cubic, se_ray_from_w
 from sejoin.kernel import (
     AlgebraicRoot,
@@ -157,7 +158,7 @@ def _solvable(p):
 def test_sturm_chain_ends_in_gcd():
     p = Polynomial((-1, 1))
     sq = p * p * Polynomial((2, 1))  # (z - 1)^2 (z + 2)
-    g = sturm_chain(sq)[-1]
+    g = Polynomial(sturm_chain(sq)[-1])
     # gcd(sq, sq') = z - 1, up to a constant factor
     assert g.degree == 1 and (1 / g.leading()) * g == p
     assert _monic_gcd(sq, sq.derivative()) == p
@@ -223,7 +224,7 @@ def test_sturm_chain_is_positive_multiple_of_classical(base, factor, e):
     p = Polynomial(base)
     for _ in range(e):
         p = p * Polynomial(factor)
-    chain, classical = sturm_chain(p), _classical_sturm(p)
+    chain, classical = [Polynomial(t) for t in sturm_chain(p)], _classical_sturm(p)
     assert len(chain) == len(classical)
     for term, ref in zip(chain, classical):
         c = term.leading() / ref.leading()
@@ -268,6 +269,76 @@ def test_count_roots_open_square_factor():
     p = Polynomial((-1, 1)) * Polynomial((-1, 1)) * Polynomial((3, 1))
     assert count_roots_open(p, 0, 2) == 1
     assert count_roots_open(p, -10, 10) == 2
+
+
+def _divide_out(coeffs, x):
+    """coeffs / (z - x) for a root x, by synthetic division on Fractions
+    (lowest degree first)."""
+    out, acc = [], Fraction(0)
+    for c in reversed(coeffs[1:]):
+        acc = acc * x + c
+        out.append(acc)
+    return out[::-1]
+
+
+def _reference_count(p, lo, hi):
+    """Distinct roots of p in (lo, hi), independent of the kernel: roots at
+    the ends are divided out, then the sign variations of the classical
+    Sturm sequence are read from Fraction values at lo and hi."""
+    coeffs = list(p.coeffs)
+    for x in (lo, hi):
+        while len(coeffs) > 1 and _fraction_horner(coeffs, x) == 0:
+            coeffs = _divide_out(coeffs, x)
+    if len(coeffs) < 2:
+        return 0
+
+    def variations(x):
+        values = [_fraction_horner(t.coeffs, x) for t in _classical_sturm(Polynomial(coeffs))]
+        signs = [v > 0 for v in values if v]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    return variations(lo) - variations(hi)
+
+
+@st.composite
+def counted_intervals(draw):
+    """(p, lo, hi): p = base * factor^e * (z - r)^m with Fraction
+    coefficients, so p may have repeated factors, and Fraction ends, either
+    or both of which may be the root r."""
+    p = Polynomial(draw(sparse_lead))
+    factor = Polynomial(draw(sparse_lead))
+    for _ in range(draw(st.integers(0, 2))):
+        p = p * factor
+    r = draw(small_fractions)
+    for _ in range(draw(st.integers(0, 3))):
+        p = p * Polynomial((-r, 1))
+    ends = st.just(r) | small_fractions
+    lo, hi = draw(ends), draw(ends)
+    assume(lo != hi)
+    return p, min(lo, hi), max(lo, hi)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(counted_intervals())
+@example((Polynomial((-1, 1)) * Polynomial((-1, 1)) * Polynomial((2, 1)), F(-2), F(1)))
+@example((Polynomial((F(-1, 2), 1)) * Polynomial((-2, 0, 1)), F(1, 2), F(3, 2)))
+def test_count_roots_open_matches_classical_sturm(case):
+    p, lo, hi = case
+    assert count_roots_open(p, lo, hi) == _reference_count(p, lo, hi)
+
+
+def _no_fraction_evaluation(self, x):
+    raise AssertionError("Polynomial.__call__(%r, %s)" % (self, x))
+
+
+def test_root_counts_build_no_fraction_values(monkeypatch):
+    # the Sturm count and the sign-change test run on integers; only a root
+    # at an end of the interval divides p by a Fraction polynomial
+    monkeypatch.setattr(Polynomial, "__call__", _no_fraction_evaluation)
+    assert count_roots_open(se_cubic(5, 2), 1, 3) == 1
+    assert count_roots_open(Polynomial((F(-1, 3), 0, F(3, 2))), F(-1, 7), F(5, 9)) == 1
+    r = AlgebraicRoot(Polynomial((-2, 0, 1)), F(4, 3), F(3, 2))
+    assert (r.lo, r.hi) == (F(4, 3), F(3, 2))
 
 
 def test_sturm_positive_on():
@@ -703,6 +774,38 @@ def test_decimal_bounds_rational_root_on_the_grid(poly, lo, hi, digits, bounds):
     assert AlgebraicRoot(poly, lo, hi).decimal_bounds(digits) == bounds
 
 
+@st.composite
+def irregular_rays(draw):
+    """(ray, s): an irregular SE Reeb ray of weights (w1, w2), with w1 drawn
+    decade by decade up to 10^13, and s = w2/w1."""
+    decade = draw(st.integers(1, 13))
+    w1 = draw(st.integers(max(2, 10**(decade - 1)), 10**decade))
+    # trial division of the cubic costs about sqrt(w2) per divisor of w1
+    w2 = draw(st.integers(1, min(w1 - 1, 10**4)))
+    assume(gcd(w1, w2) == 1)
+    ray = se_ray_from_w(w1, w2)
+    assume(not ray.quasi_regular)
+    return ray, F(w2, w1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(irregular_rays(), st.integers(1, 400))
+def test_scaled_root_matches_a_certified_root(case, digits):
+    # the ratio k*w2/w1 that se_ray_from_w returns is k.scaled(w2/w1)
+    ray, s = case
+    k, scaled = ray.k, ray.k.scaled(s)
+    fresh = AlgebraicRoot(k.poly.scale_arg(1 / s), s * k.lo, s * k.hi)
+    for root in (scaled, ray.ratio):
+        assert (root.poly, root.lo, root.hi) == (fresh.poly, fresh.lo, fresh.hi)
+        assert root.decimal_bounds(digits) == fresh.decimal_bounds(digits)
+
+
+@pytest.mark.parametrize("s", [0, -1, F(-2, 5)])
+def test_scaled_root_needs_a_positive_factor(s):
+    with pytest.raises(DomainError):
+        AlgebraicRoot(Polynomial((-2, 0, 1)), 1, 2).scaled(s)
+
+
 def _counted_refinements(patch):
     """The widths of the refined_interval calls made while ``patch`` holds."""
     calls = []
@@ -760,13 +863,7 @@ def printed_roots(draw):
     ratio k*w2/w1, with w1 drawn decade by decade up to 10^13, or a Y^{p,q}
     ray ratio with p <= 500."""
     if draw(st.booleans()):
-        decade = draw(st.integers(1, 13))
-        w1 = draw(st.integers(max(2, 10**(decade - 1)), 10**decade))
-        # trial division of the cubic costs about sqrt(w2) per divisor of w1
-        w2 = draw(st.integers(1, min(w1 - 1, 10**4)))
-        assume(gcd(w1, w2) == 1)
-        ray = se_ray_from_w(w1, w2)
-        assume(not ray.quasi_regular)
+        ray, _ = draw(irregular_rays())
         return [ray.k, ray.ratio]
     p = draw(st.integers(2, 500))
     q = draw(st.integers(1, p - 1))
@@ -853,6 +950,26 @@ def test_each_irrational_root_gets_one_sturm_count(monkeypatch):
         call()
         counts.append(len(chains))
     assert counts == [1, 2, 0]
+
+
+def test_irregular_record_certifies_one_root(monkeypatch):
+    # k gets one Sturm count; its ratio k*w2/w1 inherits k's certificate
+    chains, builds = [], []
+    sturm, init = kernel.sturm_chain, AlgebraicRoot.__init__
+
+    def counted_chain(p):
+        chains.append(p)
+        return sturm(p)
+
+    def counted_init(self, poly, lo, hi):
+        builds.append(poly)
+        init(self, poly, lo, hi)
+
+    monkeypatch.setattr(kernel, "sturm_chain", counted_chain)
+    monkeypatch.setattr(AlgebraicRoot, "__init__", counted_init)
+    record = build_record(13, 8, w=(5, 2))
+    assert isinstance(record.ray.ratio, AlgebraicRoot)
+    assert (len(chains), len(builds)) == (1, 1)
 
 
 def test_real_roots_exact_order_below_float_resolution():
