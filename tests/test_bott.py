@@ -22,6 +22,7 @@ from sejoin.bott import (
     monoid_act,
     _to_x,
 )
+from sejoin.catalog import build_record
 from sejoin.join import JoinSpec, quotient_orbifold, se_ray_from_w
 from sejoin.kernel import DomainError
 from sejoin.ypq import solve
@@ -113,6 +114,23 @@ class TestC1Orb:
         cls = c1_orb(GOLDEN_A, "xxy")
         assert cls.coeffs[0] == Fraction(-6152, 13)
         assert cls.coeffs[1] == Fraction(-6152, 1365)
+
+    def test_golden_a_y2_bases(self):
+        F = Fraction
+        assert c1_orb(GOLDEN_A, "xyx").coeffs == (F(4040, 39), F(808, 273), F(28, 2805))
+        assert c1_orb(GOLDEN_A, "xyy").coeffs == (F(-6152, 39), F(-6152, 1365), F(28, 2805))
+
+    def test_golden_quotient_all_bases(self):
+        # the log-Fano quotient of the golden record (13, 8, k=2): positive
+        # in every basis
+        F = Fraction
+        orb = build_record(13, 8, k=2).quotient.bott()
+        assert {basis: c1_orb(orb, basis).coeffs for basis in BASES} == {
+            "xxx": (F(224, 65), F(32, 975), F(28, 2805)),
+            "xxy": (F(112, 65), F(16, 975), F(28, 2805)),
+            "xyx": (F(224, 195), F(32, 975), F(28, 2805)),
+            "xyy": (F(112, 195), F(16, 975), F(28, 2805)),
+        }
 
     def test_sum_of_divisor_classes_at_unit_m(self):
         a, b, c = 4, -7, 3
