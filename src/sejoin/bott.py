@@ -79,24 +79,18 @@ class CohClass:
 def c1_orb(orb: BottOrbifold, basis: str = "xxx") -> CohClass:
     """Orbifold first Chern class in the requested distinguished basis.
 
-    The third coefficient is 1/m3_0 + 1/m3_inf in every basis.
+    In the x-basis it is (s1 + a/m2_0 + b/m3_0, s2 + c/m3_0, s3) with
+    s_i = 1/m_i_0 + 1/m_i_inf; the other bases follow by the basis change,
+    and the third coefficient s3 is the same in every basis.
     """
-    a, b, c = orb.a, orb.b, orb.c
-    m1_0, m1_inf, m2_0, m2_inf, m3_0, m3_inf = orb.m
-    s1 = 1 / m1_0 + 1 / m1_inf
-    s2 = 1 / m2_0 + 1 / m2_inf
-    s3 = 1 / m3_0 + 1 / m3_inf
-    if basis == "xxx":
-        coeffs = (s1 + a / m2_0 + b / m3_0, s2 + c / m3_0, s3)
-    elif basis == "xxy":
-        coeffs = (s1 + a / m2_0 - b / m3_inf, s2 - c / m3_inf, s3)
-    elif basis == "xyx":
-        coeffs = (s1 - a / m2_inf + (b - a * c) / m3_0, s2 + c / m3_0, s3)
-    elif basis == "xyy":
-        coeffs = (s1 - a / m2_inf - (b - a * c) / m3_inf, s2 - c / m3_inf, s3)
-    else:
+    if basis not in BASES:
         raise DomainError("unknown basis %r" % (basis,))
-    return CohClass(basis=basis, coeffs=coeffs, abc=orb.abc)
+    a, b, c = orb.abc
+    m1_0, m1_inf, m2_0, m2_inf, m3_0, m3_inf = orb.m
+    x_coeffs = (1 / m1_0 + 1 / m1_inf + a / m2_0 + b / m3_0,
+                1 / m2_0 + 1 / m2_inf + c / m3_0,
+                1 / m3_0 + 1 / m3_inf)
+    return CohClass(basis=basis, coeffs=_from_x(x_coeffs, basis, orb.abc), abc=orb.abc)
 
 
 def _to_x(cls: CohClass) -> Tuple[Fraction, Fraction, Fraction]:
@@ -139,14 +133,8 @@ def is_log_fano(orb: BottOrbifold) -> bool:
     """True iff the orbifold first Chern class has strictly positive
     coefficients in all four distinguished bases (equivalently, it lies in
     the Kaehler cone)."""
-    a, b, c = orb.abc
-    m1_0, m1_inf, m2_0, m2_inf, m3_0, m3_inf = orb.m
-    # the closed forms of c1_orb with s1, s2 computed once; s3 > 0 always
-    s1 = 1 / m1_0 + 1 / m1_inf
-    s2 = 1 / m2_0 + 1 / m2_inf
-    firsts = (s1 + a / m2_0 + b / m3_0, s1 + a / m2_0 - b / m3_inf,
-              s1 - a / m2_inf + (b - a * c) / m3_0, s1 - a / m2_inf - (b - a * c) / m3_inf)
-    return s2 + c / m3_0 > 0 and s2 - c / m3_inf > 0 and all(x > 0 for x in firsts)
+    x_coeffs = c1_orb(orb).coeffs
+    return all(v > 0 for basis in BASES for v in _from_x(x_coeffs, basis, orb.abc))
 
 
 # ------------------------------------------------------------------ H3 matrix

@@ -240,6 +240,9 @@ def _cmd_profile(args) -> int:
     try:
         if not isinstance(coeffs, list) or len(coeffs) > MAX_F_COEFFS:
             raise DomainError("F_coeffs must be a list of at most %d entries" % MAX_F_COEFFS)
+        # as exported: exact rationals written as strings, never JSON numbers
+        if not all(isinstance(v, str) for v in [r3] + coeffs):
+            raise DomainError("r3 and the F_coeffs entries must be strings")
         profile = CalabiProfile(r3=Fraction(r3), F=Polynomial([Fraction(cf) for cf in coeffs]))
         lines = ["F coefficients: %s" % [str(cf) for cf in profile.F.coeffs],
                  "%-12s %s" % ("z", "Theta(z)")]

@@ -2,9 +2,9 @@
 
 Scalars are arbitrary-precision ``int`` and ``fractions.Fraction`` values,
 polynomials are dense coefficient tuples over Fraction, and irrational roots
-are carried as (square-free polynomial, isolating interval) pairs, refined
-only where a comparison or ``decimal_bounds`` needs it.  No floats enter any
-computation.
+are carried as the primitive integer coefficients of a square-free
+polynomial with an isolating interval, refined only where a comparison or
+``decimal_bounds`` needs it.  No floats enter any computation.
 
 ``real_roots`` solves only square-free polynomials of degree at most 3 with
 p(0) != 0, as the SE cubic and the Y^{p,q} quadratic are, and raises
@@ -157,11 +157,6 @@ class Polynomial:
         # constant of integration 0
         return Polynomial([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
 
-    def scale_arg(self, s) -> "Polynomial":
-        """p(s*z) as a polynomial in z."""
-        s = Fraction(s)
-        return Polynomial(c * s**i for i, c in enumerate(self.coeffs))
-
     def primitive(self) -> "Polynomial":
         """Integer-coefficient, content-free, positive-leading normal form."""
         if self.is_zero():
@@ -307,8 +302,11 @@ def _scaled_value(coeffs, m: int, d: int) -> int:
 class AlgebraicRoot:
     """A real algebraic number: the unique root of ``poly`` in (lo, hi).
 
-    The polynomial is stored in primitive integer form; the invariant that the
-    interval isolates exactly one root (with a sign change) is checked at
+    The polynomial is stored once, as its primitive integer coefficients
+    ``coeffs`` (lowest degree first, content 1, leading coefficient
+    positive), and every sign test reads them by integer Horner evaluation;
+    ``poly`` is a read-only view of them as a Polynomial.  The invariant that
+    the interval isolates exactly one root (with a sign change) is checked at
     construction by a Sturm count, or carried over from x to s*x by
     ``scaled``, which counts nothing.  Refinement methods are pure: they
     return data, never mutate.  It compares with rationals only: ``<`` or
@@ -316,25 +314,29 @@ class AlgebraicRoot:
     intervals of one number never ends.
     """
 
-    __slots__ = ("poly", "lo", "hi")
+    __slots__ = ("coeffs", "lo", "hi")
 
     def __init__(self, poly: Polynomial, lo, hi):
         poly = poly.primitive()
         lo, hi = Fraction(lo), Fraction(hi)
         if not lo < hi:
             raise DomainError("empty isolating interval (%s, %s)" % (lo, hi))
-        coeffs = [int(c) for c in poly.coeffs]
+        coeffs = tuple(int(c) for c in poly.coeffs)
         if not coeffs or (_scaled_value(coeffs, lo.numerator, lo.denominator)
                           * _scaled_value(coeffs, hi.numerator, hi.denominator) >= 0):
             raise DomainError("no sign change of %r on (%s, %s)" % (poly, lo, hi))
         if count_roots_open(poly, lo, hi) != 1:
             raise DomainError("interval (%s, %s) does not isolate one root" % (lo, hi))
-        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraicRoot is immutable")
+
+    @property
+    def poly(self) -> Polynomial:
+        return Polynomial(self.coeffs)
 
     def scaled(self, s) -> "AlgebraicRoot":
         """The root s*x of poly(z/s) on (s*lo, s*hi), for s > 0.
@@ -342,12 +344,15 @@ class AlgebraicRoot:
         z -> s*z maps the roots of poly to those of poly(z/s) in order and
         keeps the signs at the ends, so the scaled interval isolates s*x
         with a sign change as (lo, hi) isolates x: the certificate carries
-        over, and no Sturm count runs."""
+        over, and no Sturm count runs.  With s = n/d, n^deg * poly(z/s) has
+        the integer coefficients c_i * d^i * n^(deg - i)."""
         s = Fraction(s)
         if s <= 0:
             raise DomainError("scale factor must be positive, got %s" % (s,))
+        n, d, deg = s.numerator, s.denominator, len(self.coeffs) - 1
         out = object.__new__(AlgebraicRoot)
-        object.__setattr__(out, "poly", self.poly.scale_arg(1 / s).primitive())
+        object.__setattr__(out, "coeffs", tuple(_content_free(
+            [c * d**i * n**(deg - i) for i, c in enumerate(self.coeffs)])))
         object.__setattr__(out, "lo", s * self.lo)
         object.__setattr__(out, "hi", s * self.hi)
         return out
@@ -374,7 +379,7 @@ class AlgebraicRoot:
         step costs one integer Horner evaluation of d^deg * poly(m/d) and no
         gcd.  A midpoint m/d that is a root ends the sequence with (m, m, d).
         """
-        coeffs = [int(c) for c in self.poly.coeffs]
+        coeffs = self.coeffs
         (a, b), d = clear_denominators((self.lo, self.hi))
         lo_positive = _scaled_value(coeffs, a, d) > 0
         while True:
@@ -403,10 +408,9 @@ class AlgebraicRoot:
         if digits < 1:
             raise DomainError("digits must be >= 1")
         scale = 10**digits
-        coeffs = [int(c) for c in self.poly.coeffs]
-        n = self._newton_cell(coeffs, scale, -(-10 * digits // 3) + 16)
+        n = self._newton_cell(scale, -(-10 * digits // 3) + 16)
         for cell in () if n is None else (n, n - 1, n + 1):
-            if self._cell_holds_root(coeffs, cell, scale):
+            if self._cell_holds_root(cell, scale):
                 break
         else:
             lo, hi = self.refined_interval(Fraction(1, scale))
@@ -415,12 +419,13 @@ class AlgebraicRoot:
                 # (lo, hi) is narrower than a cell and holds one grid point
                 # g = (cell + 1)/scale: x >= g iff poly(g) is 0 or has poly's
                 # sign at lo
-                g = self.poly(Fraction(cell + 1, scale))
-                if g == 0 or (g > 0) == (self.poly(lo) > 0):
+                g = _scaled_value(self.coeffs, cell + 1, scale)
+                at_lo = _scaled_value(self.coeffs, lo.numerator, lo.denominator)
+                if g == 0 or (g > 0) == (at_lo > 0):
                     cell += 1
         return _scaled_to_decimal(cell, digits), _scaled_to_decimal(cell + 1, digits)
 
-    def _newton_cell(self, coeffs, scale: int, bits: int):
+    def _newton_cell(self, scale: int, bits: int):
         """floor(x' * scale) for an approximation x' of the root within a few
         units of 2^-bits, or None if poly' vanishes at an iterate.
 
@@ -432,6 +437,7 @@ class AlgebraicRoot:
         each precision keeps NEWTON_GUARD bits over half the next.  Nothing
         here is trusted: the caller tests the cell exactly."""
         lo, hi = self.refined_interval(NEWTON_START)
+        coeffs = self.coeffs
         deriv = [i * c for i, c in enumerate(coeffs)][1:]
         # the first step starts from the bracket's 17 or so correct bits
         schedule = [bits]
@@ -451,7 +457,7 @@ class AlgebraicRoot:
                     -((-hi.numerator << k) // hi.denominator))
         return x * scale >> bits
 
-    def _cell_holds_root(self, coeffs, n: int, scale: int) -> bool:
+    def _cell_holds_root(self, n: int, scale: int) -> bool:
         """True iff floor(x * scale) == n, decided exactly: the cell
         [n/scale, (n+1)/scale] clipped to (lo, hi) has a sign change of poly
         on its ends, or n/scale lies in (lo, hi) and is the root itself."""
@@ -463,13 +469,12 @@ class AlgebraicRoot:
         if a[0] * b[1] >= b[0] * a[1]:
             return False
         # poly(lo) != 0, so a zero at a is the grid point n/scale in (lo, hi)
-        va = _scaled_value(coeffs, *a)
-        return va == 0 or va * _scaled_value(coeffs, *b) < 0
+        va = _scaled_value(self.coeffs, *a)
+        return va == 0 or va * _scaled_value(self.coeffs, *b) < 0
 
     def _cmp_fraction(self, x: Fraction) -> int:
         xn, xd = x.numerator, x.denominator
-        coeffs = [int(c) for c in self.poly.coeffs]
-        if self.lo < x < self.hi and _scaled_value(coeffs, xn, xd) == 0:
+        if self.lo < x < self.hi and _scaled_value(self.coeffs, xn, xd) == 0:
             # x is a rational root of poly inside the interval: the root itself
             return 0
         for a, b, d in self._bisection():

@@ -680,8 +680,10 @@ class TestCliProfileAndExport:
         '{"F_coeffs": ["1", "1", "1", "1", "1", "1"], "r3": "1/2",'
         ' "m_vector": ["1", "1", "2", "3", "4", "5"]}',
         '{"F_coeffs": "12345", "r3": "1/2", "m_vector": ["1", "1", "2", "3", "4", "5"]}',
+        '{"F_coeffs": ["1"], "r3": 0.5}',
+        '{"F_coeffs": ["1", true], "r3": "1/2"}',
     ], ids=["coeffs-text", "r3-list", "not-an-object", "r3-zero-den", "six-coeffs",
-            "coeffs-digit-text"])
+            "coeffs-digit-text", "r3-float", "coeffs-bool"])
     def test_profile_malformed_record_is_usage_error(self, text, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(text)

@@ -106,13 +106,6 @@ def test_polynomial_derivative_antiderivative():
     assert p.antiderivative().derivative() == p
 
 
-def test_scale_arg():
-    p = Polynomial((1, 2, 3))
-    s = F(1, 2)
-    for x in (F(0), F(1), F(-7, 3)):
-        assert p.scale_arg(s)(x) == p(s * x)
-
-
 def test_primitive():
     p = Polynomial((F(1, 2), F(-3, 4)))
     assert p.primitive().coeffs == (F(-2), F(3))
@@ -332,13 +325,23 @@ def _no_fraction_evaluation(self, x):
 
 
 def test_root_counts_build_no_fraction_values(monkeypatch):
-    # the Sturm count and the sign-change test run on integers; only a root
-    # at an end of the interval divides p by a Fraction polynomial
+    # the Sturm count, the sign-change test and every sign an AlgebraicRoot
+    # reads run on its integer coefficients; only a root at an end of the
+    # interval divides p by a Fraction polynomial
+    fallback = AlgebraicRoot(Polynomial((1 - F(2, 10**30), -2, 1)), 1, 3)
+    ray = se_ray_from_w(5, 2)
     monkeypatch.setattr(Polynomial, "__call__", _no_fraction_evaluation)
     assert count_roots_open(se_cubic(5, 2), 1, 3) == 1
     assert count_roots_open(Polynomial((F(-1, 3), 0, F(3, 2))), F(-1, 7), F(5, 9)) == 1
     r = AlgebraicRoot(Polynomial((-2, 0, 1)), F(4, 3), F(3, 2))
     assert (r.lo, r.hi) == (F(4, 3), F(3, 2))
+    # the bisection fallback of decimal_bounds (test_decimal_bounds_falls_back_to_bisection)
+    assert fallback.decimal_bounds(40) == ("1.0000000000000014142135623730950488016887",
+                                           "1.0000000000000014142135623730950488016888")
+    assert ray.k.scaled(F(2, 5)).decimal_bounds(40) == (
+        "0.6991391062958472643459309298760743599062",
+        "0.6991391062958472643459309298760743599063")
+    assert not ray.ratio > 1
 
 
 def test_sturm_positive_on():
@@ -794,7 +797,9 @@ def test_scaled_root_matches_a_certified_root(case, digits):
     # the ratio k*w2/w1 that se_ray_from_w returns is k.scaled(w2/w1)
     ray, s = case
     k, scaled = ray.k, ray.k.scaled(s)
-    fresh = AlgebraicRoot(k.poly.scale_arg(1 / s), s * k.lo, s * k.hi)
+    # poly(z/s), built on Fractions
+    fresh = AlgebraicRoot(Polynomial(c / s**i for i, c in enumerate(k.poly.coeffs)),
+                          s * k.lo, s * k.hi)
     for root in (scaled, ray.ratio):
         assert (root.poly, root.lo, root.hi) == (fresh.poly, fresh.lo, fresh.hi)
         assert root.decimal_bounds(digits) == fresh.decimal_bounds(digits)
