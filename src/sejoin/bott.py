@@ -81,10 +81,9 @@ def c1_orb(orb: BottOrbifold, basis: str = "xxx") -> CohClass:
 
     In the x-basis it is (s1 + a/m2_0 + b/m3_0, s2 + c/m3_0, s3) with
     s_i = 1/m_i_0 + 1/m_i_inf; the other bases follow by the basis change,
-    and the third coefficient s3 is the same in every basis.
+    and the third coefficient s3 is the same in every basis.  An unknown
+    basis raises DomainError from CohClass.
     """
-    if basis not in BASES:
-        raise DomainError("unknown basis %r" % (basis,))
     a, b, c = orb.abc
     m1_0, m1_inf, m2_0, m2_inf, m3_0, m3_inf = orb.m
     x_coeffs = (1 / m1_0 + 1 / m1_inf + a / m2_0 + b / m3_0,

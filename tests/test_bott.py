@@ -186,6 +186,8 @@ class TestBasisChange:
         cls = c1_orb(GOLDEN_A)
         with pytest.raises(DomainError):
             basis_change(cls, "yyy")
+        with pytest.raises(DomainError):
+            c1_orb(GOLDEN_A, "yyy")
 
 
 class TestLogFano:
