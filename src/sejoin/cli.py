@@ -10,8 +10,9 @@ Subcommands:
   export        write a batch of records as JSON or CSV
 
 Exit codes: 0 success, 1 verification or construction failure, 2 usage error
-(including an input over one of the bounds MAX_GRID, MAX_F_COEFFS,
-MAX_W_BOUND, MAX_FAMILY and MAX_YPQ below).
+(including an input over one of the bounds MAX_GRID, MAX_W_BOUND,
+MAX_FAMILY and MAX_YPQ below, and an F_coeffs list of other than
+MAX_F_COEFFS entries).
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from .metric import CalabiProfile
 # per point, so 10^5 steps need about 60 MB
 MAX_GRID = 10**5
 
-# an exported F is a quartic; a profile costs (coefficients)^2 * grid
+# an exported F is a quartic, written as 5 entries with zeros padded at the
+# top; a profile costs (coefficients)^2 * grid
 MAX_F_COEFFS = 5
 
 # upper bound on --w-bound: the batch holds about 0.3*N^2 records, all built
@@ -238,8 +240,8 @@ def _cmd_profile(args) -> int:
         print("record has no Einstein profile", file=sys.stderr)
         return 1
     try:
-        if not isinstance(coeffs, list) or len(coeffs) > MAX_F_COEFFS:
-            raise DomainError("F_coeffs must be a list of at most %d entries" % MAX_F_COEFFS)
+        if not isinstance(coeffs, list) or len(coeffs) != MAX_F_COEFFS:
+            raise DomainError("F_coeffs must be a list of %d entries" % MAX_F_COEFFS)
         # as exported: exact rationals written as strings, never JSON numbers
         if not all(isinstance(v, str) for v in [r3] + coeffs):
             raise DomainError("r3 and the F_coeffs entries must be strings")

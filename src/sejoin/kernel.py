@@ -10,18 +10,22 @@ polynomial with an isolating interval, refined only where a comparison or
 p(0) != 0, as the SE cubic and the Y^{p,q} quadratic are, and raises
 DomainError on any other input; the degree alone isolates their irrational
 roots, and a quadratic's discriminant, not trial division, decides whether
-its roots are rational.  ``AlgebraicRoot`` compares with rationals only.
+its roots are rational.  A quadratic's irrational roots get intervals
+narrower than NEWTON_START from the isqrt of its discriminant, and trial
+division tries each reduced candidate below the Cauchy bound once.
+``AlgebraicRoot`` compares with rationals only.
 
 The hot paths run on integers: ``Polynomial.__call__`` is Horner's rule on
 one integer numerator and one positive integer denominator with a single
 Fraction at the end, and ``sturm_chain`` is an integer pseudo-remainder
-sequence whose signs are read by integer Horner evaluation, with no
-Fraction built.  Each ``AlgebraicRoot`` certifies its interval by one Sturm
-count, except a scaled root s*x (``AlgebraicRoot.scaled``), which inherits
-the certificate of x.  ``decimal_bounds`` proposes a root's decimal cell
-by integer Newton steps, whose precision about doubles each step, and
-accepts it only on an exact sign test, so a d-digit cell costs O(log d)
-evaluations instead of the ~3.3 d of bisection.
+sequence on the coefficient list that its caller scaled to integers once,
+whose signs are read by integer Horner evaluation, with no Fraction built.
+Each ``AlgebraicRoot`` certifies its interval by one Sturm count, except a
+scaled root s*x (``AlgebraicRoot.scaled``), which inherits the certificate
+of x.  ``decimal_bounds`` proposes a root's decimal cell by integer Newton
+steps, whose precision about doubles each step, and accepts it only on an
+exact sign test, so a d-digit cell costs O(log d) evaluations instead of
+the ~3.3 d of bisection.
 """
 
 from __future__ import annotations
@@ -157,16 +161,6 @@ class Polynomial:
         # constant of integration 0
         return Polynomial([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
 
-    def primitive(self) -> "Polynomial":
-        """Integer-coefficient, content-free, positive-leading normal form."""
-        if self.is_zero():
-            return self
-        ints, _ = clear_denominators(self.coeffs)
-        g = gcd(*ints)
-        if ints[-1] < 0:
-            g = -g
-        return Polynomial(v // g for v in ints)
-
     def __repr__(self):
         if self.is_zero():
             return "Polynomial(0)"
@@ -195,6 +189,13 @@ def _content_free(ints: list) -> list:
     return [v // g for v in ints] if g > 1 else ints
 
 
+def _primitive_ints(coeffs) -> list:
+    """The primitive integer coefficients of the polynomial with Fraction
+    coefficients ``coeffs``: content 1 and a positive leading one."""
+    ints = _content_free(clear_denominators(coeffs)[0])
+    return [-v for v in ints] if ints and ints[-1] < 0 else ints
+
+
 def _pseudo_remainder(a: list, b: list) -> list:
     """prem(a, b) = lead(b)^(deg a - deg b + 1) * a mod b, on integer
     coefficient lists (lowest degree first) with deg a >= deg b >= 0."""
@@ -208,18 +209,17 @@ def _pseudo_remainder(a: list, b: list) -> list:
     return r
 
 
-def sturm_chain(p: Polynomial) -> list:
-    """Sturm sequence of p, as integer coefficient lists (lowest degree
-    first).
+def sturm_chain(a: list) -> list:
+    """Sturm sequence of the polynomial p with the content-free integer
+    coefficients ``a`` (lowest degree first), as integer coefficient lists.
 
-    p is scaled to integer coefficients by a positive factor.  Each term
+    Callers scale p to integers once and pass that list.  Each term
     after p' is -prem(a, b) of the two terms a, b before it, with its sign
     flipped when lead(b)^(deg a - deg b + 1) < 0 and its content divided
     out.  Every term is therefore a positive multiple of the classical term
     (p, p', -rem, ...): sign-variation counts are the same, and the last
     term is gcd(p, p') up to a positive constant.
     """
-    a = _content_free(clear_denominators(p.coeffs)[0])
     b = _content_free([i * c for i, c in enumerate(a) if i > 0])
     chain = [a]
     while b:
@@ -263,7 +263,7 @@ def count_roots_open(p: Polynomial, lo, hi) -> int:
         return 0
     # Sturm's theorem: with p nonzero at both ends, the chain counts distinct
     # roots even when p has repeated factors
-    chain = sturm_chain(p)
+    chain = sturm_chain(_content_free(ints))
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 
@@ -317,17 +317,18 @@ class AlgebraicRoot:
     __slots__ = ("coeffs", "lo", "hi")
 
     def __init__(self, poly: Polynomial, lo, hi):
-        poly = poly.primitive()
         lo, hi = Fraction(lo), Fraction(hi)
         if not lo < hi:
             raise DomainError("empty isolating interval (%s, %s)" % (lo, hi))
-        coeffs = tuple(int(c) for c in poly.coeffs)
+        coeffs = _primitive_ints(poly.coeffs)
         if not coeffs or (_scaled_value(coeffs, lo.numerator, lo.denominator)
                           * _scaled_value(coeffs, hi.numerator, hi.denominator) >= 0):
             raise DomainError("no sign change of %r on (%s, %s)" % (poly, lo, hi))
-        if count_roots_open(poly, lo, hi) != 1:
+        # neither end is a root, so Sturm's theorem applies without deflation
+        chain = sturm_chain(coeffs)
+        if _sign_variations(chain, lo) - _sign_variations(chain, hi) != 1:
             raise DomainError("interval (%s, %s) does not isolate one root" % (lo, hi))
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -526,9 +527,9 @@ def _rational_roots(p: Polynomial):
     """The rational roots of p, ascending, and p with them deflated out; p(0)
     must be nonzero, and a repeated rational root raises DomainError.  A
     quadratic's roots are rational iff its discriminant is a square."""
-    ip = p.primitive()
-    if ip.degree == 2:
-        c, b, a = (int(v) for v in ip.coeffs)
+    ints = _primitive_ints(p.coeffs)
+    if len(ints) == 3:
+        c, b, a = ints
         disc = b * b - 4 * a * c
         if disc == 0:
             raise DomainError("repeated root %s" % (Fraction(-b, 2 * a),))
@@ -537,9 +538,14 @@ def _rational_roots(p: Polynomial):
             return [], p
         return [Fraction(-b - r, 2 * a), Fraction(-b + r, 2 * a)], Polynomial((p.leading(),))
     roots = []
-    a0, an = int(ip.coeffs[0]), int(ip.coeffs[-1])
+    a0, an = ints[0], ints[-1]
+    # every root z has |z| < 1 + max |a_i/a_n| (Cauchy), and num/den with
+    # gcd(num, den) > 1 repeats its reduced form
+    bound = an + max((abs(v) for v in ints[:-1]), default=0)
     for num in _divisors(a0):
         for den in _divisors(an):
+            if num * an >= bound * den or gcd(num, den) > 1:
+                continue
             for cand in (Fraction(num, den), Fraction(-num, den)):
                 if p(cand) == 0:
                     roots.append(cand)
@@ -557,17 +563,22 @@ def _cauchy_bound(p: Polynomial) -> Fraction:
 
 def _isolate_irrational(p: Polynomial) -> list:
     """AlgebraicRoots, ascending, for the real roots of p, of degree <= 3
-    with no rational root.  A quadratic's lie on either side of its vertex
-    v = -b/2a, and it has none when p(v) has the sign of a; an irreducible
-    cubic has one or three, all in its Cauchy box (-m, m), and the Sturm
-    count of AlgebraicRoot certifies one or raises DomainError on three."""
+    with no rational root.  A quadratic has none when p at its vertex
+    v = -b/2a has the sign of a.  Otherwise, on its primitive integers
+    (c, b, a), a > 0, the discriminant D = b^2 - 4ac is not a square, so
+    s = isqrt(D * 4^16) has s < 2^16 sqrt(D) < s + 1, and the roots
+    (-b -+ sqrt(D))/2a lie in exact intervals of width 1/(2a 2^16), below
+    NEWTON_START.  An irreducible cubic has one or three, all in its Cauchy
+    box (-m, m), and the Sturm count of AlgebraicRoot certifies one or
+    raises DomainError on three."""
     if p.degree == 2:
         _, b, a = p.coeffs
-        v = -b / (2 * a)
-        if (p(v) > 0) == (a > 0):
+        if (p(-b / (2 * a)) > 0) == (a > 0):
             return []
-        m = _cauchy_bound(p)
-        return [AlgebraicRoot(p, -m, v), AlgebraicRoot(p, v, m)]
+        c, b, a = _primitive_ints(p.coeffs)
+        s, m, d = isqrt((b * b - 4 * a * c) << 32), -b << 16, a << 17
+        return [AlgebraicRoot(p, Fraction(m - s - 1, d), Fraction(m - s, d)),
+                AlgebraicRoot(p, Fraction(m + s, d), Fraction(m + s + 1, d))]
     if p.degree == 3:
         m = _cauchy_bound(p)
         return [AlgebraicRoot(p, -m, m)]

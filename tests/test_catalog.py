@@ -674,16 +674,20 @@ class TestCliProfileAndExport:
 
     @pytest.mark.parametrize("text", [
         '{"F_coeffs": "abc", "r3": "1/2", "m_vector": ["1", "1", "2", "3", "4", "5"]}',
-        '{"F_coeffs": ["1"], "r3": [1], "m_vector": ["1", "1", "2", "3", "4", "5"]}',
+        '{"F_coeffs": ["1", "0", "0", "0", "0"], "r3": [1],'
+        ' "m_vector": ["1", "1", "2", "3", "4", "5"]}',
         '[1]',
-        '{"F_coeffs": ["1"], "r3": "1/0", "m_vector": ["1", "1", "2", "3", "4", "5"]}',
+        '{"F_coeffs": ["1", "0", "0", "0", "0"], "r3": "1/0",'
+        ' "m_vector": ["1", "1", "2", "3", "4", "5"]}',
         '{"F_coeffs": ["1", "1", "1", "1", "1", "1"], "r3": "1/2",'
         ' "m_vector": ["1", "1", "2", "3", "4", "5"]}',
         '{"F_coeffs": "12345", "r3": "1/2", "m_vector": ["1", "1", "2", "3", "4", "5"]}',
-        '{"F_coeffs": ["1"], "r3": 0.5}',
-        '{"F_coeffs": ["1", true], "r3": "1/2"}',
+        '{"F_coeffs": ["1", "0", "0", "0", "0"], "r3": 0.5}',
+        '{"F_coeffs": ["1", "0", "0", "0", true], "r3": "1/2"}',
+        '{"F_coeffs": [], "r3": "1/2"}',
+        '{"F_coeffs": ["1", "0", "0", "-1"], "r3": "1/2"}',
     ], ids=["coeffs-text", "r3-list", "not-an-object", "r3-zero-den", "six-coeffs",
-            "coeffs-digit-text", "r3-float", "coeffs-bool"])
+            "coeffs-digit-text", "r3-float", "coeffs-bool", "coeffs-empty", "coeffs-four"])
     def test_profile_malformed_record_is_usage_error(self, text, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(text)

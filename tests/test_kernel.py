@@ -107,10 +107,9 @@ def test_polynomial_derivative_antiderivative():
 
 
 def test_primitive():
-    p = Polynomial((F(1, 2), F(-3, 4)))
-    assert p.primitive().coeffs == (F(-2), F(3))
-    q = Polynomial((-2, -4))
-    assert q.primitive().coeffs == (F(1), F(2))
+    assert kernel._primitive_ints((F(1, 2), F(-3, 4))) == [-2, 3]
+    assert kernel._primitive_ints((F(-2), F(-4))) == [1, 2]
+    assert kernel._primitive_ints(()) == []
 
 
 def _monic_gcd(a, b):
@@ -127,8 +126,8 @@ def _square_free(p):
 
 def _has_rational_root(p):
     """Whether p has a root u/v, u | p(0) and v | lead(p), by brute force."""
-    ints = p.primitive().coeffs
-    a0, an = abs(int(ints[0])), abs(int(ints[-1]))
+    ints = kernel._primitive_ints(p.coeffs)
+    a0, an = abs(ints[0]), ints[-1]
     return any(p(F(s * u, v)) == 0
                for u in range(1, a0 + 1) if a0 % u == 0
                for v in range(1, an + 1) if an % v == 0
@@ -151,10 +150,16 @@ def _solvable(p):
 def test_sturm_chain_ends_in_gcd():
     p = Polynomial((-1, 1))
     sq = p * p * Polynomial((2, 1))  # (z - 1)^2 (z + 2)
-    g = Polynomial(sturm_chain(sq)[-1])
+    g = Polynomial(sturm_chain(_content_free_ints(sq))[-1])
     # gcd(sq, sq') = z - 1, up to a constant factor
     assert g.degree == 1 and (1 / g.leading()) * g == p
     assert _monic_gcd(sq, sq.derivative()) == p
+
+
+def _content_free_ints(p):
+    """p's coefficients scaled to integers with content 1, keeping the sign
+    of the leading one: the list count_roots_open passes to sturm_chain."""
+    return kernel._content_free(kernel.clear_denominators(p.coeffs)[0])
 
 
 def _fraction_horner(coeffs, x):
@@ -217,7 +222,8 @@ def test_sturm_chain_is_positive_multiple_of_classical(base, factor, e):
     p = Polynomial(base)
     for _ in range(e):
         p = p * Polynomial(factor)
-    chain, classical = [Polynomial(t) for t in sturm_chain(p)], _classical_sturm(p)
+    chain = [Polynomial(t) for t in sturm_chain(_content_free_ints(p))]
+    classical = _classical_sturm(p)
     assert len(chain) == len(classical)
     for term, ref in zip(chain, classical):
         c = term.leading() / ref.leading()
@@ -342,6 +348,16 @@ def test_root_counts_build_no_fraction_values(monkeypatch):
         "0.6991391062958472643459309298760743599062",
         "0.6991391062958472643459309298760743599063")
     assert not ray.ratio > 1
+    # a build scales its polynomial to integers once, and builds no
+    # Polynomial, so no Fraction normal form either
+    quad, scalings = Polynomial((F(-26, 3), F(5, 7), F(16, 3))), []
+    clear = kernel.clear_denominators
+    monkeypatch.setattr(kernel, "clear_denominators",
+                        lambda values: scalings.append(values) or clear(values))
+    monkeypatch.setattr(Polynomial, "__init__",
+                        lambda self, coeffs=(): pytest.fail("Polynomial built"))
+    root = AlgebraicRoot(quad, 0, 10)
+    assert len(scalings) == 1 and root.coeffs == (-182, 15, 112)
 
 
 def test_sturm_positive_on():
@@ -365,6 +381,9 @@ def test_real_roots_rational():
     assert roots == [F(-3), F(7, 5)]
     roots = real_roots(Polynomial((-10, 3, 4)))
     assert roots == [F(-2), F(5, 4)]
+    # a constant, whose Cauchy bound has no lower coefficient, and a line
+    assert real_roots(Polynomial((F(5, 3),))) == []
+    assert real_roots(Polynomial((F(1, 2), F(-3, 4)))) == [F(2, 3)]
 
 
 def test_real_roots_cubic_rational():
@@ -934,6 +953,114 @@ def test_quadratic_zero_discriminant_is_a_repeated_root(monkeypatch):
     monkeypatch.setattr(kernel, "_divisors", pytest.fail)
     with pytest.raises(DomainError, match="repeated root 1"):
         kernel._rational_roots(Polynomial((1, -2, 1)))
+
+
+def _cauchy_box_roots(p):
+    """Reference: the two irrational roots of the quadratic p on the
+    intervals (-m, v) and (v, m) between its vertex v and its Cauchy bound m,
+    which decimal_bounds bisects down to NEWTON_START."""
+    _, b, a = p.coeffs
+    v, m = -b / (2 * a), 1 + max(abs(b), abs(p.coeffs[0])) / abs(a)
+    return [AlgebraicRoot(p, -m, v), AlgebraicRoot(p, v, m)]
+
+
+def _assert_isqrt_intervals(p):
+    roots = real_roots(p)
+    assert len(roots) == 2
+    for root, ref in zip(roots, _cauchy_box_roots(p)):
+        assert root.hi - root.lo < kernel.NEWTON_START
+        assert count_roots_open(p, root.lo, root.hi) == 1
+        # floor(x 10^d) = floor(floor(x 10^200) / 10^(200 - d))
+        cell = int(ref.decimal_bounds(200)[0].replace(".", ""))
+        for digits in (1, 40, 200):
+            n = cell // 10**(200 - digits)
+            assert root.decimal_bounds(digits) == (
+                kernel._scaled_to_decimal(n, digits), kernel._scaled_to_decimal(n + 1, digits))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(-10**6, 10**6).filter(bool),
+    st.integers(-10**6, 10**6),
+    st.integers(-10**6, 10**6).filter(bool),
+    st.fractions(-50, 50, max_denominator=60).filter(bool),
+)
+@example(-1, 1, 1, F(1))          # z^2 + z - 1: discriminant 5
+@example(-2, 0, 1, F(-2, 3))      # the roots of z^2 - 2, a negative content
+@example(1, 10**6, -1, F(1))      # roots near 0 and 10^6, a negative lead
+def test_quadratic_roots_isolated_by_isqrt(c, b, a, content):
+    disc = b * b - 4 * a * c
+    assume(disc > 0 and integer_sqrt_exact(disc) is None)
+    _assert_isqrt_intervals(Polynomial((c, b, a)) * content)
+
+
+def test_ray_quadratic_roots_isolated_by_isqrt(monkeypatch):
+    # the Y^{p,q} ray quadratic 2 beta t^2 + (alpha - beta) t - 2 alpha of
+    # every irregular pair with p <= 200, isolated with no Cauchy box
+    monkeypatch.setattr(kernel, "_cauchy_bound", pytest.fail)
+    for p in range(2, 201):
+        for q in range(1, p):
+            l = gcd(p + q, p - q)
+            alpha, beta = (p + q) // l, (p - q) // l
+            if gcd(p, q) == 1 and integer_sqrt_exact(4 * p * p - 3 * q * q) is None:
+                _assert_isqrt_intervals(Polynomial((-2 * alpha, alpha - beta, 2 * beta)))
+
+
+def _unpruned_rational_roots(p):
+    """Reference: every candidate +-u/v with u | p(0) and v | lead(p) on the
+    primitive integer form of p, tried in turn, each root deflated out."""
+    ints = kernel._primitive_ints(p.coeffs)
+    a0, an = abs(ints[0]), ints[-1]
+    roots = []
+    for u in [u for u in range(1, a0 + 1) if a0 % u == 0]:
+        for v in [v for v in range(1, an + 1) if an % v == 0]:
+            for cand in (F(u, v), F(-u, v)):
+                if cand not in roots and p(cand) == 0:
+                    roots.append(cand)
+                    p = divmod(p, Polynomial((-cand, 1)))[0]
+    return sorted(roots), p
+
+
+def _as_tuple(root):
+    return root if isinstance(root, Fraction) else (root.coeffs, root.lo, root.hi)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(st.integers(-40, 40).filter(bool), st.integers(1, 40)),
+             min_size=1, max_size=3),
+    st.lists(st.integers(-9, 9), max_size=3),
+    st.fractions(-6, 6, max_denominator=5).filter(bool),
+)
+@example([(97, 12)], [1, 0, 1], F(1))    # (12z - 97)(z^2 + 1): the root a0/an
+@example([(-97, 12)], [1, 1], F(6))      # (12z + 97)(z + 1), times 6: root -a0/an
+@example([(4, 6), (-3, 9)], [5, 7], F(1, 2))  # non-primitive factors
+def test_pruned_trial_division_finds_every_rational_root(planted, extra, content):
+    # p = content * prod (v z - u) * extra: rational roots planted in a
+    # quadratic or a cubic with non-primitive coefficients
+    p = Polynomial((content,)) * Polynomial(extra or [1])
+    for u, v in planted:
+        p = p * Polynomial((-u, v))
+    assume(p.degree in (2, 3) and p.coeffs[0] != 0 and _square_free(p))
+    rational, rest = _unpruned_rational_roots(p)
+    assert kernel._rational_roots(p) == (rational, rest)
+    expected = rational + [_as_tuple(r) for r in kernel._isolate_irrational(rest)]
+    # real_roots merges the two ascending lists; a stable sort splits them
+    got = sorted(map(_as_tuple, real_roots(p)), key=lambda t: isinstance(t, tuple))
+    assert got == expected
+
+
+def test_trial_division_tries_each_candidate_once(monkeypatch):
+    # candidates num/den with gcd(num, den) > 1 or at least the Cauchy
+    # bound are skipped; trying every one took 396 evaluations
+    calls = []
+    call = Polynomial.__call__
+    monkeypatch.setattr(Polynomial, "__call__", lambda self, x: calls.append(x) or call(self, x))
+    for w1 in range(2, 8):
+        for w2 in range(1, w1):
+            if gcd(w1, w2) == 1:
+                real_roots(se_cubic(w1, w2))
+    assert len(calls) == 202
 
 
 def test_each_irrational_root_gets_one_sturm_count(monkeypatch):
