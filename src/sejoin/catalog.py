@@ -38,6 +38,10 @@ SCHEMA_VERSION = "sejoin-record/1"
 # fixed homotopy metadata shared by every manifold in the family
 FIXED_NOTES = ("pi1 = 0", "pi2 = Z^2")
 
+# an exported F is a quartic, written as this many entries with zeros
+# padded at the top; `sejoin profile` accepts exactly this many
+F_COEFFS = 5
+
 
 @dataclass(frozen=True)
 class SERecord:
@@ -407,7 +411,7 @@ def record_to_dict(rec: SERecord, digits: int = 40) -> Dict:
         out["torsion"] = [str(rec.torsion.A), str(rec.torsion.B)]
     if rec.profile is not None:
         coeffs = list(rec.profile.F.coeffs)
-        coeffs += [Fraction(0)] * (5 - len(coeffs))
+        coeffs += [Fraction(0)] * (F_COEFFS - len(coeffs))
         out["F_coeffs"] = [_fmt(cf, digits) for cf in coeffs]
     return out
 

@@ -12,7 +12,7 @@ Subcommands:
 Exit codes: 0 success, 1 verification or construction failure, 2 usage error
 (including an input over one of the bounds MAX_GRID, MAX_W_BOUND,
 MAX_FAMILY and MAX_YPQ below, and an F_coeffs list of other than
-MAX_F_COEFFS entries).
+catalog.F_COEFFS entries).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .catalog import (
+    F_COEFFS,
     SERecord,
     build_record,
     enumerate_joins,
@@ -43,10 +44,6 @@ from .metric import CalabiProfile
 # upper bound on profile --grid: the table is built in memory at about 0.5 KB
 # per point, so 10^5 steps need about 60 MB
 MAX_GRID = 10**5
-
-# an exported F is a quartic, written as 5 entries with zeros padded at the
-# top; a profile costs (coefficients)^2 * grid
-MAX_F_COEFFS = 5
 
 # upper bound on --w-bound: the batch holds about 0.3*N^2 records, all built
 # in memory before any is written, so 200 means about 12,000 records and
@@ -240,8 +237,8 @@ def _cmd_profile(args) -> int:
         print("record has no Einstein profile", file=sys.stderr)
         return 1
     try:
-        if not isinstance(coeffs, list) or len(coeffs) != MAX_F_COEFFS:
-            raise DomainError("F_coeffs must be a list of %d entries" % MAX_F_COEFFS)
+        if not isinstance(coeffs, list) or len(coeffs) != F_COEFFS:
+            raise DomainError("F_coeffs must be a list of %d entries" % F_COEFFS)
         # as exported: exact rationals written as strings, never JSON numbers
         if not all(isinstance(v, str) for v in [r3] + coeffs):
             raise DomainError("r3 and the F_coeffs entries must be strings")

@@ -6,14 +6,18 @@ are carried as the primitive integer coefficients of a square-free
 polynomial with an isolating interval, refined only where a comparison or
 ``decimal_bounds`` needs it.  No floats enter any computation.
 
-``real_roots`` solves only square-free polynomials of degree at most 3 with
-p(0) != 0, as the SE cubic and the Y^{p,q} quadratic are, and raises
-DomainError on any other input; the degree alone isolates their irrational
-roots, and a quadratic's discriminant, not trial division, decides whether
-its roots are rational.  A quadratic's irrational roots get intervals
-narrower than NEWTON_START from the isqrt of its discriminant, and trial
-division tries each reduced candidate below the Cauchy bound once.
-``AlgebraicRoot`` compares with rationals only.
+``real_roots`` returns only the positive real roots, the ones its callers
+keep, since the Reeb rays lie in the positive cone.  It solves only
+square-free polynomials of degree at most 3 with p(0) != 0, as the SE cubic
+and the Y^{p,q} quadratic are, and a cubic with no positive rational root
+must have exactly one positive root; it raises DomainError on any other
+input.  The degree alone isolates the positive irrational roots, and a
+quadratic's discriminant, not trial division, decides whether its roots are
+rational.  A quadratic's positive irrational roots get intervals narrower
+than NEWTON_START from the isqrt of its discriminant, a cubic's one root the
+interval (0, m) up to its Cauchy bound, and trial division tries each
+reduced candidate +num/den below the Cauchy bound once.  ``AlgebraicRoot``
+compares with rationals only.
 
 The hot paths run on integers: ``Polynomial.__call__`` is Horner's rule on
 one integer numerator and one positive integer denominator with a single
@@ -524,9 +528,12 @@ def _divisors(n: int) -> list:
 
 
 def _rational_roots(p: Polynomial):
-    """The rational roots of p, ascending, and p with them deflated out; p(0)
-    must be nonzero, and a repeated rational root raises DomainError.  A
-    quadratic's roots are rational iff its discriminant is a square."""
+    """The positive rational roots of p, ascending, and the factor of p left
+    for ``_isolate_irrational``: p with those roots deflated out, or a
+    constant once a quadratic's roots are rational.  p(0) must be nonzero,
+    and a repeated rational root raises DomainError.  A quadratic's roots are
+    rational iff its discriminant is a square; a cubic's are found by trial
+    division of the candidates +num/den, with num | p(0) and den | lead(p)."""
     ints = _primitive_ints(p.coeffs)
     if len(ints) == 3:
         c, b, a = ints
@@ -536,7 +543,8 @@ def _rational_roots(p: Polynomial):
         r = integer_sqrt_exact(disc) if disc > 0 else None
         if r is None:
             return [], p
-        return [Fraction(-b - r, 2 * a), Fraction(-b + r, 2 * a)], Polynomial((p.leading(),))
+        # a > 0, so the root n/2a is positive iff n is
+        return [Fraction(n, 2 * a) for n in (-b - r, -b + r) if n > 0], Polynomial((p.leading(),))
     roots = []
     a0, an = ints[0], ints[-1]
     # every root z has |z| < 1 + max |a_i/a_n| (Cauchy), and num/den with
@@ -546,12 +554,12 @@ def _rational_roots(p: Polynomial):
         for den in _divisors(an):
             if num * an >= bound * den or gcd(num, den) > 1:
                 continue
-            for cand in (Fraction(num, den), Fraction(-num, den)):
+            cand = Fraction(num, den)
+            if p(cand) == 0:
+                roots.append(cand)
+                p = _deflate_root(p, cand)
                 if p(cand) == 0:
-                    roots.append(cand)
-                    p = _deflate_root(p, cand)
-                    if p(cand) == 0:
-                        raise DomainError("repeated root %s" % (cand,))
+                    raise DomainError("repeated root %s" % (cand,))
     return sorted(roots), p
 
 
@@ -562,35 +570,41 @@ def _cauchy_bound(p: Polynomial) -> Fraction:
 
 
 def _isolate_irrational(p: Polynomial) -> list:
-    """AlgebraicRoots, ascending, for the real roots of p, of degree <= 3
-    with no rational root.  A quadratic has none when p at its vertex
-    v = -b/2a has the sign of a.  Otherwise, on its primitive integers
-    (c, b, a), a > 0, the discriminant D = b^2 - 4ac is not a square, so
-    s = isqrt(D * 4^16) has s < 2^16 sqrt(D) < s + 1, and the roots
-    (-b -+ sqrt(D))/2a lie in exact intervals of width 1/(2a 2^16), below
-    NEWTON_START.  An irreducible cubic has one or three, all in its Cauchy
-    box (-m, m), and the Sturm count of AlgebraicRoot certifies one or
-    raises DomainError on three."""
+    """AlgebraicRoots, ascending, for the positive real roots of p, of degree
+    <= 3 with no positive rational root.  A quadratic has no real root when
+    p at its vertex v = -b/2a has the sign of a, and raises DomainError on a
+    double root, p(v) = 0, which a cubic that is not square-free can leave.
+    Otherwise, on its primitive integers (c, b, a), a > 0, with D = b^2 - 4ac
+    and s = isqrt(D * 4^16), each root (-b -+ sqrt(D))/2a lies between n/d
+    and (n+1)/d, d = 2a 2^16, below NEWTON_START, and on an end only when D
+    is a square.  With n < 0 the root is at most (n+1)/d <= 0, so negative;
+    with n >= 0 it is positive, hence irrational and strictly inside, so only
+    those intervals are built.  A cubic gets the one interval (0, m) up to
+    its Cauchy bound m, and the sign change and Sturm count of AlgebraicRoot
+    raise DomainError unless it holds exactly one root."""
     if p.degree == 2:
         _, b, a = p.coeffs
-        if (p(-b / (2 * a)) > 0) == (a > 0):
+        at_vertex = p(-b / (2 * a))
+        if at_vertex == 0:
+            raise DomainError("repeated root %s" % (-b / (2 * a),))
+        if (at_vertex > 0) == (a > 0):
             return []
         c, b, a = _primitive_ints(p.coeffs)
         s, m, d = isqrt((b * b - 4 * a * c) << 32), -b << 16, a << 17
-        return [AlgebraicRoot(p, Fraction(m - s - 1, d), Fraction(m - s, d)),
-                AlgebraicRoot(p, Fraction(m + s, d), Fraction(m + s + 1, d))]
+        return [AlgebraicRoot(p, Fraction(n, d), Fraction(n + 1, d))
+                for n in (m - s - 1, m + s) if n >= 0]
     if p.degree == 3:
-        m = _cauchy_bound(p)
-        return [AlgebraicRoot(p, -m, m)]
+        return [AlgebraicRoot(p, 0, _cauchy_bound(p))]
     return []
 
 
 def real_roots(p: Polynomial) -> list:
-    """All real roots of p, ascending: Fractions for the rational ones and
-    AlgebraicRoots on isolating intervals, unrefined, for the others.  p must
-    be square-free of degree at most 3 with p(0) != 0, as the SE cubic and the
-    Y^{p,q} quadratic are (README, library layout); any other p raises
-    DomainError."""
+    """The positive real roots of p, ascending: Fractions for the rational
+    ones and AlgebraicRoots on isolating intervals, unrefined, for the
+    others.  p must be square-free of degree at most 3 with p(0) != 0, and a
+    cubic with no positive rational root must have exactly one positive
+    root, as the SE cubic and the Y^{p,q} quadratic do (README, library
+    layout); any other p raises DomainError."""
     if p.is_zero() or p.coeffs[0] == 0 or p.degree > 3:
         raise DomainError("real_roots needs p(0) != 0 and degree <= 3, got %r" % (p,))
     rational, rest = _rational_roots(p)

@@ -667,6 +667,8 @@ class TestCliProfileAndExport:
                 capsys)
         _, expected, _ = run_cli(["profile", "--record", str(path), "--grid", "4"], capsys)
         rec = json.loads(path.read_text())[0]
+        # the export pads F to the one count that profile requires
+        assert len(rec["F_coeffs"]) == catalog.F_COEFFS
         path.write_text(json.dumps({"F_coeffs": rec["F_coeffs"], "r3": rec["r3"]}))
         code, out, err = run_cli(["profile", "--record", str(path), "--grid", "4"], capsys)
         assert (code, err) == (0, "")

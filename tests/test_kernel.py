@@ -8,7 +8,8 @@ reproduces them bit-exactly, plus algebraic laws on random inputs.
 import random
 import signal
 from fractions import Fraction
-from math import floor, gcd
+from functools import cmp_to_key
+from math import floor, gcd, isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -124,27 +125,94 @@ def _square_free(p):
     return p.coeffs[0] != 0 and _monic_gcd(p, p.derivative()).degree == 0
 
 
-def _has_rational_root(p):
-    """Whether p has a root u/v, u | p(0) and v | lead(p), by brute force."""
+def _all_divisors(n):
+    """The positive divisors of n > 0, by trial division up to isqrt(n)."""
+    small = [u for u in range(1, isqrt(n) + 1) if n % u == 0]
+    return sorted(set(small + [n // u for u in small]))
+
+
+def _unpruned_rational_roots(p):
+    """Reference: every candidate +-u/v with u | p(0) and v | lead(p) on the
+    primitive integer form of p, tried in turn, each root deflated out."""
     ints = kernel._primitive_ints(p.coeffs)
-    a0, an = abs(ints[0]), ints[-1]
-    return any(p(F(s * u, v)) == 0
-               for u in range(1, a0 + 1) if a0 % u == 0
-               for v in range(1, an + 1) if an % v == 0
-               for s in (1, -1))
+    roots = []
+    for u in _all_divisors(abs(ints[0])):
+        for v in _all_divisors(ints[-1]):
+            for cand in (F(u, v), F(-u, v)):
+                if cand not in roots and p(cand) == 0:
+                    roots.append(cand)
+                    p = divmod(p, Polynomial((-cand, 1)))[0]
+    return sorted(roots), p
 
 
-def _cubic_discriminant(p):
-    d, c, b, a = p.coeffs
-    return 18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d
+def _surd_roots(p):
+    """The irrational roots of p, of any degree, by bisecting the Cauchy box
+    of p with its rational roots deflated until each cell holds one root and
+    a sign change."""
+    rest = _unpruned_rational_roots(p)[1]
+    if rest.degree < 1:
+        return []
+    m = _cauchy(rest)
+    out, stack = [], [(-m, m)]
+    while stack:
+        lo, hi = stack.pop()
+        count = count_roots_open(rest, lo, hi)
+        if count == 1 and rest(lo) * rest(hi) < 0:
+            out.append(AlgebraicRoot(rest, lo, hi))
+        elif count:
+            mid = (lo + hi) / 2
+            stack += [(lo, mid), (mid, hi)]
+    return out
+
+
+def _cauchy(p):
+    """1 + max |a_i/a_n|: every root of p has a smaller absolute value."""
+    return 1 + max(abs(c) for c in p.coeffs[:-1]) / abs(p.leading())
+
+
+def _all_real_roots(p):
+    """Reference: every real root of p, ascending, the rational ones from
+    _unpruned_rational_roots and the irrational ones from _surd_roots, whose
+    intervals are disjoint cells of one bisection."""
+    def order(a, b):
+        if isinstance(a, AlgebraicRoot) and isinstance(b, AlgebraicRoot):
+            return -1 if a.hi <= b.lo else 1
+        return -1 if a < b else 1
+
+    return sorted(_unpruned_rational_roots(p)[0] + _surd_roots(p), key=cmp_to_key(order))
+
+
+def _checked_real_roots(p):
+    """real_roots(p), checked against the full-root reference: the roots it
+    returns are the positive ones of _all_real_roots(p), in order, rational
+    ones equal and irrational ones in the same 40-digit cell, and the roots
+    it drops are the others, which are negative since p(0) != 0.  Sturm
+    counts on (0, m) and (-m, 0) for the Cauchy bound m confirm both sizes."""
+    roots, full = real_roots(p), _all_real_roots(p)
+    kept = [r for r in full if r > 0]
+    assert len(roots) == len(kept)
+    for got, ref in zip(roots, kept):
+        assert type(got) is type(ref)
+        if isinstance(ref, Fraction):
+            assert got == ref
+        else:
+            assert got.decimal_bounds(40) == ref.decimal_bounds(40)
+    m = _cauchy(p)
+    assert count_roots_open(p, 0, m) == len(roots)
+    assert count_roots_open(p, -m, 0) == len(full) - len(roots)
+    return roots
 
 
 def _solvable(p):
     """The input real_roots accepts: p(0) != 0, p square-free of degree at
-    most 3, and not a cubic whose three real roots are all irrational."""
+    most 3, and, for a cubic with no positive rational root, exactly one
+    positive root."""
     if not _square_free(p) or p.degree > 3:
         return False
-    return p.degree < 3 or _cubic_discriminant(p) < 0 or _has_rational_root(p)
+    if p.degree < 3:
+        return True
+    positive = [r for r in _all_real_roots(p) if r > 0]
+    return len(positive) == 1 or any(isinstance(r, Fraction) for r in positive)
 
 
 def test_sturm_chain_ends_in_gcd():
@@ -377,13 +445,14 @@ def test_sturm_positive_empty_interval():
 
 
 def test_real_roots_rational():
-    roots = real_roots(Polynomial((-21, 8, 5)))
-    assert roots == [F(-3), F(7, 5)]
-    roots = real_roots(Polynomial((-10, 3, 4)))
-    assert roots == [F(-2), F(5, 4)]
-    # a constant, whose Cauchy bound has no lower coefficient, and a line
+    # (5z - 7)(z + 3) and (4z - 5)(z + 2): the roots -3 and -2 are dropped
+    assert _checked_real_roots(Polynomial((-21, 8, 5))) == [F(7, 5)]
+    assert _checked_real_roots(Polynomial((-10, 3, 4))) == [F(5, 4)]
+    # a constant, whose Cauchy bound has no lower coefficient, and lines
+    # with a positive and a negative root
     assert real_roots(Polynomial((F(5, 3),))) == []
-    assert real_roots(Polynomial((F(1, 2), F(-3, 4)))) == [F(2, 3)]
+    assert _checked_real_roots(Polynomial((F(1, 2), F(-3, 4)))) == [F(2, 3)]
+    assert _checked_real_roots(Polynomial((2, 1))) == []
 
 
 def test_real_roots_cubic_rational():
@@ -403,20 +472,22 @@ def test_real_roots_cubic_irrational():
 
 
 def test_real_roots_mixed():
-    # (z - 1)(z^2 - 2): rational 1 between -sqrt2 and sqrt2
+    # (z - 1)(z^2 - 2): rational 1 between -sqrt2, dropped, and sqrt2
     p = Polynomial((-1, 1)) * Polynomial((-2, 0, 1))
-    roots = real_roots(p)
-    assert len(roots) == 3
-    assert isinstance(roots[0], AlgebraicRoot)
-    assert roots[1] == 1
-    assert isinstance(roots[2], AlgebraicRoot)
-    assert roots[2] > F(14, 10) and roots[2] < F(15, 10)
+    roots = _checked_real_roots(p)
+    assert len(roots) == 2
+    assert roots[0] == 1
+    assert isinstance(roots[1], AlgebraicRoot)
+    assert roots[1] > F(14, 10) and roots[1] < F(15, 10)
 
 
 def test_real_roots_repeated():
     p = Polynomial((-1, 1)) * Polynomial((-1, 1))
     with pytest.raises(DomainError):
         real_roots(p)
+    # (z - 2)(z + 1)^2: deflating the root 2 leaves the double root -1
+    with pytest.raises(DomainError, match="repeated root -1"):
+        real_roots(Polynomial((-2, 1)) * Polynomial((1, 1)) * Polynomial((1, 1)))
 
 
 def test_real_roots_outside_contract_rejected():
@@ -426,9 +497,26 @@ def test_real_roots_outside_contract_rejected():
     with pytest.raises(DomainError):
         real_roots(sq * sq)                      # (z^2 - 2)^2, repeated surd
     with pytest.raises(DomainError):
-        real_roots(Polynomial((1, -3, 0, 1)))    # z^3 - 3z + 1, three surds
+        real_roots(Polynomial((1, -3, 0, 1)))    # z^3 - 3z + 1, two positive surds
     with pytest.raises(DomainError):
         real_roots(Polynomial((1, 0, -10, 0, 1)))  # z^4 - 10z^2 + 1, degree 4
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1, 1, 0, 1),     # z^3 + z + 1: one real root, negative
+    (1, -3, 0, 1),    # z^3 - 3z + 1: two positive roots and a negative one
+    (1, 1, 1, 1),     # (z + 1)(z^2 + 1): a negative rational root only
+])
+def test_cubic_without_one_positive_root_rejected(coeffs):
+    # a cubic with no positive rational root has its one interval (0, m)
+    with pytest.raises(DomainError):
+        real_roots(Polynomial(coeffs))
+
+
+def test_cubic_one_positive_root_among_three():
+    # z^3 - 3z - 1: roots near -1.53, -0.35 and 1.88
+    (root,) = _checked_real_roots(Polynomial((-1, -3, 0, 1)))
+    assert (root.lo, root.hi) == (0, 4)
 
 
 def test_real_roots_zero_poly_rejected():
@@ -540,17 +628,15 @@ def test_real_roots_are_roots_and_counted(coeffs):
         with pytest.raises(DomainError):
             real_roots(p)
         return
-    roots = real_roots(p)
+    roots = _checked_real_roots(p)
     for r in roots:
         if isinstance(r, Fraction):
             assert p(r) == 0
         else:
-            # r isolates a root of p's irrational factor, and its interval
-            # may also hold a rational root of p: (z+1)(z^2+3z+1) on (-2, 0)
-            assert r.poly(r.lo) * r.poly(r.hi) < 0
+            # r isolates a positive root of the quadratic left after trial
+            # division, or of the cubic p itself on (0, m): (z+1)(z^2-2) on (0, 3)
+            assert r.poly(r.lo) * r.poly(r.hi) < 0 and r.lo >= 0
             assert divmod(p, r.poly)[1].is_zero()
-    bound = 1 + max(abs(c) for c in p.coeffs) * 10
-    assert count_roots_open(p, -bound, bound) == len(roots)
 
 
 def _below_sqrt(x, d):
@@ -590,19 +676,27 @@ def test_repeated_factors_counted_once(c, linear, d, f, lo, hi):
     fractions = [F(a, b) for a, b, _ in linear]
     square_free = (f == 1 and all(e == 1 for _, _, e in linear)
                    and len(set(fractions)) == len(fractions))
-    if 0 in fractions or not square_free or p.degree > 3:
+    positive = [r for r in rational if r > 0]
+    # a cubic with no positive rational root needs exactly one positive root
+    no_one_root = p.degree == 3 and not positive and not surds
+    if 0 in fractions or not square_free or p.degree > 3 or no_one_root:
         with pytest.raises(DomainError):
             real_roots(p)
         return
-    roots = real_roots(p)
-    assert [r for r in roots if isinstance(r, Fraction)] == rational
+    roots = _checked_real_roots(p)
+    assert [r for r in roots if isinstance(r, Fraction)] == positive
     surd_roots = [r for r in roots if isinstance(r, AlgebraicRoot)]
-    assert len(surd_roots) == 2 * surds
-    for root, sign in zip(surd_roots, (-1, 1)):
-        assert root.poly == Polynomial((-d, 0, 1))
+    assert len(surd_roots) == surds
+    # sqrt(d) is a root of z^2 - d, times the factors of the negative
+    # rational roots when none is positive to deflate
+    factor = Polynomial((-d, 0, 1))
+    for r in rational if not positive else ():
+        factor = factor * Polynomial((-r.numerator, r.denominator))
+    for root in surd_roots:
+        assert root.poly == factor
         # the interval lies on the root's side of 0, which may be one end
-        assert root.lo * sign >= 0 and root.hi * sign >= 0
-        assert root > 0 if sign > 0 else root < 0
+        assert root.lo >= 0 and root.hi > 0
+        assert root > 0
 
 
 # ------------------------------------------------------ integer bisection
@@ -655,26 +749,6 @@ def _widened(root):
     return AlgebraicRoot(root.poly, c - half, c + half)
 
 
-def _surd_roots(p):
-    """The irrational roots of p, of any degree, by bisecting the Cauchy box
-    of p with its rational roots deflated until each cell holds one root and
-    a sign change."""
-    rest = kernel._rational_roots(p)[1]
-    if rest.degree < 1:
-        return []
-    m = 1 + max(abs(c) for c in rest.coeffs[:-1]) / abs(rest.leading())
-    out, stack = [], [(-m, m)]
-    while stack:
-        lo, hi = stack.pop()
-        count = count_roots_open(rest, lo, hi)
-        if count == 1 and rest(lo) * rest(hi) < 0:
-            out.append(AlgebraicRoot(rest, lo, hi))
-        elif count:
-            mid = (lo + hi) / 2
-            stack += [(lo, mid), (mid, hi)]
-    return out
-
-
 def _wide_surd_roots(p):
     """The irrational roots of p, each on a wide isolating interval."""
     return [_widened(r) for r in _surd_roots(p)]
@@ -716,8 +790,12 @@ def test_integer_bisection_matches_fraction_bisection(low, lead, digits, f1, f2)
 @pytest.mark.parametrize("w", [(5, 2), (7, 3), (35, 11)])
 def test_integer_bisection_on_se_ray_roots(w):
     ray = se_ray_from_w(*w)
-    # the ratio interval is w2/w1 times the dyadic interval of k
-    assert all(d & (d - 1) for d in (ray.ratio.lo.denominator, ray.ratio.hi.denominator))
+    (k,) = _checked_real_roots(se_cubic(*w))
+    assert (k.lo, k.hi) == (ray.k.lo, ray.k.hi) == (0, _cauchy(se_cubic(*w)))
+    # the ratio interval is w2/w1 times k's interval (0, m), with an upper
+    # end that is not dyadic
+    d = ray.ratio.hi.denominator
+    assert ray.ratio.lo == 0 and d & (d - 1)
     for root in (ray.k, ray.ratio):
         for digits in (1, 20, 60):
             _assert_bisection_agrees(root, digits)
@@ -960,14 +1038,19 @@ def _cauchy_box_roots(p):
     intervals (-m, v) and (v, m) between its vertex v and its Cauchy bound m,
     which decimal_bounds bisects down to NEWTON_START."""
     _, b, a = p.coeffs
-    v, m = -b / (2 * a), 1 + max(abs(b), abs(p.coeffs[0])) / abs(a)
+    v, m = -b / (2 * a), _cauchy(p)
     return [AlgebraicRoot(p, -m, v), AlgebraicRoot(p, v, m)]
 
 
 def _assert_isqrt_intervals(p):
-    roots = real_roots(p)
-    assert len(roots) == 2
-    for root, ref in zip(roots, _cauchy_box_roots(p)):
+    # the reference holds both roots; real_roots keeps the positive ones
+    roots, refs = real_roots(p), _cauchy_box_roots(p)
+    kept = [ref for ref in refs if ref > 0]
+    assert len(roots) == len(kept)
+    m = _cauchy(p)
+    assert count_roots_open(p, 0, m) == len(roots)
+    assert count_roots_open(p, -m, 0) == len(refs) - len(kept)
+    for root, ref in zip(roots, kept):
         assert root.hi - root.lo < kernel.NEWTON_START
         assert count_roots_open(p, root.lo, root.hi) == 1
         # floor(x 10^d) = floor(floor(x 10^200) / 10^(200 - d))
@@ -988,6 +1071,8 @@ def _assert_isqrt_intervals(p):
 @example(-1, 1, 1, F(1))          # z^2 + z - 1: discriminant 5
 @example(-2, 0, 1, F(-2, 3))      # the roots of z^2 - 2, a negative content
 @example(1, 10**6, -1, F(1))      # roots near 0 and 10^6, a negative lead
+@example(1, -3, 1, F(1))          # z^2 - 3z + 1: both roots positive
+@example(1, 3, 1, F(1))           # z^2 + 3z + 1: both roots negative
 def test_quadratic_roots_isolated_by_isqrt(c, b, a, content):
     disc = b * b - 4 * a * c
     assume(disc > 0 and integer_sqrt_exact(disc) is None)
@@ -1006,25 +1091,6 @@ def test_ray_quadratic_roots_isolated_by_isqrt(monkeypatch):
                 _assert_isqrt_intervals(Polynomial((-2 * alpha, alpha - beta, 2 * beta)))
 
 
-def _unpruned_rational_roots(p):
-    """Reference: every candidate +-u/v with u | p(0) and v | lead(p) on the
-    primitive integer form of p, tried in turn, each root deflated out."""
-    ints = kernel._primitive_ints(p.coeffs)
-    a0, an = abs(ints[0]), ints[-1]
-    roots = []
-    for u in [u for u in range(1, a0 + 1) if a0 % u == 0]:
-        for v in [v for v in range(1, an + 1) if an % v == 0]:
-            for cand in (F(u, v), F(-u, v)):
-                if cand not in roots and p(cand) == 0:
-                    roots.append(cand)
-                    p = divmod(p, Polynomial((-cand, 1)))[0]
-    return sorted(roots), p
-
-
-def _as_tuple(root):
-    return root if isinstance(root, Fraction) else (root.coeffs, root.lo, root.hi)
-
-
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(
     st.lists(st.tuples(st.integers(-40, 40).filter(bool), st.integers(1, 40)),
@@ -1033,7 +1099,7 @@ def _as_tuple(root):
     st.fractions(-6, 6, max_denominator=5).filter(bool),
 )
 @example([(97, 12)], [1, 0, 1], F(1))    # (12z - 97)(z^2 + 1): the root a0/an
-@example([(-97, 12)], [1, 1], F(6))      # (12z + 97)(z + 1), times 6: root -a0/an
+@example([(-97, 12)], [1, 1], F(6))      # (12z + 97)(z + 1), times 6: root -a0/an, dropped
 @example([(4, 6), (-3, 9)], [5, 7], F(1, 2))  # non-primitive factors
 def test_pruned_trial_division_finds_every_rational_root(planted, extra, content):
     # p = content * prod (v z - u) * extra: rational roots planted in a
@@ -1042,17 +1108,29 @@ def test_pruned_trial_division_finds_every_rational_root(planted, extra, content
     for u, v in planted:
         p = p * Polynomial((-u, v))
     assume(p.degree in (2, 3) and p.coeffs[0] != 0 and _square_free(p))
-    rational, rest = _unpruned_rational_roots(p)
-    assert kernel._rational_roots(p) == (rational, rest)
-    expected = rational + [_as_tuple(r) for r in kernel._isolate_irrational(rest)]
-    # real_roots merges the two ascending lists; a stable sort splits them
-    got = sorted(map(_as_tuple, real_roots(p)), key=lambda t: isinstance(t, tuple))
-    assert got == expected
+    rational = _unpruned_rational_roots(p)[0]
+    positive = [r for r in rational if r > 0]
+    # what is left to isolate: a constant once a quadratic's roots are
+    # rational, or p with the positive roots deflated out
+    if p.degree == 2 and rational:
+        rest = Polynomial((p.leading(),))
+    else:
+        rest = p
+        for r in positive:
+            rest = divmod(rest, Polynomial((-r, 1)))[0]
+    assert kernel._rational_roots(p) == (positive, rest)
+    if not _solvable(p):
+        with pytest.raises(DomainError):
+            real_roots(p)
+        return
+    roots = _checked_real_roots(p)
+    assert [r for r in roots if isinstance(r, Fraction)] == positive
 
 
 def test_trial_division_tries_each_candidate_once(monkeypatch):
-    # candidates num/den with gcd(num, den) > 1 or at least the Cauchy
-    # bound are skipped; trying every one took 396 evaluations
+    # only +num/den is tried, and candidates with gcd(num, den) > 1 or at
+    # least the Cauchy bound are skipped; trying every +-num/den took 396
+    # evaluations, and +-num/den below the bound 202
     calls = []
     call = Polynomial.__call__
     monkeypatch.setattr(Polynomial, "__call__", lambda self, x: calls.append(x) or call(self, x))
@@ -1060,13 +1138,13 @@ def test_trial_division_tries_each_candidate_once(monkeypatch):
         for w2 in range(1, w1):
             if gcd(w1, w2) == 1:
                 real_roots(se_cubic(w1, w2))
-    assert len(calls) == 202
+    assert len(calls) == 101
 
 
 def test_each_irrational_root_gets_one_sturm_count(monkeypatch):
     # the degree isolates: the SE cubic's one root costs one chain, the
-    # Y^{p,q} quadratic's two roots one each, and a quadratic with no real
-    # root, left over from a rational root of the cubic, none
+    # Y^{p,q} quadratic's one positive root one, and a quadratic with no
+    # real root, left over from a rational root of the cubic, none
     chains = []
     sturm = kernel.sturm_chain
 
@@ -1081,7 +1159,7 @@ def test_each_irrational_root_gets_one_sturm_count(monkeypatch):
         del chains[:]
         call()
         counts.append(len(chains))
-    assert counts == [1, 2, 0]
+    assert counts == [1, 1, 0]
 
 
 def test_irregular_record_certifies_one_root(monkeypatch):
@@ -1108,6 +1186,6 @@ def test_real_roots_exact_order_below_float_resolution():
     # 131836323/93222358 exceeds sqrt(2) by about 4e-17, under the spacing
     # of floats near 1.41; only an exact comparison orders the two
     r = F(131836323, 93222358)
-    roots = real_roots(Polynomial((-2, 0, 1)) * Polynomial((-r.numerator, r.denominator)))
-    assert roots[2] == r
-    assert roots[0] < 0 < roots[1] < r
+    roots = _checked_real_roots(Polynomial((-2, 0, 1)) * Polynomial((-r.numerator, r.denominator)))
+    assert roots[1] == r
+    assert 0 < roots[0] < r
