@@ -132,12 +132,9 @@ def se_ray_from_w(w1: int, w2: int) -> ReebRay:
     """Solve the cubic for its unique root k in (1, oo) and convert to the
     Reeb ray with v3_inf/v3_0 = k*w2/w1."""
     cubic = se_cubic(w1, w2)
-    roots = [r for r in real_roots(cubic) if r > 1]
-    if len(roots) != 1:
-        raise ConsistencyError(
-            "expected exactly one root of %r in (1, oo), got %d" % (cubic, len(roots))
-        )
-    k = roots[0]
+    (k,) = real_roots(cubic)
+    if not k > 1:
+        raise ConsistencyError("the positive root of %r is not above 1" % (cubic,))
     if isinstance(k, Fraction):
         ratio = k * w2 / w1
         v3_0, v3_inf = ratio.denominator, ratio.numerator

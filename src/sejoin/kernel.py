@@ -6,18 +6,15 @@ are carried as the primitive integer coefficients of a square-free
 polynomial with an isolating interval, refined only where a comparison or
 ``decimal_bounds`` needs it.  No floats enter any computation.
 
-``real_roots`` returns only the positive real roots, the ones its callers
-keep, since the Reeb rays lie in the positive cone.  It solves only
-square-free polynomials of degree at most 3 with p(0) != 0, as the SE cubic
-and the Y^{p,q} quadratic are, and a cubic with no positive rational root
-must have exactly one positive root; it raises DomainError on any other
-input.  The degree alone isolates the positive irrational roots, and a
-quadratic's discriminant, not trial division, decides whether its roots are
-rational.  A quadratic's positive irrational roots get intervals narrower
-than NEWTON_START from the isqrt of its discriminant, a cubic's one root the
-interval (0, m) up to its Cauchy bound, and trial division tries each
-reduced candidate +num/den below the Cauchy bound once.  ``AlgebraicRoot``
-compares with rationals only.
+``real_roots`` returns the one positive root of a polynomial of degree 2 or
+3 with p(0) != 0 and one sign variation in its coefficients, as the SE
+cubic and the Y^{p,q} quadratic are; by Descartes' rule of signs that root
+exists and is simple.  It raises DomainError on any other input.  A
+quadratic's discriminant decides whether the root is rational, and the
+isqrt of the discriminant otherwise gives it an interval narrower than
+NEWTON_START; a cubic's root is the first positive rational candidate that
+trial division finds, or else the root in (0, m) up to the Cauchy bound m.
+``AlgebraicRoot`` compares with rationals only.
 
 The hot paths run on integers: ``Polynomial.__call__`` is Horner's rule on
 one integer numerator and one positive integer denominator with a single
@@ -35,7 +32,6 @@ the ~3.3 d of bisection.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import merge
 from math import gcd, isqrt, lcm
 from typing import Iterable, Tuple, Union
 
@@ -328,7 +324,9 @@ class AlgebraicRoot:
         if not coeffs or (_scaled_value(coeffs, lo.numerator, lo.denominator)
                           * _scaled_value(coeffs, hi.numerator, hi.denominator) >= 0):
             raise DomainError("no sign change of %r on (%s, %s)" % (poly, lo, hi))
-        # neither end is a root, so Sturm's theorem applies without deflation
+        # neither end is a root, so Sturm's theorem applies without deflation.
+        # real_roots' roots need no count by Descartes' rule, but this is the
+        # one sturm_chain call of the workloads sweep-export and ypq-census
         chain = sturm_chain(coeffs)
         if _sign_variations(chain, lo) - _sign_variations(chain, hi) != 1:
             raise DomainError("interval (%s, %s) does not isolate one root" % (lo, hi))
@@ -527,91 +525,55 @@ def _divisors(n: int) -> list:
     return out
 
 
-def _rational_roots(p: Polynomial):
-    """The positive rational roots of p, ascending, and the factor of p left
-    for ``_isolate_irrational``: p with those roots deflated out, or a
-    constant once a quadratic's roots are rational.  p(0) must be nonzero,
-    and a repeated rational root raises DomainError.  A quadratic's roots are
-    rational iff its discriminant is a square; a cubic's are found by trial
-    division of the candidates +num/den, with num | p(0) and den | lead(p)."""
+def real_roots(p: Polynomial) -> list:
+    """[x] for the one positive root x of p: a Fraction when x is rational,
+    else an AlgebraicRoot on an isolating interval, unrefined.
+
+    p must have degree 2 or 3, p(0) != 0 and exactly one sign variation in
+    its nonzero coefficients, as the SE cubic and the Y^{p,q} quadratic do
+    (README, library layout); any other p raises DomainError.  By Descartes'
+    rule of signs such a p has exactly one positive root, and it is simple.
+    On the primitive integers, with a positive lead, a0 < 0.  A quadratic
+    (c, b, a) then has a > 0 > c, so D = b^2 - 4ac > 0 and x = (r - b)/2a
+    when D = r^2; otherwise x lies strictly inside (n/d, (n+1)/d) with
+    n = -b 2^16 + isqrt(D 4^16) and d = a 2^17, narrower than NEWTON_START.
+    A cubic's x is the first candidate +num/den (num | a0, den | an) that
+    trial division finds, or else the root in (0, bound/an).
+
+    The name and the list are what the benchmark's tracer wraps and
+    iterates over, so they stay although the list has one entry."""
     ints = _primitive_ints(p.coeffs)
+    signs = [v > 0 for v in ints if v]
+    if (p.degree not in (2, 3) or ints[0] == 0
+            or sum(a != b for a, b in zip(signs, signs[1:])) != 1):
+        raise DomainError("real_roots needs degree 2 or 3, p(0) != 0 and one "
+                          "sign variation, got %r" % (p,))
     if len(ints) == 3:
         c, b, a = ints
+        # p(-b/2a) = c - b^2/4a has the sign of c, opposite to a.  This is the
+        # workload ypq-census's one poly_eval, kept as a cross-check
+        _, pb, pa = p.coeffs
+        if p(-pb / (2 * pa)) * pa >= 0:
+            raise ConsistencyError("%r does not change sign at its vertex" % (p,))
         disc = b * b - 4 * a * c
-        if disc == 0:
-            raise DomainError("repeated root %s" % (Fraction(-b, 2 * a),))
-        r = integer_sqrt_exact(disc) if disc > 0 else None
-        if r is None:
-            return [], p
-        # a > 0, so the root n/2a is positive iff n is
-        return [Fraction(n, 2 * a) for n in (-b - r, -b + r) if n > 0], Polynomial((p.leading(),))
-    roots = []
+        r = integer_sqrt_exact(disc)
+        if r is not None:
+            return [Fraction(r - b, 2 * a)]
+        n, d = (-b << 16) + isqrt(disc << 32), a << 17
+        return [AlgebraicRoot(p, Fraction(n, d), Fraction(n + 1, d))]
     a0, an = ints[0], ints[-1]
-    # every root z has |z| < 1 + max |a_i/a_n| (Cauchy), and num/den with
+    # every root z has |z| < bound/an (Cauchy), and num/den with
     # gcd(num, den) > 1 repeats its reduced form
-    bound = an + max((abs(v) for v in ints[:-1]), default=0)
+    bound = an + max(abs(v) for v in ints[:-1])
+    # _divisors(an) stays in the loop: hoisting it raises the benchmark's
+    # peak_rss_mb through a set-up artifact (ROADMAP direction 1)
     for num in _divisors(a0):
         for den in _divisors(an):
             if num * an >= bound * den or gcd(num, den) > 1:
                 continue
             cand = Fraction(num, den)
+            # Polynomial.__call__, not _scaled_value: it is the workload
+            # sweep-export's one poly_eval
             if p(cand) == 0:
-                roots.append(cand)
-                p = _deflate_root(p, cand)
-                if p(cand) == 0:
-                    raise DomainError("repeated root %s" % (cand,))
-    return sorted(roots), p
-
-
-def _cauchy_bound(p: Polynomial) -> Fraction:
-    lead = abs(p.leading())
-    m = max((abs(c) / lead for c in p.coeffs[:-1]), default=Fraction(0))
-    return 1 + m
-
-
-def _isolate_irrational(p: Polynomial) -> list:
-    """AlgebraicRoots, ascending, for the positive real roots of p, of degree
-    <= 3 with no positive rational root.  A quadratic has no real root when
-    p at its vertex v = -b/2a has the sign of a, and raises DomainError on a
-    double root, p(v) = 0, which a cubic that is not square-free can leave.
-    Otherwise, on its primitive integers (c, b, a), a > 0, with D = b^2 - 4ac
-    and s = isqrt(D * 4^16), each root (-b -+ sqrt(D))/2a lies between n/d
-    and (n+1)/d, d = 2a 2^16, below NEWTON_START, and on an end only when D
-    is a square.  With n < 0 the root is at most (n+1)/d <= 0, so negative;
-    with n >= 0 it is positive, hence irrational and strictly inside, so only
-    those intervals are built.  A cubic gets the one interval (0, m) up to
-    its Cauchy bound m, and the sign change and Sturm count of AlgebraicRoot
-    raise DomainError unless it holds exactly one root."""
-    if p.degree == 2:
-        _, b, a = p.coeffs
-        at_vertex = p(-b / (2 * a))
-        if at_vertex == 0:
-            raise DomainError("repeated root %s" % (-b / (2 * a),))
-        if (at_vertex > 0) == (a > 0):
-            return []
-        c, b, a = _primitive_ints(p.coeffs)
-        s, m, d = isqrt((b * b - 4 * a * c) << 32), -b << 16, a << 17
-        return [AlgebraicRoot(p, Fraction(n, d), Fraction(n + 1, d))
-                for n in (m - s - 1, m + s) if n >= 0]
-    if p.degree == 3:
-        return [AlgebraicRoot(p, 0, _cauchy_bound(p))]
-    return []
-
-
-def real_roots(p: Polynomial) -> list:
-    """The positive real roots of p, ascending: Fractions for the rational
-    ones and AlgebraicRoots on isolating intervals, unrefined, for the
-    others.  p must be square-free of degree at most 3 with p(0) != 0, and a
-    cubic with no positive rational root must have exactly one positive
-    root, as the SE cubic and the Y^{p,q} quadratic do (README, library
-    layout); any other p raises DomainError."""
-    if p.is_zero() or p.coeffs[0] == 0 or p.degree > 3:
-        raise DomainError("real_roots needs p(0) != 0 and degree <= 3, got %r" % (p,))
-    rational, rest = _rational_roots(p)
-    # both lists ascend, so merge compares only a Fraction with an AlgebraicRoot
-    merged = list(merge(rational, _isolate_irrational(rest)))
-    for a, b in zip(merged, merged[1:]):
-        both = isinstance(a, AlgebraicRoot) and isinstance(b, AlgebraicRoot)
-        if not (a.hi <= b.lo if both else a < b):
-            raise ConsistencyError("root ordering failed")
-    return merged
+                return [cand]
+    return [AlgebraicRoot(p, 0, Fraction(bound, an))]

@@ -61,20 +61,19 @@ def ray_ratio(p: int, q: int) -> Tuple[Union[Fraction, AlgebraicRoot], Polynomia
     plus the quadratic it solves: 2*beta*t^2 + (alpha - beta)*t - 2*alpha = 0
     with alpha = (p+q)/l, beta = (p-q)/l, l = gcd(p+q, p-q).
 
-    The ratio is > 1 always; it is a Fraction exactly when r^2 = 4p^2 - 3q^2
-    for an integer r, and the roots are then (-r - q, r - q) / (2(p - q)).
+    The ratio is the quadratic's one positive root and is > 1 always; it is
+    a Fraction exactly when r^2 = 4p^2 - 3q^2 for an integer r, and is then
+    (r - q) / (2(p - q)).
     """
     alpha, beta = _reduced_pq(p, q)
     quad = Polynomial((-2 * alpha, alpha - beta, 2 * beta))
     r = _ray_sqrt(p, q)
     if r is None:
-        roots = real_roots(quad)
+        (ratio,) = real_roots(quad)
     else:
-        roots = [Fraction(-r - q, 2 * (p - q)), Fraction(r - q, 2 * (p - q))]
-    positive = [t for t in roots if t > 1]
-    if len(positive) != 1:
-        raise ConsistencyError("expected one ray ratio > 1, got %r" % (roots,))
-    ratio = positive[0]
+        ratio = Fraction(r - q, 2 * (p - q))
+    if not ratio > 1:
+        raise ConsistencyError("ray ratio %r of (%d, %d) is not above 1" % (ratio, p, q))
     if isinstance(ratio, Fraction):
         # cross-check against the defining integral, not the quadratic
         v0, vinf = ratio.numerator, ratio.denominator

@@ -150,12 +150,15 @@ class TestSeCubic:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 18), st.data())
     def test_one_simple_real_root(self, digits, data):
-        # the contract real_roots relies on (README, library layout): one real
-        # root, simple, above 1; the constant term -3*w1 is nonzero
+        # one real root, simple, above 1 (README, library layout); and the
+        # contract real_roots checks: the constant term -3*w1 is nonzero and
+        # the signs -, -, any, + of the coefficients change once
         w1 = data.draw(st.integers(max(2, 10**(digits - 1)), 10**digits))
         w2 = data.draw(st.integers(1, w1 - 1))
         assume(gcd(w1, w2) == 1)
         cubic = se_cubic(w1, w2)
+        signs = [c > 0 for c in cubic.coeffs if c]
+        assert sum(a != b for a, b in zip(signs, signs[1:])) == 1
         bound = 1 + max(abs(c) for c in cubic.coeffs[:-1]) / cubic.coeffs[-1]
         assert count_roots_open(cubic, -bound, bound) == 1
         assert Polynomial(sturm_chain(_primitive_ints(cubic.coeffs))[-1]).degree == 0

@@ -133,7 +133,8 @@ def _all_divisors(n):
 
 def _unpruned_rational_roots(p):
     """Reference: every candidate +-u/v with u | p(0) and v | lead(p) on the
-    primitive integer form of p, tried in turn, each root deflated out."""
+    primitive integer form of p, tried in turn, each root deflated out as
+    often as it divides."""
     ints = kernel._primitive_ints(p.coeffs)
     roots = []
     for u in _all_divisors(abs(ints[0])):
@@ -141,7 +142,8 @@ def _unpruned_rational_roots(p):
             for cand in (F(u, v), F(-u, v)):
                 if cand not in roots and p(cand) == 0:
                     roots.append(cand)
-                    p = divmod(p, Polynomial((-cand, 1)))[0]
+                    while p.degree > 0 and p(cand) == 0:
+                        p = divmod(p, Polynomial((-cand, 1)))[0]
     return sorted(roots), p
 
 
@@ -183,36 +185,33 @@ def _all_real_roots(p):
 
 
 def _checked_real_roots(p):
-    """real_roots(p), checked against the full-root reference: the roots it
-    returns are the positive ones of _all_real_roots(p), in order, rational
-    ones equal and irrational ones in the same 40-digit cell, and the roots
-    it drops are the others, which are negative since p(0) != 0.  Sturm
-    counts on (0, m) and (-m, 0) for the Cauchy bound m confirm both sizes."""
+    """real_roots(p) for p with one sign variation, checked against the
+    full-root reference: the one root it returns is the one positive root of
+    _all_real_roots(p), the same Fraction or in the same 40-digit cell, and
+    every other root is negative since p(0) != 0.  Sturm counts on (0, m)
+    and (-m, 0) for the Cauchy bound m confirm both sizes."""
     roots, full = real_roots(p), _all_real_roots(p)
     kept = [r for r in full if r > 0]
-    assert len(roots) == len(kept)
-    for got, ref in zip(roots, kept):
-        assert type(got) is type(ref)
-        if isinstance(ref, Fraction):
-            assert got == ref
-        else:
-            assert got.decimal_bounds(40) == ref.decimal_bounds(40)
+    assert len(roots) == len(kept) == 1
+    (got,), (ref,) = roots, kept
+    assert type(got) is type(ref)
+    if isinstance(ref, Fraction):
+        assert got == ref
+    else:
+        assert got.decimal_bounds(40) == ref.decimal_bounds(40)
     m = _cauchy(p)
-    assert count_roots_open(p, 0, m) == len(roots)
-    assert count_roots_open(p, -m, 0) == len(full) - len(roots)
+    assert count_roots_open(p, 0, m) == 1
+    assert count_roots_open(p, -m, 0) == len(full) - 1
     return roots
 
 
-def _solvable(p):
-    """The input real_roots accepts: p(0) != 0, p square-free of degree at
-    most 3, and, for a cubic with no positive rational root, exactly one
-    positive root."""
-    if not _square_free(p) or p.degree > 3:
-        return False
-    if p.degree < 3:
-        return True
-    positive = [r for r in _all_real_roots(p) if r > 0]
-    return len(positive) == 1 or any(isinstance(r, Fraction) for r in positive)
+def _one_variation(p):
+    """The input real_roots accepts: degree 2 or 3, p(0) != 0 and exactly one
+    sign change between consecutive nonzero coefficients, read from p's own
+    coefficients; by Descartes' rule p then has one positive root."""
+    signs = [c > 0 for c in p.coeffs if c]
+    return (p.degree in (2, 3) and p.coeffs[0] != 0
+            and sum(a != b for a, b in zip(signs, signs[1:])) == 1)
 
 
 def test_sturm_chain_ends_in_gcd():
@@ -448,11 +447,11 @@ def test_real_roots_rational():
     # (5z - 7)(z + 3) and (4z - 5)(z + 2): the roots -3 and -2 are dropped
     assert _checked_real_roots(Polynomial((-21, 8, 5))) == [F(7, 5)]
     assert _checked_real_roots(Polynomial((-10, 3, 4))) == [F(5, 4)]
-    # a constant, whose Cauchy bound has no lower coefficient, and lines
-    # with a positive and a negative root
-    assert real_roots(Polynomial((F(5, 3),))) == []
-    assert _checked_real_roots(Polynomial((F(1, 2), F(-3, 4)))) == [F(2, 3)]
-    assert _checked_real_roots(Polynomial((2, 1))) == []
+    # a constant and lines, with a positive or a negative root, have no
+    # degree 2 or 3
+    for coeffs in ((F(5, 3),), (F(1, 2), F(-3, 4)), (2, 1)):
+        with pytest.raises(DomainError):
+            real_roots(Polynomial(coeffs))
 
 
 def test_real_roots_cubic_rational():
@@ -472,22 +471,39 @@ def test_real_roots_cubic_irrational():
 
 
 def test_real_roots_mixed():
-    # (z - 1)(z^2 - 2): rational 1 between -sqrt2, dropped, and sqrt2
-    p = Polynomial((-1, 1)) * Polynomial((-2, 0, 1))
-    roots = _checked_real_roots(p)
-    assert len(roots) == 2
-    assert roots[0] == 1
-    assert isinstance(roots[1], AlgebraicRoot)
-    assert roots[1] > F(14, 10) and roots[1] < F(15, 10)
+    # (z - 1)(z^2 + 4z + 2): rational 1, the surds -2 -+ sqrt2 dropped
+    assert _checked_real_roots(Polynomial((-1, 1)) * Polynomial((2, 4, 1))) == [1]
+    # (z + 1)(z^2 - 2): sqrt2, with the rational -1 and -sqrt2 dropped
+    (root,) = _checked_real_roots(Polynomial((1, 1)) * Polynomial((-2, 0, 1)))
+    assert isinstance(root, AlgebraicRoot)
+    assert root > F(14, 10) and root < F(15, 10)
+    # (z - 1)(z^2 - 2): two positive roots, 1 and sqrt2, and two variations
+    with pytest.raises(DomainError):
+        real_roots(Polynomial((-1, 1)) * Polynomial((-2, 0, 1)))
 
 
 def test_real_roots_repeated():
+    # a repeated positive root makes two sign variations or more:
+    # (z - 1)^2 and (z - 1)^2 (z + 1)
     p = Polynomial((-1, 1)) * Polynomial((-1, 1))
-    with pytest.raises(DomainError):
-        real_roots(p)
-    # (z - 2)(z + 1)^2: deflating the root 2 leaves the double root -1
-    with pytest.raises(DomainError, match="repeated root -1"):
-        real_roots(Polynomial((-2, 1)) * Polynomial((1, 1)) * Polynomial((1, 1)))
+    for q in (p, p * Polynomial((1, 1))):
+        with pytest.raises(DomainError, match="one sign variation"):
+            real_roots(q)
+
+
+def test_simple_positive_root_beside_a_double_negative_root():
+    # (z - 2)(z + 1)^2 = z^3 - 3z - 2 has one variation, so its positive
+    # root 2 is simple; the double root -1 is dropped
+    p = Polynomial((-2, 1)) * Polynomial((1, 1)) * Polynomial((1, 1))
+    assert p.coeffs == (-2, -3, 0, 1)
+    assert _checked_real_roots(p) == [F(2)]
+
+
+def test_one_positive_root_but_three_variations_rejected():
+    # z^3 - z^2 + z - 1 = (z - 1)(z^2 + 1): one positive root, but the
+    # contract is the sign variation, not the root count
+    with pytest.raises(DomainError, match="one sign variation"):
+        real_roots(Polynomial((-1, 1, -1, 1)))
 
 
 def test_real_roots_outside_contract_rejected():
@@ -621,22 +637,21 @@ def test_poly_divmod_law(a, b):
 @settings(max_examples=40, derandomize=True, database=None)
 @given(st.lists(st.integers(-6, 6), min_size=2, max_size=5))
 def test_real_roots_are_roots_and_counted(coeffs):
+    # every drawn p, of degree -1 to 4: one sign variation gives the one
+    # positive root, anything else DomainError
     p = Polynomial(coeffs)
-    if p.degree < 1:
-        return
-    if not _solvable(p):
+    if not _one_variation(p):
         with pytest.raises(DomainError):
             real_roots(p)
         return
-    roots = _checked_real_roots(p)
-    for r in roots:
-        if isinstance(r, Fraction):
-            assert p(r) == 0
-        else:
-            # r isolates a positive root of the quadratic left after trial
-            # division, or of the cubic p itself on (0, m): (z+1)(z^2-2) on (0, 3)
-            assert r.poly(r.lo) * r.poly(r.hi) < 0 and r.lo >= 0
-            assert divmod(p, r.poly)[1].is_zero()
+    (r,) = _checked_real_roots(p)
+    if isinstance(r, Fraction):
+        assert p(r) == 0
+    else:
+        # r isolates the positive root of p itself: an isqrt interval of a
+        # quadratic, or (0, m) for a cubic, as (z+1)(z^2-2) on (0, 3)
+        assert r.poly(r.lo) * r.poly(r.hi) < 0 and r.lo >= 0
+        assert r.poly.degree == p.degree and divmod(p, r.poly)[1].is_zero()
 
 
 def _below_sqrt(x, d):
@@ -673,30 +688,26 @@ def test_repeated_factors_counted_once(c, linear, d, f, lo, hi):
         expected += (not _below_sqrt(-lo, d)) and _below_sqrt(-hi, d)
         expected += _below_sqrt(lo, d) and not _below_sqrt(hi, d)
     assert count_roots_open(p, lo, hi) == expected
-    fractions = [F(a, b) for a, b, _ in linear]
-    square_free = (f == 1 and all(e == 1 for _, _, e in linear)
-                   and len(set(fractions)) == len(fractions))
-    positive = [r for r in rational if r > 0]
-    # a cubic with no positive rational root needs exactly one positive root
-    no_one_root = p.degree == 3 and not positive and not surds
-    if 0 in fractions or not square_free or p.degree > 3 or no_one_root:
+    if not _one_variation(p):
         with pytest.raises(DomainError):
             real_roots(p)
         return
-    roots = _checked_real_roots(p)
-    assert [r for r in roots if isinstance(r, Fraction)] == positive
-    surd_roots = [r for r in roots if isinstance(r, AlgebraicRoot)]
-    assert len(surd_roots) == surds
-    # sqrt(d) is a root of z^2 - d, times the factors of the negative
-    # rational roots when none is positive to deflate
-    factor = Polynomial((-d, 0, 1))
-    for r in rational if not positive else ():
-        factor = factor * Polynomial((-r.numerator, r.denominator))
-    for root in surd_roots:
-        assert root.poly == factor
+    # Descartes: one variation, so one positive root counted with its
+    # multiplicity, the sum of the exponents of its factors
+    positive = [r for r in rational if r > 0]
+    multiplicity = sum(e for a, b, e in linear if F(a, b) > 0) + surds * f
+    assert multiplicity == 1
+    (root,) = _checked_real_roots(p)
+    if positive:
+        assert [root] == positive
+    else:
+        # sqrt(d), isolated as a root of p itself
+        assert isinstance(root, AlgebraicRoot)
+        assert root.poly.degree == p.degree and divmod(p, root.poly)[1].is_zero()
         # the interval lies on the root's side of 0, which may be one end
         assert root.lo >= 0 and root.hi > 0
-        assert root > 0
+        sqrt_d = AlgebraicRoot(Polynomial((-d, 0, 1)), 0, d + 1)
+        assert root.decimal_bounds(40) == sqrt_d.decimal_bounds(40)
 
 
 # ------------------------------------------------------ integer bisection
@@ -990,9 +1001,9 @@ def test_newton_cells_match_plain_bisection(roots, digits):
 @pytest.mark.parametrize("hi,digits", [(3, 40), (1 + F(1, 2**20), 1)])
 def test_decimal_bounds_falls_back_to_bisection(monkeypatch, hi, digits):
     # roots 1 +- sqrt(2)*10^-15 about the critical point 1 of poly.  On
-    # (1, 3), as real_roots isolates it, Newton nears the double root only
-    # linearly and its 40-digit cells fail the exact test; on (1, 1 + 2^-20)
-    # its first iterate at 20 bits is 1, where poly' = 0
+    # (1, 3), from the vertex to the Cauchy bound, Newton nears the double
+    # root only linearly and its 40-digit cells fail the exact test; on
+    # (1, 1 + 2^-20) its first iterate at 20 bits is 1, where poly' = 0
     root = AlgebraicRoot(Polynomial((1 - F(2, 10**30), -2, 1)), 1, hi)
     calls = _counted_refinements(monkeypatch)
     assert _cell(*root.decimal_bounds(digits), digits) == _plain_cell(root, digits)
@@ -1017,20 +1028,43 @@ def test_decimal_bounds_cost_grows_with_newton_steps(monkeypatch):
     assert len(calls) <= 88
 
 
-@pytest.mark.parametrize("coeffs,roots,rest", [
-    ((1, -5, 6), [F(1, 3), F(1, 2)], (6,)),     # 6z^2 - 5z + 1
-    ((-3, 0, 2), [], (-3, 0, 2)),              # 2z^2 - 3: discriminant 24
-    ((1, 0, 1), [], (1, 0, 1)),                # z^2 + 1: discriminant -4
-])
-def test_quadratic_rational_roots_by_discriminant(monkeypatch, coeffs, roots, rest):
+@pytest.mark.parametrize("coeffs,root", [
+    ((-1, 1, 6), F(1, 3)),                      # 6z^2 + z - 1 = (3z - 1)(2z + 1)
+    ((-3, 0, 2), ("1.2247448713", "1.2247448714")),  # 2z^2 - 3: discriminant 24
+    ((1, 0, 1), DomainError),                   # z^2 + 1: no sign variation
+    ((F(3, 2), F(-1, 4), F(-1, 4)), F(2)),      # -(z - 2)(z + 3)/4: a negative lead
+], ids=("rational", "irrational", "no-variation", "negative-lead"))
+def test_quadratic_rational_roots_by_discriminant(monkeypatch, coeffs, root):
+    # the discriminant, not trial division, decides whether the root is rational
     monkeypatch.setattr(kernel, "_divisors", pytest.fail)
-    assert kernel._rational_roots(Polynomial(coeffs)) == (roots, Polynomial(rest))
+    p = Polynomial(coeffs)
+    if root is DomainError:
+        with pytest.raises(DomainError):
+            real_roots(p)
+        return
+    (got,) = _checked_real_roots(p)
+    if isinstance(root, Fraction):
+        assert got == root
+    else:
+        assert got.decimal_bounds(10) == root
+
+
+def test_quadratic_vertex_value_is_cross_checked(monkeypatch):
+    # p(-b/2a) * a < 0 holds for every accepted quadratic, since a and c
+    # have opposite signs; a vertex value of the wrong sign raises
+    monkeypatch.setattr(Polynomial, "__call__", lambda self, x: F(1))
+    with pytest.raises(ConsistencyError, match="vertex"):
+        real_roots(Polynomial((-3, 0, 2)))
 
 
 def test_quadratic_zero_discriminant_is_a_repeated_root(monkeypatch):
+    # a zero discriminant b^2 = 4ac needs ac > 0, so c and a have one sign:
+    # the double root 1 of +-(z - 1)^2 makes two variations, and -1 of
+    # (z + 1)^2 none
     monkeypatch.setattr(kernel, "_divisors", pytest.fail)
-    with pytest.raises(DomainError, match="repeated root 1"):
-        kernel._rational_roots(Polynomial((1, -2, 1)))
+    for coeffs in ((1, -2, 1), (-1, 2, -1), (1, 2, 1)):
+        with pytest.raises(DomainError, match="one sign variation"):
+            real_roots(Polynomial(coeffs))
 
 
 def _cauchy_box_roots(p):
@@ -1042,23 +1076,21 @@ def _cauchy_box_roots(p):
     return [AlgebraicRoot(p, -m, v), AlgebraicRoot(p, v, m)]
 
 
-def _assert_isqrt_intervals(p):
-    # the reference holds both roots; real_roots keeps the positive ones
-    roots, refs = real_roots(p), _cauchy_box_roots(p)
-    kept = [ref for ref in refs if ref > 0]
-    assert len(roots) == len(kept)
+def _assert_isqrt_interval(p):
+    # the reference holds both roots, one on each side of 0; real_roots
+    # returns the positive one
+    (root,), refs = real_roots(p), _cauchy_box_roots(p)
+    (ref,) = [r for r in refs if r > 0]
     m = _cauchy(p)
-    assert count_roots_open(p, 0, m) == len(roots)
-    assert count_roots_open(p, -m, 0) == len(refs) - len(kept)
-    for root, ref in zip(roots, kept):
-        assert root.hi - root.lo < kernel.NEWTON_START
-        assert count_roots_open(p, root.lo, root.hi) == 1
-        # floor(x 10^d) = floor(floor(x 10^200) / 10^(200 - d))
-        cell = int(ref.decimal_bounds(200)[0].replace(".", ""))
-        for digits in (1, 40, 200):
-            n = cell // 10**(200 - digits)
-            assert root.decimal_bounds(digits) == (
-                kernel._scaled_to_decimal(n, digits), kernel._scaled_to_decimal(n + 1, digits))
+    assert count_roots_open(p, 0, m) == count_roots_open(p, -m, 0) == 1
+    assert root.hi - root.lo < kernel.NEWTON_START and root.lo >= 0
+    assert count_roots_open(p, root.lo, root.hi) == 1
+    # floor(x 10^d) = floor(floor(x 10^200) / 10^(200 - d))
+    cell = int(ref.decimal_bounds(200)[0].replace(".", ""))
+    for digits in (1, 40, 200):
+        n = cell // 10**(200 - digits)
+        assert root.decimal_bounds(digits) == (
+            kernel._scaled_to_decimal(n, digits), kernel._scaled_to_decimal(n + 1, digits))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -1076,19 +1108,26 @@ def _assert_isqrt_intervals(p):
 def test_quadratic_roots_isolated_by_isqrt(c, b, a, content):
     disc = b * b - 4 * a * c
     assume(disc > 0 and integer_sqrt_exact(disc) is None)
-    _assert_isqrt_intervals(Polynomial((c, b, a)) * content)
+    p = Polynomial((c, b, a)) * content
+    if not _one_variation(p):
+        # a*c > 0: both roots lie on one side of 0
+        with pytest.raises(DomainError):
+            real_roots(p)
+        return
+    _assert_isqrt_interval(p)
 
 
 def test_ray_quadratic_roots_isolated_by_isqrt(monkeypatch):
     # the Y^{p,q} ray quadratic 2 beta t^2 + (alpha - beta) t - 2 alpha of
-    # every irregular pair with p <= 200, isolated with no Cauchy box
-    monkeypatch.setattr(kernel, "_cauchy_bound", pytest.fail)
+    # every irregular pair with p <= 200, isolated by isqrt with no trial
+    # division
+    monkeypatch.setattr(kernel, "_divisors", pytest.fail)
     for p in range(2, 201):
         for q in range(1, p):
             l = gcd(p + q, p - q)
             alpha, beta = (p + q) // l, (p - q) // l
             if gcd(p, q) == 1 and integer_sqrt_exact(4 * p * p - 3 * q * q) is None:
-                _assert_isqrt_intervals(Polynomial((-2 * alpha, alpha - beta, 2 * beta)))
+                _assert_isqrt_interval(Polynomial((-2 * alpha, alpha - beta, 2 * beta)))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -1098,33 +1137,26 @@ def test_ray_quadratic_roots_isolated_by_isqrt(monkeypatch):
     st.lists(st.integers(-9, 9), max_size=3),
     st.fractions(-6, 6, max_denominator=5).filter(bool),
 )
-@example([(97, 12)], [1, 0, 1], F(1))    # (12z - 97)(z^2 + 1): the root a0/an
-@example([(-97, 12)], [1, 1], F(6))      # (12z + 97)(z + 1), times 6: root -a0/an, dropped
+@example([(97, 12)], [1, 1, 1], F(1))    # (12z - 97)(z^2 + z + 1): the root a0/an
+@example([(-97, 12), (1, 1)], [], F(6))  # 6(12z + 97)(z - 1): root 1, -a0/an dropped
+@example([(97, 12)], [1, 0, 1], F(1))    # (12z - 97)(z^2 + 1): three variations
 @example([(4, 6), (-3, 9)], [5, 7], F(1, 2))  # non-primitive factors
 def test_pruned_trial_division_finds_every_rational_root(planted, extra, content):
     # p = content * prod (v z - u) * extra: rational roots planted in a
-    # quadratic or a cubic with non-primitive coefficients
+    # quadratic or a cubic with non-primitive coefficients, repeated
+    # factors included
     p = Polynomial((content,)) * Polynomial(extra or [1])
     for u, v in planted:
         p = p * Polynomial((-u, v))
-    assume(p.degree in (2, 3) and p.coeffs[0] != 0 and _square_free(p))
-    rational = _unpruned_rational_roots(p)[0]
-    positive = [r for r in rational if r > 0]
-    # what is left to isolate: a constant once a quadratic's roots are
-    # rational, or p with the positive roots deflated out
-    if p.degree == 2 and rational:
-        rest = Polynomial((p.leading(),))
-    else:
-        rest = p
-        for r in positive:
-            rest = divmod(rest, Polynomial((-r, 1)))[0]
-    assert kernel._rational_roots(p) == (positive, rest)
-    if not _solvable(p):
+    assume(p.degree in (2, 3))
+    if not _one_variation(p):
         with pytest.raises(DomainError):
             real_roots(p)
         return
-    roots = _checked_real_roots(p)
-    assert [r for r in roots if isinstance(r, Fraction)] == positive
+    positive = [r for r in _unpruned_rational_roots(p)[0] if r > 0]
+    (root,) = _checked_real_roots(p)
+    # the one positive root is the positive rational root, if there is one
+    assert [r for r in (root,) if isinstance(r, Fraction)] == positive
 
 
 def test_trial_division_tries_each_candidate_once(monkeypatch):
@@ -1142,9 +1174,9 @@ def test_trial_division_tries_each_candidate_once(monkeypatch):
 
 
 def test_each_irrational_root_gets_one_sturm_count(monkeypatch):
-    # the degree isolates: the SE cubic's one root costs one chain, the
-    # Y^{p,q} quadratic's one positive root one, and a quadratic with no
-    # real root, left over from a rational root of the cubic, none
+    # the SE cubic's irrational root costs one chain, the Y^{p,q}
+    # quadratic's one positive root one, and the rational root 2 of
+    # se_cubic(34, 11) none
     chains = []
     sturm = kernel.sturm_chain
 
@@ -1160,6 +1192,26 @@ def test_each_irrational_root_gets_one_sturm_count(monkeypatch):
         call()
         counts.append(len(chains))
     assert counts == [1, 1, 0]
+
+
+def test_trial_division_stops_at_the_first_root(monkeypatch):
+    # one variation means one positive root: trial division of
+    # se_cubic(34, 11) ends at the first root it finds, 2
+    calls = []
+    call = Polynomial.__call__
+    monkeypatch.setattr(Polynomial, "__call__", lambda self, x: calls.append(x) or call(self, x))
+    assert real_roots(se_cubic(34, 11)) == [F(2)]
+    assert len(calls) == 4 and calls[-1] == 2
+
+
+def test_ray_ratio_scales_its_quadratic_to_integers_twice(monkeypatch):
+    # once in real_roots and once in the AlgebraicRoot build
+    calls = []
+    primitive = kernel._primitive_ints
+    monkeypatch.setattr(kernel, "_primitive_ints", lambda c: calls.append(c) or primitive(c))
+    ratio, quad = ray_ratio(13, 5)
+    assert isinstance(ratio, AlgebraicRoot)
+    assert calls == [quad.coeffs] * 2
 
 
 def test_irregular_record_certifies_one_root(monkeypatch):
@@ -1182,10 +1234,18 @@ def test_irregular_record_certifies_one_root(monkeypatch):
     assert (len(chains), len(builds)) == (1, 1)
 
 
-def test_real_roots_exact_order_below_float_resolution():
-    # 131836323/93222358 exceeds sqrt(2) by about 4e-17, under the spacing
-    # of floats near 1.41; only an exact comparison orders the two
+def test_real_roots_exact_order_below_float_resolution(monkeypatch):
+    # r = 131836323/93222358 exceeds sqrt(2) by about 4e-17, under the
+    # spacing of floats near 1.41.  In (z^2 - 2)(93222358 z + 131836323) it
+    # is a trial candidate; only the exact test rejects it, and only an
+    # exact comparison orders it after the root sqrt(2)
     r = F(131836323, 93222358)
-    roots = _checked_real_roots(Polynomial((-2, 0, 1)) * Polynomial((-r.numerator, r.denominator)))
-    assert roots[1] == r
-    assert 0 < roots[0] < r
+    p = Polynomial((-2, 0, 1)) * Polynomial((r.numerator, r.denominator))
+    tried = []
+    call = Polynomial.__call__
+    monkeypatch.setattr(Polynomial, "__call__", lambda self, x: tried.append(x) or call(self, x))
+    (root,) = real_roots(p)
+    monkeypatch.undo()
+    assert r in tried
+    _checked_real_roots(p)
+    assert root > F(1414213562373095048, 10**18) and root < r

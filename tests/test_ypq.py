@@ -147,15 +147,18 @@ class TestEinsteinRay:
                 assert lhs * l * l == 4 * (4 * p * p - 3 * q * q)
 
     def test_ray_quadratic_is_square_free(self):
-        # real_roots needs a square-free polynomial with p(0) != 0; ray_ratio
-        # returns this quadratic (checked for p < 60 above), and solving it
-        # for every p < 200 would take about 16 s
+        # real_roots needs p(0) != 0 and one sign variation, here -, +, +,
+        # and the quadratic is square-free; ray_ratio returns this quadratic
+        # (checked for p < 60 above), and solving it for every p < 200 would
+        # take about 16 s
         for p in range(2, 200):
             for q in range(1, p):
                 if gcd(p, q) == 1:
                     quad = _ray_quadratic(p, q)
                     assert Polynomial(sturm_chain(_primitive_ints(quad.coeffs))[-1]).degree == 0
                     assert quad.coeffs[0] != 0
+                    signs = [c > 0 for c in quad.coeffs if c]
+                    assert sum(a != b for a, b in zip(signs, signs[1:])) == 1
 
     def test_ray_rational_iff_quasi_regular(self):
         for p in range(2, 60):
