@@ -18,6 +18,7 @@ catalog.F_COEFFS entries).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -162,26 +163,50 @@ def _cmd_ypq(args) -> int:
     return 0
 
 
-def _record_args_to_records(args) -> List[SERecord]:
-    sources = (args.k, args.w, args.k_list, args.w_bound)
-    if sum(v is not None for v in sources) != 1:
+def _weight_source(args):
+    """The weight flags of join and export, checked and parsed: None when
+    none is given, else (attribute, parsed value) of the one given.  Two
+    sources, a value that does not parse or a --w-bound above MAX_W_BOUND
+    raise DomainError, before any record is built."""
+    given = [(name, getattr(args, name)) for name in ("k", "w", "k_list", "w_bound")
+             if getattr(args, name) is not None]
+    if len(given) > 1:
         raise DomainError("give exactly one of --k, --w, --k-list, --w-bound")
-    if args.w_bound is not None and args.w_bound > MAX_W_BOUND:
-        raise DomainError("--w-bound must be <= %d, got %d" % (MAX_W_BOUND, args.w_bound))
-    if args.k is not None:
-        return [build_record(args.p, args.q, k=_parse_rational(args.k))]
-    if args.w is not None:
-        return [build_record(args.p, args.q, w=_parse_pair(args.w))]
+    if not given:
+        return None
+    name, value = given[0]
+    if name == "k":
+        value = _parse_rational(value)
+    elif name == "w":
+        value = _parse_pair(value)
+    elif name == "k_list":
+        value = [_parse_rational(t) for t in value.split(",")]
+    elif value > MAX_W_BOUND:
+        raise DomainError("--w-bound must be <= %d, got %d" % (MAX_W_BOUND, value))
+    return name, value
+
+
+def _record_args_to_records(args) -> List[SERecord]:
+    source = _weight_source(args)
+    if source is None:
+        raise DomainError("give exactly one of --k, --w, --k-list, --w-bound")
+    name, value = source
+    if name == "k":
+        return [build_record(args.p, args.q, k=value)]
+    if name == "w":
+        return [build_record(args.p, args.q, w=value)]
     sol = quasi_regular_factor(args.p, args.q)
-    if args.k_list is not None:
-        ks = [_parse_rational(t) for t in args.k_list.split(",")]
-        return enumerate_joins(sol, k_list=ks)
-    return enumerate_joins(sol, w_bound=args.w_bound)
+    if name == "k_list":
+        return enumerate_joins(sol, k_list=value)
+    return enumerate_joins(sol, w_bound=value)
 
 
 def _cmd_join(args) -> int:
     if (args.p, args.q) == (1, 0):
-        # round homogeneous structure; sits outside the p > q >= 1 theory
+        # round homogeneous structure; sits outside the p > q >= 1 theory,
+        # so no record is built, but the weight flags are checked as for
+        # any other join
+        _weight_source(args)
         if args.json:
             print(json.dumps({"homogeneous": True, "p": "1", "q": "0",
                               "note": "all parameters 1"}, sort_keys=True, indent=2))
@@ -276,7 +301,14 @@ def _cmd_export(args) -> int:
     return 1 if any(r.error for r in records) else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one command-line parser, built on the first call.
+
+    ``main`` parses every argv with it, so a process that calls ``main``
+    many times builds it once.  Parsing leaves it unchanged; callers must
+    not mutate it (no ``set_defaults`` or ``add_argument``), since every
+    later call would see the change."""
     parser = argparse.ArgumentParser(
         prog="sejoin",
         description="Exact construction and enumeration of Sasaki-Einstein "

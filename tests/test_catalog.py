@@ -407,6 +407,24 @@ class TestCliJoin:
         assert code == 0
         assert json.loads(out)["homogeneous"] is True
 
+    @pytest.mark.parametrize("flags", [
+        ["--k", "notanumber"],
+        ["--w-bound", "100000"],
+        ["--k", "2", "--w", "5,2"],
+        ["--w", "5;2"],
+        ["--k-list", "2,x"],
+    ], ids=["bad-k", "w-bound-above-max", "two-sources", "bad-w", "bad-k-list"])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+    def test_homogeneous_case_checks_its_weight_flags(self, flags, json_flag, capsys):
+        code, out, err = run_cli(["join", "--p", "1", "--q", "0"] + flags + json_flag, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    def test_homogeneous_case_with_one_weight_source(self, capsys):
+        _, plain, _ = run_cli(["join", "--p", "1", "--q", "0"], capsys)
+        for flags in (["--k", "3/2"], ["--w", "5,2"], ["--w-bound", str(MAX_W_BOUND)]):
+            assert run_cli(["join", "--p", "1", "--q", "0"] + flags, capsys) == (0, plain, "")
+
     def test_irregular_human_shows_intervals(self, capsys):
         code, out, _ = run_cli(
             ["join", "--p", "13", "--q", "8", "--w", "2,1", "--digits", "10"], capsys)
