@@ -26,6 +26,7 @@ from .join import (
     quotient_orbifold,
     se_ray_from_w,
     smoothness_check,
+    validate_w,
     w_from_k,
 )
 from .kernel import AlgebraicRoot, ConsistencyError, DomainError
@@ -94,11 +95,28 @@ def build_record(p: int, q: int, k=None, w=None) -> SERecord:
     sol = quasi_regular_factor(p, q)
     if (k is None) == (w is None):
         raise DomainError("give exactly one of k and w")
-    if k is not None:
-        w1, w2 = w_from_k(Fraction(k))
-    else:
-        w1, w2 = w
+    ((w1, w2),) = weight_pairs(k=k, w=w)
     return _assemble(sol, w1, w2)
+
+
+def weight_pairs(k=None, w=None, k_list=None, w_bound=None) -> List[Tuple[int, int]]:
+    """The weight pairs (w1, w2) of the one weight choice given: w_from_k of
+    a rational k or of each entry of k_list, the pair w, or every coprime
+    pair with w_bound >= w1 > w2 >= 1.  Every range check of the choice
+    (k > 1, coprime w1 > w2 >= 1, w_bound >= 2) runs here, so the
+    homogeneous join, which builds no record, rejects what any join does."""
+    if k is not None:
+        return [w_from_k(Fraction(k))]
+    if w is not None:
+        w1, w2 = w
+        validate_w(w1, w2)
+        return [(w1, w2)]
+    if k_list is not None:
+        return [w_from_k(Fraction(k)) for k in k_list]
+    if w_bound < 2:
+        raise DomainError("w_bound must be >= 2")
+    return [(w1, w2) for w1 in range(2, w_bound + 1) for w2 in range(1, w1)
+            if gcd(w1, w2) == 1]
 
 
 def _assemble(sol: YpqEinstein, w1: int, w2: int) -> SERecord:
@@ -181,15 +199,8 @@ def enumerate_joins(sol: YpqEinstein, k_list: Optional[Sequence] = None,
     """
     if (k_list is None) == (w_bound is None):
         raise DomainError("give exactly one of k_list and w_bound")
-    if k_list is not None:
-        pairs = [w_from_k(Fraction(k)) for k in k_list]
-    elif w_bound < 2:
-        raise DomainError("w_bound must be >= 2")
-    else:
-        pairs = [(w1, w2) for w1 in range(2, w_bound + 1) for w2 in range(1, w1)
-                 if gcd(w1, w2) == 1]
     records = []
-    for w1, w2 in pairs:
+    for w1, w2 in weight_pairs(k_list=k_list, w_bound=w_bound):
         try:
             records.append(_assemble(sol, w1, w2))
         except (DomainError, ConsistencyError) as exc:

@@ -36,6 +36,7 @@ from .catalog import (
     quasi_regular_factor,
     record_to_dict,
     verify_paper_examples,
+    weight_pairs,
     write_export,
     ypq_to_dict,
 )
@@ -204,9 +205,12 @@ def _record_args_to_records(args) -> List[SERecord]:
 def _cmd_join(args) -> int:
     if (args.p, args.q) == (1, 0):
         # round homogeneous structure; sits outside the p > q >= 1 theory,
-        # so no record is built, but the weight flags are checked as for
-        # any other join
-        _weight_source(args)
+        # so no record is built, but the weight flags are parsed and
+        # range-checked as for any other join
+        source = _weight_source(args)
+        if source is not None:
+            name, value = source
+            weight_pairs(**{name: value})
         if args.json:
             print(json.dumps({"homogeneous": True, "p": "1", "q": "0",
                               "note": "all parameters 1"}, sort_keys=True, indent=2))

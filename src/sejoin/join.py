@@ -27,7 +27,8 @@ from .kernel import (
 from .ypq import YpqEinstein
 
 
-def _validate_w(w1: int, w2: int) -> None:
+def validate_w(w1: int, w2: int) -> None:
+    """Raise DomainError unless w1 > w2 >= 1 are coprime integers."""
     if not (isinstance(w1, int) and isinstance(w2, int)):
         raise DomainError("weights must be integers")
     if not (w1 > w2 >= 1):
@@ -39,7 +40,7 @@ def _validate_w(w1: int, w2: int) -> None:
 def canonical_l(w1: int, w2: int, fano_index: int) -> Tuple[int, int]:
     """The canonical gluing pair: l1 = I/g, l2 = (w1+w2)/g with
     g = gcd(w1+w2, I)."""
-    _validate_w(w1, w2)
+    validate_w(w1, w2)
     if fano_index < 1:
         raise DomainError("Fano index must be >= 1")
     g = gcd(w1 + w2, fano_index)
@@ -62,7 +63,7 @@ class JoinSpec:
     w2: int
 
     def __post_init__(self):
-        _validate_w(self.w1, self.w2)
+        validate_w(self.w1, self.w2)
         if self.l1 < 1 or self.l2 < 1:
             raise DomainError("gluing integers must be positive")
         if gcd(self.l1, self.l2 * self.ypq.m2) != 1:
@@ -93,7 +94,7 @@ def smoothness_check(spec: JoinSpec) -> Tuple[bool, List[Tuple[int, int, int]]]:
 def se_cubic(w1: int, w2: int) -> Polynomial:
     """The cubic in k whose root in (1, oo) fixes the Sasaki-Einstein Reeb ray:
     3*w2*k^3 + (2*w2 - w1)*k^2 - (2*w1 - w2)*k - 3*w1."""
-    _validate_w(w1, w2)
+    validate_w(w1, w2)
     return Polynomial((-3 * w1, -(2 * w1 - w2), 2 * w2 - w1, 3 * w2))
 
 

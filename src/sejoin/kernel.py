@@ -9,12 +9,12 @@ polynomial with an isolating interval, refined only where a comparison or
 ``real_roots`` returns the one positive root of a polynomial of degree 2 or
 3 with p(0) != 0 and one sign variation in its coefficients, as the SE
 cubic and the Y^{p,q} quadratic are; by Descartes' rule of signs that root
-exists and is simple.  It raises DomainError on any other input.  A
-quadratic's discriminant decides whether the root is rational, and the
-isqrt of the discriminant otherwise gives it an interval narrower than
-NEWTON_START; a cubic's root is the first positive rational candidate that
-trial division finds, or else the root in (0, m) up to the Cauchy bound m.
-``AlgebraicRoot`` compares with rationals only.
+exists and is simple.  It raises DomainError on any other input.  One isqrt
+of a quadratic's discriminant decides whether the root is rational and
+otherwise gives it an interval narrower than NEWTON_START; a cubic's root
+is the first positive rational candidate that trial division finds, or else
+the root in (0, m) up to the Cauchy bound m.  ``AlgebraicRoot`` compares
+with rationals only, by one sign test inside its interval.
 
 The hot paths run on integers: ``Polynomial.__call__`` is Horner's rule on
 one integer numerator and one positive integer denominator with a single
@@ -23,10 +23,13 @@ sequence on the coefficient list that its caller scaled to integers once,
 whose signs are read by integer Horner evaluation, with no Fraction built.
 Each ``AlgebraicRoot`` certifies its interval by one Sturm count, except a
 scaled root s*x (``AlgebraicRoot.scaled``), which inherits the certificate
-of x.  ``decimal_bounds`` proposes a root's decimal cell by integer Newton
-steps, whose precision about doubles each step, and accepts it only on an
-exact sign test, so a d-digit cell costs O(log d) evaluations instead of
-the ~3.3 d of bisection.
+of x.  A quadratic root's decimal cell comes from the closed-form interval
+that bisection below 10^-d would end on, one isqrt of the discriminant
+scaled to its grid, and one exact sign test at a grid point.  For other
+degrees, ``decimal_bounds`` proposes the cell by integer Newton steps,
+whose precision about doubles each step, and accepts it only on an exact
+sign test, so a d-digit cell costs O(log d) evaluations instead of the
+~3.3 d of bisection.
 """
 
 from __future__ import annotations
@@ -316,11 +319,19 @@ class AlgebraicRoot:
 
     __slots__ = ("coeffs", "lo", "hi")
 
-    def __init__(self, poly: Polynomial, lo, hi):
+    def __init__(self, poly, lo, hi):
+        """The root of ``poly`` in (lo, hi): a Polynomial, or the primitive
+        integer coefficients of one as a sequence (lowest degree first,
+        content 1, leading coefficient positive), which are used as given."""
         lo, hi = Fraction(lo), Fraction(hi)
         if not lo < hi:
             raise DomainError("empty isolating interval (%s, %s)" % (lo, hi))
-        coeffs = _primitive_ints(poly.coeffs)
+        if isinstance(poly, Polynomial):
+            coeffs = _primitive_ints(poly.coeffs)
+        else:
+            coeffs = poly
+            if not coeffs or coeffs[-1] <= 0 or gcd(*coeffs) != 1:
+                raise DomainError("%r are not primitive integer coefficients" % (poly,))
         if not coeffs or (_scaled_value(coeffs, lo.numerator, lo.denominator)
                           * _scaled_value(coeffs, hi.numerator, hi.denominator) >= 0):
             raise DomainError("no sign change of %r on (%s, %s)" % (poly, lo, hi))
@@ -361,10 +372,17 @@ class AlgebraicRoot:
         return out
 
     def refined_interval(self, width):
-        """Bisect until hi - lo < width; returns (lo, hi) without mutating."""
+        """The first bisection interval of (lo, hi) narrower than ``width``,
+        as (lo, hi), without mutating; a midpoint that is a root ends the
+        bisection as (mid - width/4, mid + width/4).
+
+        A quadratic skips the loop: ``_quadratic_interval`` computes the
+        same interval in closed form."""
         width = Fraction(width)
         if width <= 0:
             raise DomainError("refinement width must be positive")
+        if len(self.coeffs) == 3:
+            return self._quadratic_interval(width)
         wn, wd = width.numerator, width.denominator
         for a, b, d in self._bisection():
             if a == b:
@@ -373,6 +391,41 @@ class AlgebraicRoot:
                 return mid - eps, mid + eps
             if (b - a) * wd < wn * d:
                 return Fraction(a, d), Fraction(b, d)
+
+    def _quadratic_interval(self, width: Fraction):
+        """The interval that bisecting (lo, hi) = (a0/d, b0/d) below
+        ``width`` ends on, for poly = a z^2 + b z + c with a > 0.
+
+        Bisection stops after the first m halvings with
+        (b0 - a0)/(d 2^m) < width, i.e. 2^m > floor((b0 - a0)/(d width)).
+        The root x then lies in step j = floor(t) of the 2^m equal steps of
+        (lo, hi), t = (x N - a0 2^m)/(b0 - a0) with N = d 2^m.  With
+        x = (-b +- sqrt(D))/2a, t = (q +- sqrt(D N^2))/r for
+        q = -b N - 2a a0 2^m and r = 2a (b0 - a0) > 0, with + for the larger
+        root, the one when poly(lo) < 0.  Let s = isqrt(D N^2).  When D is
+        not a square, sqrt(D N^2) is irrational, so j = (q + s)//r or
+        (q - s - 1)//r.  When it is, t = (q +- s)/r exactly, and an integer
+        t puts x on the grid of step m: some earlier step's midpoint was x,
+        and bisection collapsed there."""
+        c, b, a = self.coeffs
+        (a0, b0), d = clear_denominators((self.lo, self.hi))
+        step = b0 - a0
+        m = (step * width.denominator // (width.numerator * d)).bit_length()
+        n = d << m
+        dn2 = (b * b - 4 * a * c) * n * n
+        s = isqrt(dn2)
+        base = a0 << m
+        q, r = -b * n - 2 * a * base, 2 * a * step
+        larger = _scaled_value(self.coeffs, a0, d) < 0
+        if s * s != dn2:
+            j = (q + s) // r if larger else (q - s - 1) // r
+        else:
+            j, rest = divmod(q + s if larger else q - s, r)
+            if rest == 0:
+                mid, eps = Fraction(base + j * step, n), width / 4
+                return mid - eps, mid + eps
+        left = base + j * step
+        return Fraction(left, n), Fraction(left + step, n)
 
     def _bisection(self):
         """Yield the bisection intervals of the root as integer triples
@@ -403,15 +456,19 @@ class AlgebraicRoot:
         and hi_str one unit more.  The strings depend on x alone, not on the
         isolating interval.
 
-        Integer Newton steps from a bracket narrower than ``NEWTON_START``
-        propose the cell n, and an exact test decides it: n, n - 1 or n + 1
-        is taken only when poly changes sign on that cell clipped to (lo, hi),
-        or vanishes at its lower end.  If none passes, the interval is
-        bisected below 10^-digits and one grid point settles the cell."""
+        A quadratic's interval below 10^-digits comes in closed form from
+        ``refined_interval``, and one grid point settles the cell.  For
+        other degrees, integer Newton steps from a bracket narrower than
+        ``NEWTON_START`` propose the cell n, and an exact test decides it:
+        n, n - 1 or n + 1 is taken only when poly changes sign on that cell
+        clipped to (lo, hi), or vanishes at its lower end.  If none passes,
+        the interval is bisected below 10^-digits and one grid point
+        settles the cell, as for a quadratic."""
         if digits < 1:
             raise DomainError("digits must be >= 1")
         scale = 10**digits
-        n = self._newton_cell(scale, -(-10 * digits // 3) + 16)
+        n = None if len(self.coeffs) == 3 else self._newton_cell(
+            scale, -(-10 * digits // 3) + 16)
         for cell in () if n is None else (n, n - 1, n + 1):
             if self._cell_holds_root(cell, scale):
                 break
@@ -476,14 +533,20 @@ class AlgebraicRoot:
         return va == 0 or va * _scaled_value(self.coeffs, *b) < 0
 
     def _cmp_fraction(self, x: Fraction) -> int:
-        xn, xd = x.numerator, x.denominator
-        if self.lo < x < self.hi and _scaled_value(self.coeffs, xn, xd) == 0:
-            # x is a rational root of poly inside the interval: the root itself
+        """The sign of root - x.  The ends decide an x outside (lo, hi).
+        Inside, the root is poly's only one, and poly changes sign there, so
+        poly(x) is 0 at the root and otherwise has poly's sign at lo
+        exactly when x lies below the root."""
+        lo = self.lo
+        if x <= lo:
+            return 1
+        if x >= self.hi:
+            return -1
+        v = _scaled_value(self.coeffs, x.numerator, x.denominator)
+        if v == 0:
             return 0
-        for a, b, d in self._bisection():
-            # x = xn/xd leaves (a/d, b/d), or the midpoint root (a == b) is not x
-            if not a * xd < xn * d < b * xd:
-                return -1 if b * xd <= xn * d else 1
+        at_lo = _scaled_value(self.coeffs, lo.numerator, lo.denominator)
+        return 1 if (v > 0) == (at_lo > 0) else -1
 
     def __lt__(self, other):
         if isinstance(other, AlgebraicRoot):
@@ -534,9 +597,12 @@ def real_roots(p: Polynomial) -> list:
     (README, library layout); any other p raises DomainError.  By Descartes'
     rule of signs such a p has exactly one positive root, and it is simple.
     On the primitive integers, with a positive lead, a0 < 0.  A quadratic
-    (c, b, a) then has a > 0 > c, so D = b^2 - 4ac > 0 and x = (r - b)/2a
-    when D = r^2; otherwise x lies strictly inside (n/d, (n+1)/d) with
-    n = -b 2^16 + isqrt(D 4^16) and d = a 2^17, narrower than NEWTON_START.
+    (c, b, a) then has a > 0 > c, so D = b^2 - 4ac > 0.  One isqrt
+    s = isqrt(D 4^16) serves twice: r = s >> 16 is isqrt(D), and
+    x = (r - b)/2a when D = r^2; otherwise x lies strictly inside
+    (n/d, (n+1)/d) with n = -b 2^16 + s and d = a 2^17, narrower than
+    NEWTON_START, and the AlgebraicRoot is built on the integer list
+    already at hand.
     A cubic's x is the first candidate +num/den (num | a0, den | an) that
     trial division finds, or else the root in (0, bound/an).
 
@@ -556,11 +622,13 @@ def real_roots(p: Polynomial) -> list:
         if p(-pb / (2 * pa)) * pa >= 0:
             raise ConsistencyError("%r does not change sign at its vertex" % (p,))
         disc = b * b - 4 * a * c
-        r = integer_sqrt_exact(disc)
-        if r is not None:
+        # one isqrt: s = floor(sqrt(D) 2^16), so r = s >> 16 = isqrt(D)
+        s = isqrt(disc << 32)
+        r = s >> 16
+        if r * r == disc:
             return [Fraction(r - b, 2 * a)]
-        n, d = (-b << 16) + isqrt(disc << 32), a << 17
-        return [AlgebraicRoot(p, Fraction(n, d), Fraction(n + 1, d))]
+        n, d = (-b << 16) + s, a << 17
+        return [AlgebraicRoot(ints, Fraction(n, d), Fraction(n + 1, d))]
     a0, an = ints[0], ints[-1]
     # every root z has |z| < bound/an (Cauchy), and num/den with
     # gcd(num, den) > 1 repeats its reduced form

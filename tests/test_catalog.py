@@ -420,6 +420,24 @@ class TestCliJoin:
         assert (code, out) == (2, "")
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--k", "1/2"], "need k > 1"),
+        (["--w-bound", "1"], "w_bound must be >= 2"),
+        (["--w", "4,2"], "weights must be coprime"),
+        (["--w", "2,5"], "need w1 > w2 >= 1"),
+        (["--k-list", "2,1/2"], "need k > 1"),
+    ], ids=["k-not-above-1", "w-bound-below-2", "w-not-coprime", "w-not-descending",
+            "k-list-entry-not-above-1"])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+    def test_homogeneous_case_range_checks_its_weights(self, flags, message, json_flag,
+                                                       capsys):
+        # the same exit, output and message as a join that builds records
+        expected = run_cli(["join", "--p", "13", "--q", "8"] + flags + json_flag, capsys)
+        got = run_cli(["join", "--p", "1", "--q", "0"] + flags + json_flag, capsys)
+        assert got == expected
+        code, out, err = got
+        assert (code, out) == (2, "") and err.startswith("error: " + message)
+
     def test_homogeneous_case_with_one_weight_source(self, capsys):
         _, plain, _ = run_cli(["join", "--p", "1", "--q", "0"], capsys)
         for flags in (["--k", "3/2"], ["--w", "5,2"], ["--w-bound", str(MAX_W_BOUND)]):

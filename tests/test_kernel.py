@@ -551,6 +551,11 @@ def test_algebraic_root_validation():
         AlgebraicRoot(p, 2, 3)          # no sign change
     with pytest.raises(DomainError):
         AlgebraicRoot(p, -2, 2)         # two roots
+    # a list is taken as primitive integer coefficients, and checked as such
+    assert AlgebraicRoot([-2, 0, 1], 1, 2).coeffs == AlgebraicRoot(p, 1, 2).coeffs
+    for coeffs in ([2, 0, -1], [-4, 0, 2], [-2, 0, 1, 0], []):
+        with pytest.raises(DomainError):
+            AlgebraicRoot(coeffs, 1, 2)
 
 
 def test_algebraic_root_refinement_pure():
@@ -829,6 +834,57 @@ def test_integer_bisection_midpoint_root(poly, lo, hi, root):
         assert r._cmp_fraction(x) == _fraction_cmp(r, x)
 
 
+@st.composite
+def quadratic_roots(draw):
+    """Both roots of a drawn quadratic with distinct real roots, each on an
+    isolating interval with non-dyadic ends: the side of its vertex v in the
+    Cauchy box (-m, m), shrunk towards an inner bisection bracket.  One draw
+    in three is reducible, (u1 - v1 z)(u2 - v2 z), with rational roots."""
+    if draw(st.integers(0, 2)) == 0:
+        u1, u2 = draw(st.integers(-60, 60)), draw(st.integers(-60, 60))
+        v1, v2 = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+        assume(u1 * v2 != u2 * v1)
+        p = Polynomial((u1, -v1)) * Polynomial((u2, -v2))
+    else:
+        c, b, a = (draw(st.integers(-10**4, 10**4)) for _ in range(3))
+        assume(a and b * b - 4 * a * c > 0)
+        p = Polynomial((c, b, a))
+    _, b, a = p.coeffs
+    v, m = -b / (2 * a), _cauchy(p)
+    roots = []
+    for lo, hi in ((-m, v), (v, m)):
+        root = AlgebraicRoot(p, lo, hi)
+        inner_lo, inner_hi = _fraction_bisection(root, (hi - lo) / 8)
+        f1, f2 = (draw(st.fractions(0, 1, max_denominator=999)) for _ in range(2))
+        roots.append(AlgebraicRoot(p, lo + (inner_lo - lo) * f1, hi - (hi - inner_hi) * f2))
+    return roots
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(quadratic_roots(), st.integers(0, 400), st.integers(0, 60))
+@example([AlgebraicRoot(Polynomial((-3, 5, 8)), 0, 1)], 40, 3)  # (8z - 3)(z + 1)
+# hi = -14142/10^4 lies within 1/(2 a d) = 10^-4 above the smaller root
+# -sqrt(2), where q - s is a multiple of r: j = (q - s - 1)//r = 0
+@example([AlgebraicRoot(Polynomial((-2, 0, 1)), -2, F(-14142, 10**4))], 0, 0)
+def test_quadratic_refinement_in_closed_form(roots, digits, halvings):
+    # the closed form reproduces Fraction bisection step for step at widths
+    # from 1 down to 10^-400, with no bisection, also for a rational root
+    # (a square discriminant): on (0, 1) the root 3/8 of (8z - 3)(z + 1) is
+    # the third midpoint, where the bisection collapses
+    for root in roots:
+        widths = (F(1), F(1, 10**digits), (root.hi - root.lo) / 2**halvings)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(AlgebraicRoot, "_bisection", pytest.fail)
+            intervals = [root.refined_interval(width) for width in widths]
+        assert intervals == [_fraction_bisection(root, width) for width in widths]
+        # both sides of the root at 2^-halvings of (lo, hi), and one side
+        # at 10^-digits
+        probes = (root.lo, root.hi, (root.lo + root.hi) / 2, root.lo - 1,
+                  root.hi + F(1, 3), intervals[1][0]) + intervals[2]
+        assert [root._cmp_fraction(x) for x in probes] == [
+            _fraction_cmp(root, x) for x in probes]
+
+
 # ------------------------------------------------------ canonical decimal cell
 
 
@@ -942,8 +998,9 @@ def test_roots_are_refined_only_to_print_digits(monkeypatch):
                                     "1.7478477657396181608648273246901858997657")
     assert t.decimal_bounds(40) == ("1.2197063340164078567239922342723212312558",
                                     "1.2197063340164078567239922342723212312559")
-    # one refinement per printed root, to the bracket that Newton starts from
-    assert calls == [F(1, 2**16)] * 2
+    # one refinement per printed root: the cubic's to the bracket that Newton
+    # starts from, the quadratic's in closed form to the printed cell
+    assert calls == [F(1, 2**16), F(1, 10**40)]
 
 
 def _plain_cell(root, digits):
@@ -994,17 +1051,19 @@ def test_newton_cells_match_plain_bisection(roots, digits):
         calls = _counted_refinements(patch)
         cells = [_cell(*root.decimal_bounds(digits), digits) for root in roots]
     assert cells == [_plain_cell(root, digits) for root in roots]
-    # Newton's cell passed the exact test: no root fell back to bisection
-    assert calls == [F(1, 2**16)] * len(roots)
+    # a cubic's Newton cell passed the exact test, so no cubic root fell back
+    # to bisection; a quadratic's root is refined once, to the printed cell
+    assert calls == [F(1, 2**16) if len(root.coeffs) == 4 else F(1, 10**digits)
+                     for root in roots]
 
 
 @pytest.mark.parametrize("hi,digits", [(3, 40), (1 + F(1, 2**20), 1)])
 def test_decimal_bounds_falls_back_to_bisection(monkeypatch, hi, digits):
-    # roots 1 +- sqrt(2)*10^-15 about the critical point 1 of poly.  On
-    # (1, 3), from the vertex to the Cauchy bound, Newton nears the double
+    # (z - 1)^2 (z + 1) - 4*10^-30 has roots 1 +- sqrt(2)*10^-15 about its
+    # critical point 1, and one near -1.  On (1, 3) Newton nears the double
     # root only linearly and its 40-digit cells fail the exact test; on
     # (1, 1 + 2^-20) its first iterate at 20 bits is 1, where poly' = 0
-    root = AlgebraicRoot(Polynomial((1 - F(2, 10**30), -2, 1)), 1, hi)
+    root = AlgebraicRoot(Polynomial((1 - F(4, 10**30), -1, -1, 1)), 1, hi)
     calls = _counted_refinements(monkeypatch)
     assert _cell(*root.decimal_bounds(digits), digits) == _plain_cell(root, digits)
     assert calls == [F(1, 2**16), F(1, 10**digits)]
@@ -1204,14 +1263,15 @@ def test_trial_division_stops_at_the_first_root(monkeypatch):
     assert len(calls) == 4 and calls[-1] == 2
 
 
-def test_ray_ratio_scales_its_quadratic_to_integers_twice(monkeypatch):
-    # once in real_roots and once in the AlgebraicRoot build
+def test_ray_ratio_scales_its_quadratic_to_integers_once(monkeypatch):
+    # in real_roots, which builds the AlgebraicRoot from that integer list
     calls = []
     primitive = kernel._primitive_ints
     monkeypatch.setattr(kernel, "_primitive_ints", lambda c: calls.append(c) or primitive(c))
     ratio, quad = ray_ratio(13, 5)
     assert isinstance(ratio, AlgebraicRoot)
-    assert calls == [quad.coeffs] * 2
+    assert calls == [quad.coeffs]
+    assert ratio.coeffs == tuple(primitive(quad.coeffs))
 
 
 def test_irregular_record_certifies_one_root(monkeypatch):
