@@ -9,10 +9,12 @@ Subcommands:
   profile       tabulate the Einstein profile of an exported record
   export        write a batch of records as JSON or CSV
 
-Exit codes: 0 success, 1 verification or construction failure, 2 usage error
-(including an input over one of the bounds MAX_GRID, MAX_W_BOUND,
-MAX_FAMILY and MAX_YPQ below, and an F_coeffs list of other than
-catalog.F_COEFFS entries).
+Exit codes: 0 success, 1 verification or construction failure, or output
+that cannot be written (an --out path, or standard output whose reader has
+closed the pipe, as in ``sejoin ... | head -1``, which prints no
+traceback), 2 usage error (including an input over one of the bounds
+MAX_GRID, MAX_W_BOUND, MAX_FAMILY and MAX_YPQ below, and an F_coeffs list
+of other than catalog.F_COEFFS entries).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -393,12 +396,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if limit and digits > limit:
             raise DomainError("--digits must be <= %d, got %d" % (limit, digits))
-        return args.func(args)
+        code = args.func(args)
+        # a closed pipe raises here, not in the flush at interpreter exit
+        sys.stdout.flush()
+        return code
     except DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to /dev/null, so
+        # the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

@@ -23,9 +23,8 @@ sequence on the coefficient list that its caller scaled to integers once,
 whose signs are read by integer Horner evaluation, with no Fraction built.
 Each ``AlgebraicRoot`` certifies its interval by one Sturm count, except a
 scaled root s*x (``AlgebraicRoot.scaled``), which inherits the certificate
-of x.  A quadratic root's decimal cell comes from the closed-form interval
-that bisection below 10^-d would end on, one isqrt of the discriminant
-scaled to its grid, and one exact sign test at a grid point.  For other
+of x.  A quadratic root's decimal cell is read off the isqrt cell that
+``_quadratic_cell`` puts it in, on a grid that 10^-d divides.  For other
 degrees, ``decimal_bounds`` proposes the cell by integer Newton steps,
 whose precision about doubles each step, and accepts it only on an exact
 sign test, so a d-digit cell costs O(log d) evaluations instead of the
@@ -302,6 +301,23 @@ def _scaled_value(coeffs, m: int, d: int) -> int:
     return acc
 
 
+def _quadratic_cell(coeffs, n: int, larger: bool):
+    """(j, d, exact) for the larger root x of a z^2 + b z + c, or the
+    smaller one, given its integer coefficients (c, b, a) with a > 0 and
+    D = b^2 - 4ac > 0: d = 2an and j = floor(x d), by one isqrt.
+
+    x d = -b n +- sqrt(D n^2), so with s = isqrt(D n^2), ``exact`` (D is a
+    square) means x = j/d; otherwise sqrt(D n^2) is irrational and x lies
+    strictly inside (j/d, (j + 1)/d), with j = -b n + s, or -b n - s - 1
+    for the smaller root."""
+    c, b, a = coeffs
+    dn2 = (b * b - 4 * a * c) * n * n
+    s = isqrt(dn2)
+    exact = s * s == dn2
+    j = -b * n + s if larger else -b * n - s - (not exact)
+    return j, 2 * a * n, exact
+
+
 class AlgebraicRoot:
     """A real algebraic number: the unique root of ``poly`` in (lo, hi).
 
@@ -372,12 +388,14 @@ class AlgebraicRoot:
         return out
 
     def refined_interval(self, width):
-        """The first bisection interval of (lo, hi) narrower than ``width``,
-        as (lo, hi), without mutating; a midpoint that is a root ends the
-        bisection as (mid - width/4, mid + width/4).
+        """An isolating sub-interval (lo, hi) narrower than ``width``,
+        without mutating.
 
-        A quadratic skips the loop: ``_quadratic_interval`` computes the
-        same interval in closed form."""
+        A quadratic's is ``_quadratic_interval``: its isqrt cell, which no
+        point of the grid 1/N, N = ceil(1/width), lies inside.  Other
+        degrees take the first bisection interval narrower than ``width``;
+        a midpoint that is a root ends the bisection as
+        (mid - width/4, mid + width/4)."""
         width = Fraction(width)
         if width <= 0:
             raise DomainError("refinement width must be positive")
@@ -393,39 +411,20 @@ class AlgebraicRoot:
                 return Fraction(a, d), Fraction(b, d)
 
     def _quadratic_interval(self, width: Fraction):
-        """The interval that bisecting (lo, hi) = (a0/d, b0/d) below
-        ``width`` ends on, for poly = a z^2 + b z + c with a > 0.
-
-        Bisection stops after the first m halvings with
-        (b0 - a0)/(d 2^m) < width, i.e. 2^m > floor((b0 - a0)/(d width)).
-        The root x then lies in step j = floor(t) of the 2^m equal steps of
-        (lo, hi), t = (x N - a0 2^m)/(b0 - a0) with N = d 2^m.  With
-        x = (-b +- sqrt(D))/2a, t = (q +- sqrt(D N^2))/r for
-        q = -b N - 2a a0 2^m and r = 2a (b0 - a0) > 0, with + for the larger
-        root, the one when poly(lo) < 0.  Let s = isqrt(D N^2).  When D is
-        not a square, sqrt(D N^2) is irrational, so j = (q + s)//r or
-        (q - s - 1)//r.  When it is, t = (q +- s)/r exactly, and an integer
-        t puts x on the grid of step m: some earlier step's midpoint was x,
-        and bisection collapsed there."""
-        c, b, a = self.coeffs
-        (a0, b0), d = clear_denominators((self.lo, self.hi))
-        step = b0 - a0
-        m = (step * width.denominator // (width.numerator * d)).bit_length()
-        n = d << m
-        dn2 = (b * b - 4 * a * c) * n * n
-        s = isqrt(dn2)
-        base = a0 << m
-        q, r = -b * n - 2 * a * base, 2 * a * step
-        larger = _scaled_value(self.coeffs, a0, d) < 0
-        if s * s != dn2:
-            j = (q + s) // r if larger else (q - s - 1) // r
-        else:
-            j, rest = divmod(q + s if larger else q - s, r)
-            if rest == 0:
-                mid, eps = Fraction(base + j * step, n), width / 4
-                return mid - eps, mid + eps
-        left = base + j * step
-        return Fraction(left, n), Fraction(left + step, n)
+        """The cell (j/d, (j + 1)/d) of ``_quadratic_cell`` at
+        N = ceil(1/width), clipped to (lo, hi).  It is narrower than
+        width/2, and its ends are multiples of 1/d, d = 2aN, so no point of
+        the grid 1/N lies inside it.  With a > 0, the root is the larger
+        one when poly(lo) < 0.  A rational root x gives
+        (x - width/4, x + width/4), clipped."""
+        lo, hi = self.lo, self.hi
+        larger = _scaled_value(self.coeffs, lo.numerator, lo.denominator) < 0
+        n = -(-width.denominator // width.numerator)
+        j, d, exact = _quadratic_cell(self.coeffs, n, larger)
+        if exact:
+            x, eps = Fraction(j, d), width / 4
+            return max(lo, x - eps), min(hi, x + eps)
+        return max(lo, Fraction(j, d)), min(hi, Fraction(j + 1, d))
 
     def _bisection(self):
         """Yield the bisection intervals of the root as integer triples
@@ -456,14 +455,15 @@ class AlgebraicRoot:
         and hi_str one unit more.  The strings depend on x alone, not on the
         isolating interval.
 
-        A quadratic's interval below 10^-digits comes in closed form from
-        ``refined_interval``, and one grid point settles the cell.  For
-        other degrees, integer Newton steps from a bracket narrower than
-        ``NEWTON_START`` propose the cell n, and an exact test decides it:
-        n, n - 1 or n + 1 is taken only when poly changes sign on that cell
-        clipped to (lo, hi), or vanishes at its lower end.  If none passes,
-        the interval is bisected below 10^-digits and one grid point
-        settles the cell, as for a quadratic."""
+        A quadratic's ``refined_interval(10^-digits)`` holds no grid point
+        k/10^digits inside it, so the cell is floor(lo * 10^digits), with
+        no sign test unless the root is rational.  For other degrees,
+        integer Newton steps from a bracket narrower than ``NEWTON_START``
+        propose the cell n, and an exact test decides it: n, n - 1 or
+        n + 1 is taken only when poly changes sign on that cell clipped to
+        (lo, hi), or vanishes at its lower end.  If none passes, the
+        interval is bisected below 10^-digits and one grid point inside it,
+        if any, settles the cell."""
         if digits < 1:
             raise DomainError("digits must be >= 1")
         scale = 10**digits
@@ -597,14 +597,13 @@ def real_roots(p: Polynomial) -> list:
     (README, library layout); any other p raises DomainError.  By Descartes'
     rule of signs such a p has exactly one positive root, and it is simple.
     On the primitive integers, with a positive lead, a0 < 0.  A quadratic
-    (c, b, a) then has a > 0 > c, so D = b^2 - 4ac > 0.  One isqrt
-    s = isqrt(D 4^16) serves twice: r = s >> 16 is isqrt(D), and
-    x = (r - b)/2a when D = r^2; otherwise x lies strictly inside
-    (n/d, (n+1)/d) with n = -b 2^16 + s and d = a 2^17, narrower than
-    NEWTON_START, and the AlgebraicRoot is built on the integer list
+    (c, b, a) then has a > 0 > c, so D = b^2 - 4ac > 0, and x is its
+    larger root: ``_quadratic_cell`` at N = 2^16 gives x = j/d when D is a
+    square, and otherwise the cell (j/d, (j+1)/d), d = 2aN, narrower than
+    NEWTON_START.  A cubic's x is the first candidate +num/den
+    (num | a0, den | an) that trial division finds, or else the root in
+    (0, bound/an).  Either AlgebraicRoot is built on the integer list
     already at hand.
-    A cubic's x is the first candidate +num/den (num | a0, den | an) that
-    trial division finds, or else the root in (0, bound/an).
 
     The name and the list are what the benchmark's tracer wraps and
     iterates over, so they stay although the list has one entry."""
@@ -615,20 +614,15 @@ def real_roots(p: Polynomial) -> list:
         raise DomainError("real_roots needs degree 2 or 3, p(0) != 0 and one "
                           "sign variation, got %r" % (p,))
     if len(ints) == 3:
-        c, b, a = ints
         # p(-b/2a) = c - b^2/4a has the sign of c, opposite to a.  This is the
         # workload ypq-census's one poly_eval, kept as a cross-check
         _, pb, pa = p.coeffs
         if p(-pb / (2 * pa)) * pa >= 0:
             raise ConsistencyError("%r does not change sign at its vertex" % (p,))
-        disc = b * b - 4 * a * c
-        # one isqrt: s = floor(sqrt(D) 2^16), so r = s >> 16 = isqrt(D)
-        s = isqrt(disc << 32)
-        r = s >> 16
-        if r * r == disc:
-            return [Fraction(r - b, 2 * a)]
-        n, d = (-b << 16) + s, a << 17
-        return [AlgebraicRoot(ints, Fraction(n, d), Fraction(n + 1, d))]
+        j, d, exact = _quadratic_cell(ints, 1 << 16, True)
+        if exact:
+            return [Fraction(j, d)]
+        return [AlgebraicRoot(ints, Fraction(j, d), Fraction(j + 1, d))]
     a0, an = ints[0], ints[-1]
     # every root z has |z| < bound/an (Cauchy), and num/den with
     # gcd(num, den) > 1 repeats its reduced form
@@ -644,4 +638,4 @@ def real_roots(p: Polynomial) -> list:
             # sweep-export's one poly_eval
             if p(cand) == 0:
                 return [cand]
-    return [AlgebraicRoot(p, 0, Fraction(bound, an))]
+    return [AlgebraicRoot(ints, 0, Fraction(bound, an))]

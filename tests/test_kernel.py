@@ -9,7 +9,7 @@ import random
 import signal
 from fractions import Fraction
 from functools import cmp_to_key
-from math import floor, gcd, isqrt
+from math import ceil, floor, gcd, isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -720,7 +720,8 @@ def test_repeated_factors_counted_once(c, linear, d, f, lo, hi):
 
 def _fraction_bisection(root, width):
     """Reference: the plain Fraction bisection that refined_interval must
-    reproduce step for step, midpoint-root collapse included."""
+    reproduce step for step, midpoint-root collapse included, for every
+    degree but 2."""
     lo, hi = root.lo, root.hi
     flo = root.poly(lo)
     while hi - lo >= width:
@@ -770,10 +771,30 @@ def _wide_surd_roots(p):
     return [_widened(r) for r in _surd_roots(p)]
 
 
+def _isqrt_cell(root, width):
+    """Reference for a quadratic's refined_interval(width): with
+    d = 2aN, N = ceil(1/width), the cell (j/d, (j + 1)/d) of j = floor(x d)
+    clipped to (lo, hi), found by Fraction bisection below 1/d and one
+    Fraction sign test at the grid point that its interval may hold; for a
+    rational root x, which is then j/d, (x - width/4, x + width/4) clipped."""
+    d = 2 * root.poly.coeffs[2] * ceil(1 / width)
+    lo, hi = _fraction_bisection(root, F(1, d))
+    j = floor(lo * d)
+    g = root.poly(F(j + 1, d))
+    if F(j + 1, d) < hi and (g == 0 or (g > 0) == (root.poly(lo) > 0)):
+        j += 1
+    x = F(j, d)
+    if root.poly(x) == 0:
+        return max(root.lo, x - width / 4), min(root.hi, x + width / 4)
+    return max(root.lo, x), min(root.hi, F(j + 1, d))
+
+
 def _assert_bisection_agrees(root, digits, probes=()):
-    # a decimal width, and a width that some bisection step meets exactly
+    # a decimal width, and a width that some bisection step meets exactly;
+    # a quadratic refines to its isqrt cell instead
+    reference = _isqrt_cell if len(root.coeffs) == 3 else _fraction_bisection
     for width in (F(1, 10**digits), (root.hi - root.lo) / 2**digits):
-        assert root.refined_interval(width) == _fraction_bisection(root, width)
+        assert root.refined_interval(width) == reference(root, width)
     for x in (root.lo, root.hi, (root.lo + root.hi) / 2) + tuple(probes):
         assert root._cmp_fraction(x) == _fraction_cmp(root, x)
 
@@ -863,20 +884,19 @@ def quadratic_roots(draw):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(quadratic_roots(), st.integers(0, 400), st.integers(0, 60))
 @example([AlgebraicRoot(Polynomial((-3, 5, 8)), 0, 1)], 40, 3)  # (8z - 3)(z + 1)
-# hi = -14142/10^4 lies within 1/(2 a d) = 10^-4 above the smaller root
-# -sqrt(2), where q - s is a multiple of r: j = (q - s - 1)//r = 0
+# hi = -14142/10^4 lies 10^-4 above the smaller root -sqrt(2), inside its
+# cell (-3/2, -1) at width 1, which is clipped to (-3/2, hi)
 @example([AlgebraicRoot(Polynomial((-2, 0, 1)), -2, F(-14142, 10**4))], 0, 0)
 def test_quadratic_refinement_in_closed_form(roots, digits, halvings):
-    # the closed form reproduces Fraction bisection step for step at widths
-    # from 1 down to 10^-400, with no bisection, also for a rational root
-    # (a square discriminant): on (0, 1) the root 3/8 of (8z - 3)(z + 1) is
-    # the third midpoint, where the bisection collapses
+    # the isqrt cell, with no bisection, at widths from 1 down to 10^-400,
+    # also for a rational root (a square discriminant): on (0, 1) the root
+    # 3/8 of (8z - 3)(z + 1) collapses to (3/8 - width/4, 3/8 + width/4)
     for root in roots:
         widths = (F(1), F(1, 10**digits), (root.hi - root.lo) / 2**halvings)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(AlgebraicRoot, "_bisection", pytest.fail)
             intervals = [root.refined_interval(width) for width in widths]
-        assert intervals == [_fraction_bisection(root, width) for width in widths]
+        assert intervals == [_isqrt_cell(root, width) for width in widths]
         # both sides of the root at 2^-halvings of (lo, hi), and one side
         # at 10^-digits
         probes = (root.lo, root.hi, (root.lo + root.hi) / 2, root.lo - 1,
@@ -1001,6 +1021,24 @@ def test_roots_are_refined_only_to_print_digits(monkeypatch):
     # one refinement per printed root: the cubic's to the bracket that Newton
     # starts from, the quadratic's in closed form to the printed cell
     assert calls == [F(1, 2**16), F(1, 10**40)]
+
+
+def test_quadratic_refinement_holds_no_grid_point():
+    # refined_interval(10^-d) of a Y^{p,q} ray ratio is its isqrt cell on a
+    # grid that 10^-d divides, so no k/10^d lies inside it, and the printed
+    # cell is floor(lo 10^d)
+    for p in range(2, 101):
+        for q in range(1, p):
+            if gcd(p, q) > 1:
+                continue
+            ratio, _ = ray_ratio(p, q)
+            if isinstance(ratio, Fraction):
+                continue
+            for digits in (1, 2, 7, 40):
+                scale = 10**digits
+                lo, hi = ratio.refined_interval(F(1, scale))
+                assert F(floor(lo * scale) + 1, scale) >= hi
+                assert ratio.decimal_bounds(digits)[0] == fraction_to_decimal(lo, digits)
 
 
 def _plain_cell(root, digits):
@@ -1272,6 +1310,17 @@ def test_ray_ratio_scales_its_quadratic_to_integers_once(monkeypatch):
     assert isinstance(ratio, AlgebraicRoot)
     assert calls == [quad.coeffs]
     assert ratio.coeffs == tuple(primitive(quad.coeffs))
+
+
+def test_se_ray_scales_its_cubic_to_integers_once(monkeypatch):
+    # in real_roots, which builds k's AlgebraicRoot from that integer list
+    calls = []
+    primitive = kernel._primitive_ints
+    monkeypatch.setattr(kernel, "_primitive_ints", lambda c: calls.append(c) or primitive(c))
+    ray = se_ray_from_w(5, 2)
+    assert isinstance(ray.k, AlgebraicRoot)
+    assert calls == [se_cubic(5, 2).coeffs]
+    assert ray.k.coeffs == tuple(primitive(se_cubic(5, 2).coeffs))
 
 
 def test_irregular_record_certifies_one_root(monkeypatch):
