@@ -43,6 +43,8 @@ CORPUS = [
     ("ypq-max-200.json", ["ypq", "--max", "200", "--json"]),
     ("join-7-3-k-list.json", ["join", "--p", "7", "--q", "3", "--k-list", "2,3,3/2,5/3",
                               "--json"]),
+    ("profile-13-8-k-2-grid-8.txt", ["profile", "--record", str(DATA / "join-13-8-k-2.json"),
+                                     "--grid", "8", "--decimal"]),
 ]
 
 
