@@ -76,23 +76,13 @@ class SERecord:
         return (self.ypq.p, self.ypq.q, self.w1, self.w2)
 
 
-def quasi_regular_factor(p: int, q: int) -> YpqEinstein:
-    """The solved first factor Y^{p,q}; DomainError if its ray is irrational."""
-    sol = solve(p, q)
-    if sol is None:
-        raise DomainError(
-            "(%d, %d) has no quasi-regular transverse-Einstein ray" % (p, q)
-        )
-    return sol
-
-
 def build_record(p: int, q: int, k=None, w=None) -> SERecord:
     """Derive the full record from raw inputs, with the canonical gluing pair.
 
     Exactly one of ``k`` (rational > 1) and ``w`` (coprime weight pair) must
     be given.
     """
-    sol = quasi_regular_factor(p, q)
+    sol = solve(p, q)
     if (k is None) == (w is None):
         raise DomainError("give exactly one of k and w")
     ((w1, w2),) = weight_pairs(k=k, w=w)
@@ -184,7 +174,7 @@ def enumerate_ypq(p_max: int) -> List[YpqEinstein]:
     """All solved quasi-regular first factors with p <= p_max."""
     if p_max < 2:
         raise DomainError("p_max must be >= 2")
-    return [quasi_regular_factor(p, q) for p in range(2, p_max + 1) for q in range(1, p)
+    return [solve(p, q) for p in range(2, p_max + 1) for q in range(1, p)
             if gcd(p, q) == 1 and is_quasi_regular(p, q)]
 
 

@@ -20,7 +20,9 @@ of other than catalog.F_COEFFS entries).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import os
 import sys
@@ -36,7 +38,6 @@ from .catalog import (
     export_records,
     family_k2,
     family_record,
-    quasi_regular_factor,
     record_to_dict,
     verify_paper_examples,
     weight_pairs,
@@ -45,6 +46,7 @@ from .catalog import (
 )
 from .kernel import DomainError, Polynomial, fraction_to_decimal
 from .metric import CalabiProfile
+from .ypq import solve
 
 # upper bound on profile --grid: the table is built in memory at about 0.5 KB
 # per point, so 10^5 steps need about 60 MB
@@ -199,7 +201,7 @@ def _record_args_to_records(args) -> List[SERecord]:
         return [build_record(args.p, args.q, k=value)]
     if name == "w":
         return [build_record(args.p, args.q, w=value)]
-    sol = quasi_regular_factor(args.p, args.q)
+    sol = solve(args.p, args.q)
     if name == "k_list":
         return enumerate_joins(sol, k_list=value)
     return enumerate_joins(sol, w_bound=value)
@@ -386,8 +388,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # argparse drops an error of its own --help write and exits by
+        # SystemExit, so the help is written here, where a closed pipe raises
+        shown = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(shown):
+                args = parser.parse_args(argv)
+        finally:
+            sys.stdout.write(shown.getvalue())
+            sys.stdout.flush()
         digits = getattr(args, "digits", 1)
         if digits < 1:
             raise DomainError("--digits must be >= 1, got %d" % digits)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 from .kernel import (
     AlgebraicRoot,
@@ -41,12 +41,6 @@ def _reduced_pq(p: int, q: int) -> Tuple[int, int]:
     return (p + q) // l, (p - q) // l
 
 
-def _ray_sqrt(p: int, q: int) -> Optional[int]:
-    """r >= 0 with r^2 = 4p^2 - 3q^2 for a valid pair, or None when that is
-    not a square: the transverse-Einstein ray is then irrational."""
-    return integer_sqrt_exact(4 * p * p - 3 * q * q)
-
-
 def einstein_integrand(p: int, q: int, v0, vinf) -> Polynomial:
     """The degree-2 polynomial in z whose vanishing integral over [-1, 1]
     characterises transverse-Einstein Reeb parameters (v0, vinf)."""
@@ -61,17 +55,14 @@ def ray_ratio(p: int, q: int) -> Tuple[Union[Fraction, AlgebraicRoot], Polynomia
     plus the quadratic it solves: 2*beta*t^2 + (alpha - beta)*t - 2*alpha = 0
     with alpha = (p+q)/l, beta = (p-q)/l, l = gcd(p+q, p-q).
 
-    The ratio is the quadratic's one positive root and is > 1 always; it is
-    a Fraction exactly when r^2 = 4p^2 - 3q^2 for an integer r, and is then
-    (r - q) / (2(p - q)).
+    The ratio is the quadratic's one positive root, found by real_roots, and
+    is > 1 always.  Its discriminant is 4(4p^2 - 3q^2)/l^2, so the ratio is
+    a Fraction exactly when 4p^2 - 3q^2 is a square, and is then read from
+    the exact isqrt cell of real_roots.
     """
     alpha, beta = _reduced_pq(p, q)
     quad = Polynomial((-2 * alpha, alpha - beta, 2 * beta))
-    r = _ray_sqrt(p, q)
-    if r is None:
-        (ratio,) = real_roots(quad)
-    else:
-        ratio = Fraction(r - q, 2 * (p - q))
+    (ratio,) = real_roots(quad)
     if not ratio > 1:
         raise ConsistencyError("ray ratio %r of (%d, %d) is not above 1" % (ratio, p, q))
     if isinstance(ratio, Fraction):
@@ -84,21 +75,16 @@ def ray_ratio(p: int, q: int) -> Tuple[Union[Fraction, AlgebraicRoot], Polynomia
 
 def einstein_ray(p: int, q: int) -> Tuple[int, int]:
     """Coprime positive pair (v2_0, v2_inf) spanning the rational
-    transverse-Einstein ray.  An irrational ray is rejected by the square
-    test of is_quasi_regular, before any root is isolated."""
-    if not is_quasi_regular(p, q):
-        raise DomainError(
-            "(%d, %d) is not quasi-regular; the Einstein ray is irrational" % (p, q)
-        )
-    ratio, _ = ray_ratio(p, q)
-    return ratio.numerator, ratio.denominator
+    transverse-Einstein ray; DomainError, from solve, if it is irrational."""
+    sol = solve(p, q)
+    return sol.v2_0, sol.v2_inf
 
 
 def is_quasi_regular(p: int, q: int) -> bool:
     """True iff the transverse-Einstein ray is rational, i.e. 4p^2 - 3q^2 is a
     perfect square."""
     _validate_pq(p, q)
-    return _ray_sqrt(p, q) is not None
+    return integer_sqrt_exact(4 * p * p - 3 * q * q) is not None
 
 
 def hirzebruch_quotient(p: int, q: int, v0: int, vinf: int) -> Tuple[int, int, int, int]:
@@ -152,13 +138,16 @@ class YpqEinstein:
         return b_hat, c_hat
 
 
-def solve(p: int, q: int) -> Optional[YpqEinstein]:
-    """Full quasi-regular solution for (p, q), or None if the ray is
-    irrational, which the square test of is_quasi_regular decides without
-    isolating a root."""
+def solve(p: int, q: int) -> YpqEinstein:
+    """Full quasi-regular solution for (p, q).  An irrational ray raises
+    DomainError, decided by the square test of is_quasi_regular before any
+    root is isolated."""
     if not is_quasi_regular(p, q):
-        return None
-    v0, vinf = einstein_ray(p, q)
+        raise DomainError(
+            "(%d, %d) has no quasi-regular transverse-Einstein ray" % (p, q)
+        )
+    ratio, _ = ray_ratio(p, q)
+    v0, vinf = ratio.numerator, ratio.denominator
     m2, m2_0, m2_inf, a = hirzebruch_quotient(p, q, v0, vinf)
     idx = fano_index(m2, v0, vinf, a)
     return YpqEinstein(
@@ -176,9 +165,9 @@ def family_member(k2: int) -> YpqEinstein:
         raise DomainError("family parameter must be a non-negative integer")
     p = 12 * k2 * k2 + 18 * k2 + 7
     q = 12 * k2 * k2 + 16 * k2 + 5
-    sol = solve(p, q)
-    if sol is None:
+    if not is_quasi_regular(p, q):
         raise ConsistencyError("family member k2=%d is not quasi-regular" % k2)
+    sol = solve(p, q)
     # closed forms the family is known to satisfy; cheap to re-assert
     if (sol.v2_0, sol.v2_inf) != (3 + 4 * k2, 2 * (1 + k2)):
         raise ConsistencyError("family ray mismatch at k2=%d" % k2)

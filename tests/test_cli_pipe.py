@@ -26,7 +26,10 @@ ENTRIES = {
     ["join", "--p", "13", "--q", "8", "--w", "2,1"],
     # about 290 KB, more than a 64 KB pipe buffer, written in one call
     ["export", "--p", "13", "--q", "8", "--w-bound", "30", "--format", "json"],
-], ids=("join", "export"))
+    # argparse writes the help and exits by SystemExit
+    ["--help"],
+    ["export", "--help"],
+], ids=("join", "export", "help", "export-help"))
 def test_closed_pipe_exits_1_without_a_traceback(entry, argv, unbuffered):
     # buffered, a short output first meets the closed pipe when it is flushed
     env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(

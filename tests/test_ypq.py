@@ -12,7 +12,7 @@ from math import gcd, isqrt
 
 import pytest
 
-from sejoin import ypq
+from sejoin import kernel, ypq
 from sejoin.catalog import enumerate_ypq
 from sejoin.cli import main
 from sejoin.kernel import (
@@ -22,6 +22,7 @@ from sejoin.kernel import (
     Polynomial,
     _primitive_ints,
     integrate_sym,
+    real_roots,
     sturm_chain,
 )
 from sejoin.ypq import (
@@ -130,6 +131,20 @@ class TestEinsteinRay:
         lo, hi = ratio.decimal_bounds(10)
         assert lo == "1.3027756377"
 
+    def test_rational_ratio_matches_closed_form(self):
+        # reference: when r^2 = 4p^2 - 3q^2, the ray quadratic's positive
+        # root is (r - q)/(2(p - q)); ray_ratio reads it from real_roots
+        pairs = []
+        for p in range(2, 3001):
+            for q in range(1, p):
+                d = 4 * p * p - 3 * q * q
+                r = isqrt(d)
+                if r * r == d and gcd(p, q) == 1:
+                    pairs.append((p, q, r))
+        assert len(pairs) == 828
+        for p, q, r in pairs:
+            assert ray_ratio(p, q)[0] == Fraction(r - q, 2 * (p - q))
+
     def test_integrand_vanishes_only_on_the_ray(self):
         assert integrate_sym(einstein_integrand(13, 8, 7, 5)) == 0
         assert integrate_sym(einstein_integrand(13, 8, 3, 2)) != 0
@@ -229,18 +244,26 @@ class TestSolve:
         assert (sol.a, sol.fano_index) == (36, 7)
 
     def test_irregular_returns_none(self):
-        assert solve(2, 1) is None
-        assert solve(13, 5) is None
+        # an irrational ray raises, with the text the CLI prints
+        for p, q in ((2, 1), (13, 5)):
+            with pytest.raises(DomainError) as exc:
+                solve(p, q)
+            assert str(exc.value) == (
+                "(%d, %d) has no quasi-regular transverse-Einstein ray" % (p, q))
 
     def test_square_test_alone_rejects_irrational(self, monkeypatch, capsys):
-        # the square test decides quasi-regularity, so no root of the ray
-        # quadratic is isolated; for p near 10^16 that isolation would
-        # trial-divide 2*alpha
-        def isolate(poly):
-            raise AssertionError("isolated a root of %r" % (poly,))
+        # the square test decides quasi-regularity, so no root of an
+        # irrational ray's quadratic is isolated; a rational ray still reads
+        # its ratio from real_roots
+        def exact_only(poly):
+            roots = real_roots(poly)
+            if isinstance(roots[0], AlgebraicRoot):
+                raise AssertionError("isolated a root of %r" % (poly,))
+            return roots
 
-        monkeypatch.setattr(ypq, "real_roots", isolate)
-        assert solve(13, 5) is None
+        monkeypatch.setattr(ypq, "real_roots", exact_only)
+        with pytest.raises(DomainError):
+            solve(13, 5)
         with pytest.raises(DomainError):
             einstein_ray(13, 5)
         assert (solve(13, 8).v2_0, solve(13, 8).v2_inf) == (7, 5)
@@ -249,6 +272,14 @@ class TestSolve:
         assert out == ""
         assert err == ("error: (10000000000000061, 2) has no quasi-regular "
                        "transverse-Einstein ray\n")
+
+    def test_solve_makes_two_square_tests(self, monkeypatch):
+        # one in is_quasi_regular and one for the isqrt cell in real_roots
+        calls = []
+        root = kernel.isqrt
+        monkeypatch.setattr(kernel, "isqrt", lambda n: calls.append(n) or root(n))
+        assert solve(13, 8).v2_0 == 7
+        assert len(calls) == 2
 
     def test_record_is_immutable(self):
         sol = solve(13, 8)
