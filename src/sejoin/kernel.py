@@ -4,7 +4,9 @@ Scalars are arbitrary-precision ``int`` and ``fractions.Fraction`` values,
 polynomials are dense coefficient tuples over Fraction, and irrational roots
 are carried as the primitive integer coefficients of a square-free
 polynomial with an isolating interval, refined only where a comparison or
-``decimal_bounds`` needs it.  No floats enter any computation.
+``decimal_bounds`` needs it.  No floats enter any computation: an
+``AlgebraicRoot`` takes int and Fraction operands only, and raises
+TypeError on anything else.
 
 ``real_roots`` returns the one positive root of a polynomial of degree 2 or
 3 with p(0) != 0 and one sign variation in its coefficients, as the SE
@@ -21,6 +23,10 @@ one integer numerator and one positive integer denominator with a single
 Fraction at the end, and ``sturm_chain`` is an integer pseudo-remainder
 sequence on the coefficient list that its caller scaled to integers once,
 whose signs are read by integer Horner evaluation, with no Fraction built.
+An ``AlgebraicRoot`` stores its interval as three integers (a, b, d),
+meaning (a/d, b/d), and its sign change, Sturm count, comparisons,
+clipping and scaling read them by cross-multiplication; only ``lo``,
+``hi`` and the returned ends of ``refined_interval`` are Fractions.
 Each ``AlgebraicRoot`` certifies its interval by one Sturm count, except a
 scaled root s*x (``AlgebraicRoot.scaled``), which inherits the certificate
 of x.  A quadratic root's decimal cell is read off the isqrt cell that
@@ -233,13 +239,16 @@ def sturm_chain(a: list) -> list:
     return chain
 
 
-def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
+def _sign_variations(chain, m: int, d: int) -> int:
+    """Sign variations of the integer chain ``chain`` at m/d, d > 0."""
+    variations, last = 0, 0
     for term in chain:
-        v = _scaled_value(term, x.numerator, x.denominator)
+        v = _scaled_value(term, m, d)
         if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+            if last and (v > 0) != (last > 0):
+                variations += 1
+            last = v
+    return variations
 
 
 def _deflate_root(p: Polynomial, r: Fraction) -> Polynomial:
@@ -266,7 +275,8 @@ def count_roots_open(p: Polynomial, lo, hi) -> int:
     # Sturm's theorem: with p nonzero at both ends, the chain counts distinct
     # roots even when p has repeated factors
     chain = sturm_chain(_content_free(ints))
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+    return (_sign_variations(chain, lo.numerator, lo.denominator)
+            - _sign_variations(chain, hi.numerator, hi.denominator))
 
 
 def sturm_positive_on(p: Polynomial, lo, hi) -> bool:
@@ -293,9 +303,8 @@ NEWTON_GUARD = 8
 def _scaled_value(coeffs, m: int, d: int) -> int:
     """d^deg * p(m/d) for p with integer coefficients ``coeffs`` (lowest
     degree first), by Horner's rule on integers; same sign as p(m/d), d > 0."""
-    acc = coeffs[-1]
-    dpow = d
-    for c in reversed(coeffs[:-1]):
+    acc, dpow = 0, 1
+    for c in reversed(coeffs):
         acc = acc * m + c * dpow
         dpow *= d
     return acc
@@ -318,29 +327,45 @@ def _quadratic_cell(coeffs, n: int, larger: bool):
     return j, 2 * a * n, exact
 
 
+def _rational(x, what: str):
+    """x, when it is an int or a Fraction; TypeError otherwise, so that no
+    float or string enters exact arithmetic as a rational."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    raise TypeError("%s must be an int or a Fraction, got %r" % (what, x))
+
+
 class AlgebraicRoot:
     """A real algebraic number: the unique root of ``poly`` in (lo, hi).
 
     The polynomial is stored once, as its primitive integer coefficients
     ``coeffs`` (lowest degree first, content 1, leading coefficient
     positive), and every sign test reads them by integer Horner evaluation;
-    ``poly`` is a read-only view of them as a Polynomial.  The invariant that
-    the interval isolates exactly one root (with a sign change) is checked at
+    ``poly`` is a read-only view of them as a Polynomial.  The isolating
+    interval is stored as three integers (a, b, d), meaning (a/d, b/d) with
+    d > 0, and every internal path reads those integers; ``lo`` and ``hi``
+    are read-only views of them as Fractions.  The invariant that the
+    interval isolates exactly one root (with a sign change) is checked at
     construction by a Sturm count, or carried over from x to s*x by
     ``scaled``, which counts nothing.  Refinement methods are pure: they
-    return data, never mutate.  It compares with rationals only: ``<`` or
-    ``>`` between two AlgebraicRoots raises TypeError, since bisecting two
-    intervals of one number never ends.
+    return data, never mutate.  It compares with rationals only, an int or
+    a Fraction: ``<`` or ``>`` with anything else, another AlgebraicRoot
+    included, raises TypeError, since bisecting two intervals of one number
+    never ends.
     """
 
-    __slots__ = ("coeffs", "lo", "hi")
+    __slots__ = ("coeffs", "_a", "_b", "_d")
 
     def __init__(self, poly, lo, hi):
-        """The root of ``poly`` in (lo, hi): a Polynomial, or the primitive
-        integer coefficients of one as a sequence (lowest degree first,
-        content 1, leading coefficient positive), which are used as given."""
-        lo, hi = Fraction(lo), Fraction(hi)
-        if not lo < hi:
+        """The root of ``poly`` in (lo, hi), each end an int or a Fraction:
+        ``poly`` is a Polynomial, or the primitive integer coefficients of
+        one as a sequence (lowest degree first, content 1, leading
+        coefficient positive), which are used as given."""
+        lo, hi = _rational(lo, "lo"), _rational(hi, "hi")
+        ld, hd = lo.denominator, hi.denominator
+        d = lcm(ld, hd)
+        a, b = lo.numerator * (d // ld), hi.numerator * (d // hd)
+        if not a < b:
             raise DomainError("empty isolating interval (%s, %s)" % (lo, hi))
         if isinstance(poly, Polynomial):
             coeffs = _primitive_ints(poly.coeffs)
@@ -348,18 +373,18 @@ class AlgebraicRoot:
             coeffs = poly
             if not coeffs or coeffs[-1] <= 0 or gcd(*coeffs) != 1:
                 raise DomainError("%r are not primitive integer coefficients" % (poly,))
-        if not coeffs or (_scaled_value(coeffs, lo.numerator, lo.denominator)
-                          * _scaled_value(coeffs, hi.numerator, hi.denominator) >= 0):
+        if not coeffs or _scaled_value(coeffs, a, d) * _scaled_value(coeffs, b, d) >= 0:
             raise DomainError("no sign change of %r on (%s, %s)" % (poly, lo, hi))
         # neither end is a root, so Sturm's theorem applies without deflation.
         # real_roots' roots need no count by Descartes' rule, but this is the
         # one sturm_chain call of the workloads sweep-export and ypq-census
         chain = sturm_chain(coeffs)
-        if _sign_variations(chain, lo) - _sign_variations(chain, hi) != 1:
+        if _sign_variations(chain, a, d) - _sign_variations(chain, b, d) != 1:
             raise DomainError("interval (%s, %s) does not isolate one root" % (lo, hi))
         object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "_a", a)
+        object.__setattr__(self, "_b", b)
+        object.__setattr__(self, "_d", d)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraicRoot is immutable")
@@ -368,63 +393,74 @@ class AlgebraicRoot:
     def poly(self) -> Polynomial:
         return Polynomial(self.coeffs)
 
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     def scaled(self, s) -> "AlgebraicRoot":
-        """The root s*x of poly(z/s) on (s*lo, s*hi), for s > 0.
+        """The root s*x of poly(z/s) on (s*lo, s*hi), for an int or Fraction
+        s > 0.
 
         z -> s*z maps the roots of poly to those of poly(z/s) in order and
         keeps the signs at the ends, so the scaled interval isolates s*x
         with a sign change as (lo, hi) isolates x: the certificate carries
-        over, and no Sturm count runs.  With s = n/d, n^deg * poly(z/s) has
-        the integer coefficients c_i * d^i * n^(deg - i)."""
-        s = Fraction(s)
-        if s <= 0:
+        over, and no Sturm count runs.  With s = n/m, n^deg * poly(z/s) has
+        the integer coefficients c_i * m^i * n^(deg - i), and the interval
+        is (n a/(m d), n b/(m d))."""
+        s = _rational(s, "scale factor")
+        n, m, deg = s.numerator, s.denominator, len(self.coeffs) - 1
+        if n <= 0:
             raise DomainError("scale factor must be positive, got %s" % (s,))
-        n, d, deg = s.numerator, s.denominator, len(self.coeffs) - 1
         out = object.__new__(AlgebraicRoot)
         object.__setattr__(out, "coeffs", tuple(_content_free(
-            [c * d**i * n**(deg - i) for i, c in enumerate(self.coeffs)])))
-        object.__setattr__(out, "lo", s * self.lo)
-        object.__setattr__(out, "hi", s * self.hi)
+            [c * m**i * n**(deg - i) for i, c in enumerate(self.coeffs)])))
+        object.__setattr__(out, "_a", n * self._a)
+        object.__setattr__(out, "_b", n * self._b)
+        object.__setattr__(out, "_d", m * self._d)
         return out
 
     def refined_interval(self, width):
-        """An isolating sub-interval (lo, hi) narrower than ``width``,
-        without mutating.
+        """An isolating sub-interval (lo, hi) of Fractions narrower than
+        ``width``, an int or a Fraction, without mutating.
 
         A quadratic's is ``_quadratic_interval``: its isqrt cell, which no
         point of the grid 1/N, N = ceil(1/width), lies inside.  Other
         degrees take the first bisection interval narrower than ``width``;
         a midpoint that is a root ends the bisection as
         (mid - width/4, mid + width/4)."""
-        width = Fraction(width)
-        if width <= 0:
+        width = _rational(width, "refinement width")
+        wn, wd = width.numerator, width.denominator
+        if wn <= 0:
             raise DomainError("refinement width must be positive")
         if len(self.coeffs) == 3:
-            return self._quadratic_interval(width)
-        wn, wd = width.numerator, width.denominator
+            return self._quadratic_interval(wn, wd)
         for a, b, d in self._bisection():
             if a == b:
                 # rational root: collapse to a tiny bracketing interval
-                mid, eps = Fraction(a, d), width / 4
+                mid, eps = Fraction(a, d), Fraction(wn, 4 * wd)
                 return mid - eps, mid + eps
             if (b - a) * wd < wn * d:
                 return Fraction(a, d), Fraction(b, d)
 
-    def _quadratic_interval(self, width: Fraction):
-        """The cell (j/d, (j + 1)/d) of ``_quadratic_cell`` at
-        N = ceil(1/width), clipped to (lo, hi).  It is narrower than
-        width/2, and its ends are multiples of 1/d, d = 2aN, so no point of
-        the grid 1/N lies inside it.  With a > 0, the root is the larger
-        one when poly(lo) < 0.  A rational root x gives
+    def _quadratic_interval(self, wn: int, wd: int):
+        """The cell (j/e, (j + 1)/e) of ``_quadratic_cell`` at
+        N = ceil(1/width), width = wn/wd, clipped to (lo, hi).  It is
+        narrower than width/2, and its ends are multiples of 1/e, e = 2aN,
+        so no point of the grid 1/N lies inside it.  With a > 0, the root is
+        the larger one when poly(lo) < 0.  A rational root x gives
         (x - width/4, x + width/4), clipped."""
-        lo, hi = self.lo, self.hi
-        larger = _scaled_value(self.coeffs, lo.numerator, lo.denominator) < 0
-        n = -(-width.denominator // width.numerator)
-        j, d, exact = _quadratic_cell(self.coeffs, n, larger)
+        a, b, d = self._a, self._b, self._d
+        larger = _scaled_value(self.coeffs, a, d) < 0
+        j, e, exact = _quadratic_cell(self.coeffs, -(-wd // wn), larger)
         if exact:
-            x, eps = Fraction(j, d), width / 4
-            return max(lo, x - eps), min(hi, x + eps)
-        return max(lo, Fraction(j, d)), min(hi, Fraction(j + 1, d))
+            x, eps = Fraction(j, e), Fraction(wn, 4 * wd)
+            return max(self.lo, x - eps), min(self.hi, x + eps)
+        return (Fraction(j, e) if j * d > a * e else Fraction(a, d),
+                Fraction(j + 1, e) if (j + 1) * d < b * e else Fraction(b, d))
 
     def _bisection(self):
         """Yield the bisection intervals of the root as integer triples
@@ -435,7 +471,7 @@ class AlgebraicRoot:
         gcd.  A midpoint m/d that is a root ends the sequence with (m, m, d).
         """
         coeffs = self.coeffs
-        (a, b), d = clear_denominators((self.lo, self.hi))
+        a, b, d = self._a, self._b, self._d
         lo_positive = _scaled_value(coeffs, a, d) > 0
         while True:
             yield a, b, d
@@ -497,6 +533,7 @@ class AlgebraicRoot:
         each precision keeps NEWTON_GUARD bits over half the next.  Nothing
         here is trusted: the caller tests the cell exactly."""
         lo, hi = self.refined_interval(NEWTON_START)
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
         coeffs = self.coeffs
         deriv = [i * c for i, c in enumerate(coeffs)][1:]
         # the first step starts from the bracket's 17 or so correct bits
@@ -504,8 +541,7 @@ class AlgebraicRoot:
         while schedule[-1] > 32:
             schedule.append(schedule[-1] // 2 + NEWTON_GUARD)
         k = schedule[-1]
-        mid = (lo + hi) / 2
-        x = (mid.numerator << k) // mid.denominator
+        x = ((ln * hd + hn * ld) << k) // (2 * ld * hd)
         for step in reversed(schedule):
             x, k = x << (step - k), step
             slope = _scaled_value(deriv, x, 1 << k)
@@ -513,50 +549,49 @@ class AlgebraicRoot:
                 return None
             x -= _scaled_value(coeffs, x, 1 << k) // slope
             # kept in the bracket, so a diverging step cannot grow x
-            x = min(max(x, (lo.numerator << k) // lo.denominator),
-                    -((-hi.numerator << k) // hi.denominator))
+            x = min(max(x, (ln << k) // ld), -((-hn << k) // hd))
         return x * scale >> bits
 
     def _cell_holds_root(self, n: int, scale: int) -> bool:
         """True iff floor(x * scale) == n, decided exactly: the cell
         [n/scale, (n+1)/scale] clipped to (lo, hi) has a sign change of poly
         on its ends, or n/scale lies in (lo, hi) and is the root itself."""
-        lo, hi = self.lo, self.hi
-        a = ((n, scale) if n * lo.denominator > lo.numerator * scale
-             else (lo.numerator, lo.denominator))
-        b = ((n + 1, scale) if (n + 1) * hi.denominator < hi.numerator * scale
-             else (hi.numerator, hi.denominator))
-        if a[0] * b[1] >= b[0] * a[1]:
+        a, b, d = self._a, self._b, self._d
+        lo = (n, scale) if n * d > a * scale else (a, d)
+        hi = (n + 1, scale) if (n + 1) * d < b * scale else (b, d)
+        if lo[0] * hi[1] >= hi[0] * lo[1]:
             return False
-        # poly(lo) != 0, so a zero at a is the grid point n/scale in (lo, hi)
-        va = _scaled_value(self.coeffs, *a)
-        return va == 0 or va * _scaled_value(self.coeffs, *b) < 0
+        # poly(lo) != 0, so a zero at the clipped lower end is the grid
+        # point n/scale in (lo, hi)
+        va = _scaled_value(self.coeffs, *lo)
+        return va == 0 or va * _scaled_value(self.coeffs, *hi) < 0
 
-    def _cmp_fraction(self, x: Fraction) -> int:
-        """The sign of root - x.  The ends decide an x outside (lo, hi).
-        Inside, the root is poly's only one, and poly changes sign there, so
-        poly(x) is 0 at the root and otherwise has poly's sign at lo
-        exactly when x lies below the root."""
-        lo = self.lo
-        if x <= lo:
+    def _cmp_fraction(self, x) -> int:
+        """The sign of root - x, for an int or Fraction x.  The ends decide
+        an x outside (lo, hi), by cross-multiplication.  Inside, the root is
+        poly's only one, and poly changes sign there, so poly(x) is 0 at the
+        root and otherwise has poly's sign at lo exactly when x lies below
+        the root."""
+        xn, xd = x.numerator, x.denominator
+        a, b, d = self._a, self._b, self._d
+        if xn * d <= a * xd:
             return 1
-        if x >= self.hi:
+        if xn * d >= b * xd:
             return -1
-        v = _scaled_value(self.coeffs, x.numerator, x.denominator)
+        v = _scaled_value(self.coeffs, xn, xd)
         if v == 0:
             return 0
-        at_lo = _scaled_value(self.coeffs, lo.numerator, lo.denominator)
-        return 1 if (v > 0) == (at_lo > 0) else -1
+        return 1 if (v > 0) == (_scaled_value(self.coeffs, a, d) > 0) else -1
 
     def __lt__(self, other):
-        if isinstance(other, AlgebraicRoot):
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self._cmp_fraction(Fraction(other)) < 0
+        return self._cmp_fraction(other) < 0
 
     def __gt__(self, other):
-        if isinstance(other, AlgebraicRoot):
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self._cmp_fraction(Fraction(other)) > 0
+        return self._cmp_fraction(other) > 0
 
     def __repr__(self):
         return "AlgebraicRoot(%r, (%s, %s))" % (self.poly, self.lo, self.hi)
@@ -615,9 +650,10 @@ def real_roots(p: Polynomial) -> list:
                           "sign variation, got %r" % (p,))
     if len(ints) == 3:
         # p(-b/2a) = c - b^2/4a has the sign of c, opposite to a.  This is the
-        # workload ypq-census's one poly_eval, kept as a cross-check
-        _, pb, pa = p.coeffs
-        if p(-pb / (2 * pa)) * pa >= 0:
+        # workload ypq-census's one poly_eval, kept as a cross-check; ints is
+        # a multiple of p, so it has p's vertex, and p(v) * lead >= 0 is read
+        # on the numerators
+        if p(Fraction(-ints[1], 2 * ints[2])).numerator * p.coeffs[2].numerator >= 0:
             raise ConsistencyError("%r does not change sign at its vertex" % (p,))
         j, d, exact = _quadratic_cell(ints, 1 << 16, True)
         if exact:

@@ -612,6 +612,30 @@ def test_algebraic_root_immutable():
         r.lo = F(0)
 
 
+@pytest.mark.parametrize("lo,hi,width", [(1.0, 1.5, 1e-5), ("1", "3/2", "1/100000")])
+def test_algebraic_root_takes_ints_and_fractions_only(lo, hi, width):
+    # Fraction(x) would let a float or a string in as a rational
+    t, _ = ray_ratio(5, 2)
+    sqrt2 = Polynomial((-2, 0, 1))
+    for bad in (lo, hi, width):
+        with pytest.raises(TypeError):
+            t < bad
+        with pytest.raises(TypeError):
+            t > bad
+        with pytest.raises(TypeError):
+            t.scaled(bad)
+    with pytest.raises(TypeError):
+        t.refined_interval(width)
+    with pytest.raises(TypeError):
+        AlgebraicRoot(sqrt2, lo, 2)
+    with pytest.raises(TypeError):
+        AlgebraicRoot(sqrt2, 1, hi)
+    # the same values as Fractions are taken
+    assert t > F(lo) and t < F(hi) + 1
+    assert t.refined_interval(F(width)) == t.refined_interval(F(1, 10**5))
+    assert AlgebraicRoot(sqrt2, F(lo), F(hi)).decimal_bounds(3) == ("1.414", "1.415")
+
+
 # ----------------------------------------------------------- decimal strings
 
 
@@ -1358,3 +1382,103 @@ def test_real_roots_exact_order_below_float_resolution(monkeypatch):
     assert r in tried
     _checked_real_roots(p)
     assert root > F(1414213562373095048, 10**18) and root < r
+
+
+# ------------------------------------------------------- integer endpoints
+
+
+def _larger_root_cell(coeffs, n):
+    """(j/e, (j + 1)/e), e = 2an, the isqrt cell of the larger, irrational
+    root of the quadratic with integer coefficients (c, b, a), a > 0."""
+    c, b, a = coeffs
+    j, e = -b * n + isqrt((b * b - 4 * a * c) * n * n), 2 * a * n
+    return F(j, e), F(j + 1, e)
+
+
+class _FractionInterval:
+    """Reference: the answers of a root whose isolating interval (lo, hi) is
+    kept as two Fractions and read on Fractions.  A quadratic's larger root
+    refines to its isqrt cell (j/e, (j + 1)/e), e = 2aN, N = ceil(1/width),
+    clipped by max and min; any other degree by plain Fraction bisection.
+    Comparisons bisect on Fractions too, and the root s*x lies in
+    (s*lo, s*hi)."""
+
+    def __init__(self, root, lo, hi):
+        self.coeffs, self.poly, self.lo, self.hi = root.coeffs, root.poly, lo, hi
+
+    def refined_interval(self, width):
+        if self.poly.degree != 2:
+            return _fraction_bisection(self, width)
+        lo, hi = _larger_root_cell(self.coeffs, ceil(1 / F(width)))
+        return max(self.lo, lo), min(self.hi, hi)
+
+
+@st.composite
+def integer_endpoint_roots(draw):
+    """(root, reference) for an irrational root on the interval that
+    real_roots isolates it in: the SE cubic's k for coprime weights with
+    w1 <= 10^6 on (0, Cauchy bound), or a Y^{p,q} ray ratio with coprime
+    p <= 10^4 on its isqrt cell at N = 2^16."""
+    if draw(st.booleans()):
+        w1 = draw(st.integers(2, 10**6))
+        # trial division of the cubic costs about sqrt(w2) per divisor of w1
+        w2 = draw(st.integers(1, min(w1 - 1, 10**4)))
+        assume(gcd(w1, w2) == 1)
+        (root,) = real_roots(se_cubic(w1, w2))
+        assume(isinstance(root, AlgebraicRoot))
+        return root, _FractionInterval(root, F(0), _cauchy(root.poly))
+    p = draw(st.integers(2, 10**4))
+    q = draw(st.integers(1, p - 1))
+    assume(gcd(p, q) == 1)
+    root, _ = ray_ratio(p, q)
+    assume(isinstance(root, AlgebraicRoot))
+    return root, _FractionInterval(root, *_larger_root_cell(root.coeffs, 2**16))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    integer_endpoint_roots(),
+    st.integers(1, 10**6),
+    st.integers(0, 200),
+    st.integers(1, 200),
+    st.fractions(-1, 2, max_denominator=10**6),
+    st.fractions(F(1, 10**6), 10**6, max_denominator=10**6),
+)
+def test_integer_endpoints_match_fraction_endpoints(case, mantissa, places, digits, f, s):
+    root, ref = case
+    assert (root.lo, root.hi) == (ref.lo, ref.hi)
+    assert type(root.lo) is type(root.hi) is Fraction
+    # a drawn width, an int one and the interval's own width
+    for width in (F(mantissa, 10**places), mantissa, ref.hi - ref.lo):
+        assert root.refined_interval(width) == ref.refined_interval(width)
+    assert _cell(*root.decimal_bounds(digits), digits) == _plain_cell(ref, digits)
+    # the interval's ends, rationals inside and about it, and ints
+    probes = (ref.lo, ref.hi, (ref.lo + ref.hi) / 2, ref.lo + (ref.hi - ref.lo) * f,
+              floor(ref.lo), ceil(ref.hi)) + ref.refined_interval(F(1, 10**places))
+    for x in probes:
+        sign = _fraction_cmp(ref, x)
+        assert (root < x, root > x) == (sign < 0, sign > 0)
+    scaled = root.scaled(s)
+    assert (scaled.lo, scaled.hi) == (s * ref.lo, s * ref.hi)
+
+
+def test_irrational_ratio_builds_few_fractions(monkeypatch):
+    # the interval is kept, compared and printed on integers; what is left
+    # is the ray quadratic's Polynomial (3), the vertex and its value (2),
+    # the isqrt cell's ends (2), and the width and returned ends of the
+    # one refinement (3).  Python 3.12 and later build some arithmetic
+    # results without Fraction.__new__, so this is an upper bound
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    ratio, _ = ray_ratio(13, 5)
+    bounds = ratio.decimal_bounds(40)
+    monkeypatch.undo()
+    assert bounds == ("1.2197063340164078567239922342723212312558",
+                      "1.2197063340164078567239922342723212312559")
+    assert len(built) <= 10
