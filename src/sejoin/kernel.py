@@ -14,15 +14,19 @@ cubic and the Y^{p,q} quadratic are; by Descartes' rule of signs that root
 exists and is simple.  It raises DomainError on any other input.  One isqrt
 of a quadratic's discriminant decides whether the root is rational and
 otherwise gives it an interval narrower than NEWTON_START; a cubic's root
-is the first positive rational candidate that trial division finds, or else
-the root in (0, m) up to the Cauchy bound m.  ``AlgebraicRoot`` compares
-with rationals only, by one sign test inside its interval.
+is the first positive rational candidate that trial division finds, each
+tested on integers, or else the root on the first bisection interval of
+(0, m), m the Cauchy bound, narrower than NEWTON_START.  So that root,
+and its copy scaled by a factor below 1, starts ``decimal_bounds``' Newton
+steps with no bisection left.  ``AlgebraicRoot`` compares with rationals
+only, by one sign test inside its interval.
 
 The hot paths run on integers: ``Polynomial.__call__`` is Horner's rule on
 one integer numerator and one positive integer denominator with a single
 Fraction at the end, and ``sturm_chain`` is an integer pseudo-remainder
 sequence on the coefficient list that its caller scaled to integers once,
 whose signs are read by integer Horner evaluation, with no Fraction built.
+Trial division and bisection read the same integer evaluation.
 An ``AlgebraicRoot`` stores its interval as three integers (a, b, d),
 meaning (a/d, b/d), and its sign change, Sturm count, comparisons,
 clipping and scaling read them by cross-multiplication; only ``lo``,
@@ -71,6 +75,14 @@ def clear_denominators(values) -> Tuple[list, int]:
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
+def _rational(x, what: str):
+    """x, when it is an int or a Fraction; TypeError otherwise, so that no
+    float or string enters exact arithmetic as a rational."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    raise TypeError("%s must be an int or a Fraction, got %r" % (what, x))
+
+
 class Polynomial:
     """Dense univariate polynomial over Fraction.
 
@@ -81,7 +93,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [Fraction(_rational(c, "coefficient")) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -141,7 +153,8 @@ class Polynomial:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
             return Polynomial(out)
-        return Polynomial(c * Fraction(other) for c in self.coeffs)
+        other = _rational(other, "scalar")
+        return Polynomial(c * other for c in self.coeffs)
 
     __rmul__ = __mul__
 
@@ -226,12 +239,15 @@ def sturm_chain(a: list) -> list:
     flipped when lead(b)^(deg a - deg b + 1) < 0 and its content divided
     out.  Every term is therefore a positive multiple of the classical term
     (p, p', -rem, ...): sign-variation counts are the same, and the last
-    term is gcd(p, p') up to a positive constant.
+    term is gcd(p, p') up to a positive constant.  A constant term ends the
+    chain, since its remainder is zero.
     """
     b = _content_free([i * c for i, c in enumerate(a) if i > 0])
     chain = [a]
     while b:
         chain.append(b)
+        if len(b) == 1:
+            break
         r = _pseudo_remainder(a, b)
         if b[-1] > 0 or (len(a) - len(b)) % 2:
             r = [-v for v in r]
@@ -259,8 +275,9 @@ def _deflate_root(p: Polynomial, r: Fraction) -> Polynomial:
 
 
 def count_roots_open(p: Polynomial, lo, hi) -> int:
-    """Number of distinct real roots of p in the open interval (lo, hi)."""
-    lo, hi = Fraction(lo), Fraction(hi)
+    """Number of distinct real roots of p in the open interval (lo, hi), each
+    end an int or a Fraction."""
+    lo, hi = Fraction(_rational(lo, "lo")), Fraction(_rational(hi, "hi"))
     if not lo < hi:
         raise DomainError("empty interval (%s, %s)" % (lo, hi))
     if p.is_zero():
@@ -282,9 +299,9 @@ def count_roots_open(p: Polynomial, lo, hi) -> int:
 def sturm_positive_on(p: Polynomial, lo, hi) -> bool:
     """True iff p has no root in the open interval (lo, hi) and p((lo+hi)/2) > 0.
 
-    Roots at the endpoints are allowed.
+    Roots at the endpoints are allowed; each end is an int or a Fraction.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = Fraction(_rational(lo, "lo")), Fraction(_rational(hi, "hi"))
     if not lo < hi:
         raise DomainError("empty interval (%s, %s)" % (lo, hi))
     if p.is_zero():
@@ -327,12 +344,30 @@ def _quadratic_cell(coeffs, n: int, larger: bool):
     return j, 2 * a * n, exact
 
 
-def _rational(x, what: str):
-    """x, when it is an int or a Fraction; TypeError otherwise, so that no
-    float or string enters exact arithmetic as a rational."""
-    if isinstance(x, (int, Fraction)):
-        return x
-    raise TypeError("%s must be an int or a Fraction, got %r" % (what, x))
+def _bisection(coeffs, a: int, b: int, d: int, wn: int, wd: int):
+    """The first bisection interval of (a/d, b/d) narrower than wn/wd, as an
+    integer triple (a, b, d), for the polynomial with integer coefficients
+    ``coeffs`` (lowest degree first) that changes sign once on (a/d, b/d).
+
+    Both ends share the denominator d, which doubles at each step, so a
+    step costs one integer Horner evaluation of d^deg * poly(m/d) and no
+    gcd.  A midpoint m/d that is a root ends the bisection with (m, m, d).
+    An interval narrower than wn/wd already is returned with no evaluation.
+    """
+    if (b - a) * wd < wn * d:
+        return a, b, d
+    lo_positive = _scaled_value(coeffs, a, d) > 0
+    while True:
+        m, d = a + b, 2 * d
+        v = _scaled_value(coeffs, m, d)
+        if v == 0:
+            return m, m, d
+        if (v > 0) != lo_positive:
+            a, b = 2 * a, m
+        else:
+            a, b = m, 2 * b
+        if (b - a) * wd < wn * d:
+            return a, b, d
 
 
 class AlgebraicRoot:
@@ -429,7 +464,8 @@ class AlgebraicRoot:
 
         A quadratic's is ``_quadratic_interval``: its isqrt cell, which no
         point of the grid 1/N, N = ceil(1/width), lies inside.  Other
-        degrees take the first bisection interval narrower than ``width``;
+        degrees take the first bisection interval of (lo, hi) narrower than
+        ``width``, which is (lo, hi) itself when that is narrower already;
         a midpoint that is a root ends the bisection as
         (mid - width/4, mid + width/4)."""
         width = _rational(width, "refinement width")
@@ -438,13 +474,12 @@ class AlgebraicRoot:
             raise DomainError("refinement width must be positive")
         if len(self.coeffs) == 3:
             return self._quadratic_interval(wn, wd)
-        for a, b, d in self._bisection():
-            if a == b:
-                # rational root: collapse to a tiny bracketing interval
-                mid, eps = Fraction(a, d), Fraction(wn, 4 * wd)
-                return mid - eps, mid + eps
-            if (b - a) * wd < wn * d:
-                return Fraction(a, d), Fraction(b, d)
+        a, b, d = _bisection(self.coeffs, self._a, self._b, self._d, wn, wd)
+        if a == b:
+            # rational root: collapse to a tiny bracketing interval
+            mid, eps = Fraction(a, d), Fraction(wn, 4 * wd)
+            return mid - eps, mid + eps
+        return Fraction(a, d), Fraction(b, d)
 
     def _quadratic_interval(self, wn: int, wd: int):
         """The cell (j/e, (j + 1)/e) of ``_quadratic_cell`` at
@@ -461,29 +496,6 @@ class AlgebraicRoot:
             return max(self.lo, x - eps), min(self.hi, x + eps)
         return (Fraction(j, e) if j * d > a * e else Fraction(a, d),
                 Fraction(j + 1, e) if (j + 1) * d < b * e else Fraction(b, d))
-
-    def _bisection(self):
-        """Yield the bisection intervals of the root as integer triples
-        (a, b, d), meaning (a/d, b/d), starting from (lo, hi).
-
-        Both ends share the denominator d, which doubles at each step, so a
-        step costs one integer Horner evaluation of d^deg * poly(m/d) and no
-        gcd.  A midpoint m/d that is a root ends the sequence with (m, m, d).
-        """
-        coeffs = self.coeffs
-        a, b, d = self._a, self._b, self._d
-        lo_positive = _scaled_value(coeffs, a, d) > 0
-        while True:
-            yield a, b, d
-            m, d = a + b, 2 * d
-            v = _scaled_value(coeffs, m, d)
-            if v == 0:
-                yield m, m, d
-                return
-            if (v > 0) != lo_positive:
-                a, b = 2 * a, m
-            else:
-                a, b = m, 2 * b
 
     def decimal_bounds(self, digits: int = 40):
         """The one-unit decimal cell (lo_str, hi_str) containing the number x,
@@ -636,9 +648,13 @@ def real_roots(p: Polynomial) -> list:
     larger root: ``_quadratic_cell`` at N = 2^16 gives x = j/d when D is a
     square, and otherwise the cell (j/d, (j+1)/d), d = 2aN, narrower than
     NEWTON_START.  A cubic's x is the first candidate +num/den
-    (num | a0, den | an) that trial division finds, or else the root in
-    (0, bound/an).  Either AlgebraicRoot is built on the integer list
-    already at hand.
+    (num | a0, den | an) below the Cauchy bound m = bound/an with
+    den^3 * p(num/den) = 0, read on the integer list; only that root
+    becomes a Fraction.  With no rational root, x lies on the first
+    bisection interval of (0, m) narrower than NEWTON_START, so neither x
+    nor its copy scaled by a factor below 1 bisects again before
+    ``decimal_bounds``' Newton steps.  Either AlgebraicRoot is built on the
+    integer list already at hand.
 
     The name and the list are what the benchmark's tracer wraps and
     iterates over, so they stay although the list has one entry."""
@@ -650,7 +666,7 @@ def real_roots(p: Polynomial) -> list:
                           "sign variation, got %r" % (p,))
     if len(ints) == 3:
         # p(-b/2a) = c - b^2/4a has the sign of c, opposite to a.  This is the
-        # workload ypq-census's one poly_eval, kept as a cross-check; ints is
+        # one poly_eval of ypq-census and sweep-export, a cross-check; ints is
         # a multiple of p, so it has p's vertex, and p(v) * lead >= 0 is read
         # on the numerators
         if p(Fraction(-ints[1], 2 * ints[2])).numerator * p.coeffs[2].numerator >= 0:
@@ -669,9 +685,12 @@ def real_roots(p: Polynomial) -> list:
         for den in _divisors(an):
             if num * an >= bound * den or gcd(num, den) > 1:
                 continue
-            cand = Fraction(num, den)
-            # Polynomial.__call__, not _scaled_value: it is the workload
-            # sweep-export's one poly_eval
-            if p(cand) == 0:
-                return [cand]
-    return [AlgebraicRoot(ints, 0, Fraction(bound, an))]
+            if _scaled_value(ints, num, den) == 0:
+                return [Fraction(num, den)]
+    # every positive rational root was tried above, so no midpoint is a root
+    a, b, d = _bisection(ints, 0, bound, an, NEWTON_START.numerator,
+                         NEWTON_START.denominator)
+    if a == b:
+        raise ConsistencyError("%r vanishes at %s, which trial division missed"
+                               % (p, Fraction(a, d)))
+    return [AlgebraicRoot(ints, Fraction(a, d), Fraction(b, d))]

@@ -7,6 +7,7 @@ reproduces them bit-exactly, plus algebraic laws on random inputs.
 
 import random
 import signal
+import sys
 from fractions import Fraction
 from functools import cmp_to_key
 from math import ceil, floor, gcd, isqrt
@@ -99,6 +100,35 @@ def test_polynomial_divmod():
     q2, r2 = divmod(Polynomial((1, 0, 1)), Polynomial((0, 1)))
     assert q2.coeffs == (F(0), F(1))
     assert r2.coeffs == (F(1),)
+
+
+def test_polynomial_takes_ints_and_fractions_only():
+    # Fraction(x) would let a float or a string in as a rational
+    with pytest.raises(TypeError):
+        Polynomial((0.5, "1/3"))
+    for bad in (0.5, "1/3", 1e-3):
+        with pytest.raises(TypeError):
+            Polynomial((1, bad))
+        with pytest.raises(TypeError):
+            Polynomial((1, 1)) * bad
+        with pytest.raises(TypeError):
+            bad * Polynomial((1, 1))
+    assert (Polynomial((1, 1)) * F(1, 3)).coeffs == (F(1, 3), F(1, 3))
+
+
+def test_root_counts_take_ints_and_fractions_only():
+    sqrt2 = Polynomial((-2, 0, 1))
+    with pytest.raises(TypeError):
+        count_roots_open(sqrt2, 0.5, 2.0)
+    with pytest.raises(TypeError):
+        count_roots_open(sqrt2, F(1, 2), "2")
+    with pytest.raises(TypeError):
+        sturm_positive_on(Polynomial((1,)), "0", 1e-3)
+    with pytest.raises(TypeError):
+        sturm_positive_on(Polynomial((1,)), 0, 1e-3)
+    # the same ends as ints and Fractions are taken
+    assert count_roots_open(sqrt2, F(1, 2), 2) == 1
+    assert sturm_positive_on(Polynomial((1,)), 0, F(1, 1000))
 
 
 def test_polynomial_derivative_antiderivative():
@@ -295,6 +325,22 @@ def test_sturm_chain_is_positive_multiple_of_classical(base, factor, e):
     for term, ref in zip(chain, classical):
         c = term.leading() / ref.leading()
         assert c > 0 and term == ref * c
+
+
+@pytest.mark.parametrize("coeffs,prems,last", [
+    ((-2, 0, 1), 1, 0),            # z^2 - 2: p, p', then the constant
+    ((-15, -8, -1, 6), 2, 0),      # se_cubic(5, 2), square-free
+    ((0, 0, 1), 1, 1),             # z^2: the last term z is gcd(p, p')
+])
+def test_sturm_chain_stops_at_a_constant_term(monkeypatch, coeffs, prems, last):
+    # the remainder by a constant is zero, so it is not computed; a last
+    # term of positive degree is found by its zero remainder
+    calls = []
+    prem = kernel._pseudo_remainder
+    monkeypatch.setattr(kernel, "_pseudo_remainder",
+                        lambda a, b: calls.append(b) or prem(a, b))
+    chain = sturm_chain(list(coeffs))
+    assert len(calls) == prems and len(chain[-1]) - 1 == last
 
 
 # -------------------------------------------------------------- integrate_sym
@@ -529,10 +575,59 @@ def test_cubic_without_one_positive_root_rejected(coeffs):
         real_roots(Polynomial(coeffs))
 
 
+def _cauchy_bisection(p):
+    """Reference interval of an irrational cubic root: the Fraction
+    bisection of (0, m), m the Cauchy bound, down to NEWTON_START."""
+    return _fraction_bisection(AlgebraicRoot(p, 0, _cauchy(p)), kernel.NEWTON_START)
+
+
 def test_cubic_one_positive_root_among_three():
-    # z^3 - 3z - 1: roots near -1.53, -0.35 and 1.88
-    (root,) = _checked_real_roots(Polynomial((-1, -3, 0, 1)))
-    assert (root.lo, root.hi) == (0, 4)
+    # z^3 - 3z - 1: roots near -1.53, -0.35 and 1.88; the positive one is
+    # isolated by bisecting (0, 4) and not by the box (0, 4) itself
+    p = Polynomial((-1, -3, 0, 1))
+    (root,) = _checked_real_roots(p)
+    assert (root.lo, root.hi) == _cauchy_bisection(p)
+    assert F(187, 100) < root.lo < root.hi < F(189, 100)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 10**6), st.integers(1, 10**4))
+@example(5, 2)
+@example(10**6, 1)
+def test_cubic_root_interval_is_the_bisection_of_the_cauchy_box(w1, w2):
+    # narrower than NEWTON_START, inside (0, m), with a sign change, and the
+    # bisection of (0, m) to that width, built on integers
+    assume(w2 < w1 and gcd(w1, w2) == 1)
+    p = se_cubic(w1, w2)
+    (root,) = real_roots(p)
+    assume(isinstance(root, AlgebraicRoot))
+    assert root.hi - root.lo < kernel.NEWTON_START
+    assert 0 <= root.lo < root.hi <= _cauchy(p)
+    assert p(root.lo) * p(root.hi) < 0
+    assert (root.lo, root.hi) == _cauchy_bisection(p)
+
+
+def test_printed_cubic_roots_bisect_no_further(monkeypatch):
+    # k and its ratio k*w2/w1 start decimal_bounds' Newton steps from their
+    # own intervals, with no polynomial evaluated to get there
+    rays = [se_ray_from_w(*w) for w in ((5, 2), (7, 3), (35, 11), (10**6 + 1, 7))]
+
+    def evaluated(*args):
+        pytest.fail("evaluated %r" % (args,))
+
+    monkeypatch.setattr(kernel, "_scaled_value", evaluated)
+    monkeypatch.setattr(Polynomial, "__call__", evaluated)
+    for ray in rays:
+        for root in (ray.k, ray.ratio):
+            assert root.refined_interval(kernel.NEWTON_START) == (root.lo, root.hi)
+
+
+def test_missed_rational_root_is_a_consistency_error(monkeypatch):
+    # z^3 - 1 has its root 1 at the first midpoint of (0, 2); with no trial
+    # candidates the bisection meets it, which trial division rules out
+    monkeypatch.setattr(kernel, "_divisors", lambda n: [])
+    with pytest.raises(ConsistencyError, match="trial division missed"):
+        real_roots(Polynomial((-1, 0, 0, 1)))
 
 
 def test_real_roots_zero_poly_rejected():
@@ -852,11 +947,13 @@ def test_integer_bisection_matches_fraction_bisection(low, lead, digits, f1, f2)
 def test_integer_bisection_on_se_ray_roots(w):
     ray = se_ray_from_w(*w)
     (k,) = _checked_real_roots(se_cubic(*w))
-    assert (k.lo, k.hi) == (ray.k.lo, ray.k.hi) == (0, _cauchy(se_cubic(*w)))
-    # the ratio interval is w2/w1 times k's interval (0, m), with an upper
-    # end that is not dyadic
+    assert (k.lo, k.hi) == (ray.k.lo, ray.k.hi) == _cauchy_bisection(se_cubic(*w))
+    # the ratio interval is w2/w1 times k's interval, with an upper end
+    # that is not dyadic
+    s = F(w[1], w[0])
+    assert (ray.ratio.lo, ray.ratio.hi) == (s * k.lo, s * k.hi)
     d = ray.ratio.hi.denominator
-    assert ray.ratio.lo == 0 and d & (d - 1)
+    assert d & (d - 1)
     for root in (ray.k, ray.ratio):
         for digits in (1, 20, 60):
             _assert_bisection_agrees(root, digits)
@@ -918,7 +1015,7 @@ def test_quadratic_refinement_in_closed_form(roots, digits, halvings):
     for root in roots:
         widths = (F(1), F(1, 10**digits), (root.hi - root.lo) / 2**halvings)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(AlgebraicRoot, "_bisection", pytest.fail)
+            patch.setattr(kernel, "_bisection", pytest.fail)
             intervals = [root.refined_interval(width) for width in widths]
         assert intervals == [_isqrt_cell(root, width) for width in widths]
         # both sides of the root at 2^-halvings of (lo, hi), and one side
@@ -1132,8 +1229,8 @@ def test_decimal_bounds_falls_back_to_bisection(monkeypatch, hi, digits):
 
 
 def test_decimal_bounds_cost_grows_with_newton_steps(monkeypatch):
-    # 44 evaluations were measured: about 20 bisection steps down to the
-    # 2^-16 bracket, eleven Newton steps of two each and the cell test.
+    # 24 evaluations were measured: eleven Newton steps of two each and the
+    # cell test.  real_roots already bisected k down to the 2^-16 bracket.
     # One-bit bisection to 4000 digits needs about 13,300.
     calls = []
     scaled_value = kernel._scaled_value
@@ -1146,7 +1243,7 @@ def test_decimal_bounds_cost_grows_with_newton_steps(monkeypatch):
     monkeypatch.setattr(kernel, "_scaled_value", counted)
     lo, _ = k.decimal_bounds(4000)
     assert lo.startswith("1.7478477657396181608648273246901858997656")
-    assert len(calls) <= 88
+    assert len(calls) <= 48
 
 
 @pytest.mark.parametrize("coeffs,root", [
@@ -1280,18 +1377,35 @@ def test_pruned_trial_division_finds_every_rational_root(planted, extra, content
     assert [r for r in (root,) if isinstance(r, Fraction)] == positive
 
 
+def _trial_candidates(patch):
+    """The points num/den at which real_roots itself evaluates a cubic,
+    den^3 * p(num/den) on integers, while ``patch`` holds: its trial
+    candidates, in order.  Its bisection and the AlgebraicRoot build
+    evaluate from frames of their own.  Polynomial.__call__ fails the test,
+    so no candidate is tried on Fractions."""
+    tried = []
+    scaled_value = kernel._scaled_value
+
+    def recorded(coeffs, m, d):
+        if sys._getframe(1).f_code is kernel.real_roots.__code__:
+            tried.append(F(m, d))
+        return scaled_value(coeffs, m, d)
+
+    patch.setattr(kernel, "_scaled_value", recorded)
+    patch.setattr(Polynomial, "__call__", pytest.fail)
+    return tried
+
+
 def test_trial_division_tries_each_candidate_once(monkeypatch):
     # only +num/den is tried, and candidates with gcd(num, den) > 1 or at
     # least the Cauchy bound are skipped; trying every +-num/den took 396
     # evaluations, and +-num/den below the bound 202
-    calls = []
-    call = Polynomial.__call__
-    monkeypatch.setattr(Polynomial, "__call__", lambda self, x: calls.append(x) or call(self, x))
+    tried = _trial_candidates(monkeypatch)
     for w1 in range(2, 8):
         for w2 in range(1, w1):
             if gcd(w1, w2) == 1:
                 real_roots(se_cubic(w1, w2))
-    assert len(calls) == 101
+    assert len(tried) == 101
 
 
 def test_each_irrational_root_gets_one_sturm_count(monkeypatch):
@@ -1318,11 +1432,9 @@ def test_each_irrational_root_gets_one_sturm_count(monkeypatch):
 def test_trial_division_stops_at_the_first_root(monkeypatch):
     # one variation means one positive root: trial division of
     # se_cubic(34, 11) ends at the first root it finds, 2
-    calls = []
-    call = Polynomial.__call__
-    monkeypatch.setattr(Polynomial, "__call__", lambda self, x: calls.append(x) or call(self, x))
+    tried = _trial_candidates(monkeypatch)
     assert real_roots(se_cubic(34, 11)) == [F(2)]
-    assert len(calls) == 4 and calls[-1] == 2
+    assert len(tried) == 4 and tried[-1] == 2
 
 
 def test_ray_ratio_scales_its_quadratic_to_integers_once(monkeypatch):
@@ -1374,9 +1486,7 @@ def test_real_roots_exact_order_below_float_resolution(monkeypatch):
     # exact comparison orders it after the root sqrt(2)
     r = F(131836323, 93222358)
     p = Polynomial((-2, 0, 1)) * Polynomial((r.numerator, r.denominator))
-    tried = []
-    call = Polynomial.__call__
-    monkeypatch.setattr(Polynomial, "__call__", lambda self, x: tried.append(x) or call(self, x))
+    tried = _trial_candidates(monkeypatch)
     (root,) = real_roots(p)
     monkeypatch.undo()
     assert r in tried
@@ -1417,8 +1527,9 @@ class _FractionInterval:
 def integer_endpoint_roots(draw):
     """(root, reference) for an irrational root on the interval that
     real_roots isolates it in: the SE cubic's k for coprime weights with
-    w1 <= 10^6 on (0, Cauchy bound), or a Y^{p,q} ray ratio with coprime
-    p <= 10^4 on its isqrt cell at N = 2^16."""
+    w1 <= 10^6 on the bisection of (0, Cauchy bound) below NEWTON_START,
+    or a Y^{p,q} ray ratio with coprime p <= 10^4 on its isqrt cell at
+    N = 2^16."""
     if draw(st.booleans()):
         w1 = draw(st.integers(2, 10**6))
         # trial division of the cubic costs about sqrt(w2) per divisor of w1
@@ -1426,7 +1537,7 @@ def integer_endpoint_roots(draw):
         assume(gcd(w1, w2) == 1)
         (root,) = real_roots(se_cubic(w1, w2))
         assume(isinstance(root, AlgebraicRoot))
-        return root, _FractionInterval(root, F(0), _cauchy(root.poly))
+        return root, _FractionInterval(root, *_cauchy_bisection(root.poly))
     p = draw(st.integers(2, 10**4))
     q = draw(st.integers(1, p - 1))
     assume(gcd(p, q) == 1)
