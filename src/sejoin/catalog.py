@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .bott import is_log_fano
 from .join import (
@@ -80,11 +80,9 @@ def build_record(p: int, q: int, k=None, w=None) -> SERecord:
     """Derive the full record from raw inputs, with the canonical gluing pair.
 
     Exactly one of ``k`` (rational > 1) and ``w`` (coprime weight pair) must
-    be given.
+    be given; ``weight_pairs`` checks it.  A failed construction raises.
     """
     sol = solve(p, q)
-    if (k is None) == (w is None):
-        raise DomainError("give exactly one of k and w")
     ((w1, w2),) = weight_pairs(k=k, w=w)
     return _assemble(sol, w1, w2)
 
@@ -92,9 +90,15 @@ def build_record(p: int, q: int, k=None, w=None) -> SERecord:
 def weight_pairs(k=None, w=None, k_list=None, w_bound=None) -> List[Tuple[int, int]]:
     """The weight pairs (w1, w2) of the one weight choice given: w_from_k of
     a rational k or of each entry of k_list, the pair w, or every coprime
-    pair with w_bound >= w1 > w2 >= 1.  Every range check of the choice
-    (k > 1, coprime w1 > w2 >= 1, w_bound >= 2) runs here, so the
-    homogeneous join, which builds no record, rejects what any join does."""
+    pair with w_bound >= w1 > w2 >= 1.
+
+    This is the one gate of a weight choice: none or more than one raise
+    DomainError, and every range check of the choice (k > 1, coprime
+    w1 > w2 >= 1, w_bound >= 2) runs here, so the homogeneous join, which
+    builds no record, rejects what any join does."""
+    if sum(v is not None for v in (k, w, k_list, w_bound)) != 1:
+        raise DomainError("give exactly one weight choice: k (--k), w (--w), "
+                          "k_list (--k-list) or w_bound (--w-bound)")
     if k is not None:
         return [w_from_k(Fraction(k))]
     if w is not None:
@@ -178,19 +182,17 @@ def enumerate_ypq(p_max: int) -> List[YpqEinstein]:
             if gcd(p, q) == 1 and is_quasi_regular(p, q)]
 
 
-def enumerate_joins(sol: YpqEinstein, k_list: Optional[Sequence] = None,
-                    w_bound: Optional[int] = None) -> List[SERecord]:
-    """Records for a batch of weight choices: either explicit rational k
-    values or every coprime pair with w_bound >= w1 > w2 >= 1.
+def enumerate_joins(sol: YpqEinstein, k=None, w=None, k_list=None,
+                    w_bound=None) -> List[SERecord]:
+    """Records for the pairs of one weight choice, as ``weight_pairs`` reads
+    it: a single k or w gives a batch of one.
 
     Per-item failures (e.g. gluing-pair rejection) become error records
     rather than aborting the batch; a failed internal cross-check is kept
     apart by the prefix "ConsistencyError: " on its error text.
     """
-    if (k_list is None) == (w_bound is None):
-        raise DomainError("give exactly one of k_list and w_bound")
     records = []
-    for w1, w2 in weight_pairs(k_list=k_list, w_bound=w_bound):
+    for w1, w2 in weight_pairs(k=k, w=w, k_list=k_list, w_bound=w_bound):
         try:
             records.append(_assemble(sol, w1, w2))
         except (DomainError, ConsistencyError) as exc:

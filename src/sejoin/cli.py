@@ -2,7 +2,7 @@
 
 Subcommands:
   ypq           enumerate quasi-regular first factors up to a bound
-  join          build one join record from (p, q) and a weight choice
+  join          build join records from (p, q) and a weight choice
   family        build a member of the quadratic sub-family
   verify-paper  re-derive both worked examples and the family against
                 their recorded reference values
@@ -32,7 +32,6 @@ from typing import List, Optional
 from .catalog import (
     F_COEFFS,
     SERecord,
-    build_record,
     enumerate_joins,
     enumerate_ypq,
     export_records,
@@ -170,59 +169,40 @@ def _cmd_ypq(args) -> int:
 
 
 def _weight_source(args):
-    """The weight flags of join and export, checked and parsed: None when
-    none is given, else (attribute, parsed value) of the one given.  Two
-    sources, a value that does not parse or a --w-bound above MAX_W_BOUND
-    raise DomainError, before any record is built."""
-    given = [(name, getattr(args, name)) for name in ("k", "w", "k_list", "w_bound")
-             if getattr(args, name) is not None]
-    if len(given) > 1:
-        raise DomainError("give exactly one of --k, --w, --k-list, --w-bound")
-    if not given:
-        return None
-    name, value = given[0]
-    if name == "k":
-        value = _parse_rational(value)
-    elif name == "w":
-        value = _parse_pair(value)
-    elif name == "k_list":
-        value = [_parse_rational(t) for t in value.split(",")]
-    elif value > MAX_W_BOUND:
-        raise DomainError("--w-bound must be <= %d, got %d" % (MAX_W_BOUND, value))
-    return name, value
-
-
-def _record_args_to_records(args) -> List[SERecord]:
-    source = _weight_source(args)
-    if source is None:
-        raise DomainError("give exactly one of --k, --w, --k-list, --w-bound")
-    name, value = source
-    if name == "k":
-        return [build_record(args.p, args.q, k=value)]
-    if name == "w":
-        return [build_record(args.p, args.q, w=value)]
-    sol = solve(args.p, args.q)
-    if name == "k_list":
-        return enumerate_joins(sol, k_list=value)
-    return enumerate_joins(sol, w_bound=value)
+    """The weight flags of join and export that are given, parsed, as the
+    keyword arguments of catalog.weight_pairs, which checks that there is
+    exactly one.  A value that does not parse or a --w-bound above
+    MAX_W_BOUND raises DomainError, before any record is built."""
+    choice = {}
+    if args.k is not None:
+        choice["k"] = _parse_rational(args.k)
+    if args.w is not None:
+        choice["w"] = _parse_pair(args.w)
+    if args.k_list is not None:
+        choice["k_list"] = [_parse_rational(t) for t in args.k_list.split(",")]
+    if args.w_bound is not None:
+        if args.w_bound > MAX_W_BOUND:
+            raise DomainError("--w-bound must be <= %d, got %d"
+                              % (MAX_W_BOUND, args.w_bound))
+        choice["w_bound"] = args.w_bound
+    return choice
 
 
 def _cmd_join(args) -> int:
+    choice = _weight_source(args)
     if (args.p, args.q) == (1, 0):
         # round homogeneous structure; sits outside the p > q >= 1 theory,
-        # so no record is built, but the weight flags are parsed and
-        # range-checked as for any other join
-        source = _weight_source(args)
-        if source is not None:
-            name, value = source
-            weight_pairs(**{name: value})
+        # so no record is built, but the weight flags are range-checked as
+        # for any other join
+        if choice:
+            weight_pairs(**choice)
         if args.json:
             print(json.dumps({"homogeneous": True, "p": "1", "q": "0",
                               "note": "all parameters 1"}, sort_keys=True, indent=2))
         else:
             print("p=1 q=0  homogeneous case: all parameters 1, torsion trivial")
         return 0
-    records = _record_args_to_records(args)
+    records = enumerate_joins(solve(args.p, args.q), **choice)
     if args.json:
         sys.stdout.write(export_records(records, "json", args.digits))
     else:
@@ -302,7 +282,8 @@ def _cmd_export(args) -> int:
     else:
         if args.p is None or args.q is None:
             raise DomainError("export needs --family-t or --p/--q with a weight choice")
-        records = _record_args_to_records(args)
+        choice = _weight_source(args)
+        records = enumerate_joins(solve(args.p, args.q), **choice)
     if args.out is None:
         sys.stdout.write(export_records(records, args.format, args.digits))
     else:
@@ -402,8 +383,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if digits < 1:
             raise DomainError("--digits must be >= 1, got %d" % digits)
         # decimals are printed from ints, and Python refuses to print an int
-        # longer than this (0: no limit; the call is absent before 3.10.7)
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        # longer than this (0: no limit)
+        limit = sys.get_int_max_str_digits()
         if limit and digits > limit:
             raise DomainError("--digits must be <= %d, got %d" % (limit, digits))
         code = args.func(args)

@@ -1,5 +1,6 @@
 """Record assembly, enumeration, paper verification, export, and the CLI."""
 
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -16,9 +17,11 @@ from sejoin.catalog import (
     family_record,
     record_to_dict,
     verify_paper_examples,
+    weight_pairs,
     write_export,
 )
 from sejoin.cli import MAX_FAMILY, MAX_GRID, MAX_W_BOUND, MAX_YPQ, main
+from sejoin.join import w_from_k
 from sejoin.kernel import AlgebraicRoot, ConsistencyError, DomainError
 from sejoin.metric import CalabiProfile
 from sejoin.ypq import solve
@@ -226,6 +229,66 @@ class TestEnumerateJoins:
         code, out, _ = run_cli(["join", "--p", "13", "--q", "8", "--w-bound", "3"], capsys)
         assert code == 1
         assert "error: ConsistencyError: forced cross-check failure" in out
+
+
+# one value of each weight choice, as the library takes it and as CLI flags
+WEIGHT_CHOICES = {
+    "k": (2, ["--k", "2"]),
+    "w": ((5, 2), ["--w", "5,2"]),
+    "k_list": ([2], ["--k-list", "2"]),
+    "w_bound": (3, ["--w-bound", "3"]),
+}
+# no choice, and each of the 11 sets of two or more
+NOT_ONE_CHOICE = [names for n in (0, 2, 3, 4)
+                  for names in itertools.combinations(WEIGHT_CHOICES, n)]
+CHOICE_MESSAGE = ("give exactly one weight choice: k (--k), w (--w), "
+                  "k_list (--k-list) or w_bound (--w-bound)")
+
+
+class TestWeightGate:
+    @pytest.mark.parametrize("names", NOT_ONE_CHOICE,
+                             ids=lambda names: "+".join(names) or "none")
+    def test_not_exactly_one_choice(self, names, capsys):
+        assert len(NOT_ONE_CHOICE) == 12
+        kwargs = {name: WEIGHT_CHOICES[name][0] for name in names}
+        calls = [lambda: weight_pairs(**kwargs),
+                 lambda: enumerate_joins(solve(13, 8), **kwargs)]
+        if set(names) <= {"k", "w"}:
+            calls.append(lambda: build_record(13, 8, **kwargs))
+        for call in calls:
+            with pytest.raises(DomainError) as exc:
+                call()
+            assert str(exc.value) == CHOICE_MESSAGE
+        flags = [flag for name in names for flag in WEIGHT_CHOICES[name][1]]
+        expected = (2, "", "error: %s\n" % CHOICE_MESSAGE)
+        assert run_cli(["join", "--p", "13", "--q", "8"] + flags, capsys) == expected
+        assert run_cli(["export", "--p", "13", "--q", "8", "--format", "json"] + flags,
+                       capsys) == expected
+        if names:
+            assert run_cli(["join", "--p", "1", "--q", "0"] + flags, capsys) == expected
+
+    @pytest.mark.parametrize("k", ["2", "3/2", "5/3"])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+    @pytest.mark.parametrize("rejected", [False, True], ids=["built", "rejected"])
+    def test_single_k_is_a_batch_of_one(self, k, json_flag, rejected, monkeypatch,
+                                        capsys):
+        w1, w2 = w_from_k(Fraction(k))
+        if rejected:
+            def rejecting(s, *w):
+                assert w == (w1, w2)
+                raise DomainError("forced rejection")
+
+            monkeypatch.setattr(catalog, "_assemble", rejecting)
+        argv = ["join", "--p", "13", "--q", "8"]
+        single = run_cli(argv + ["--k", k] + json_flag, capsys)
+        assert single == run_cli(argv + ["--k-list", k] + json_flag, capsys)
+        code, out, err = single
+        assert (code, err) == (int(rejected), "")
+        if json_flag:
+            assert json.loads(out)[0]["w"] == [str(w1), str(w2)]
+        else:
+            assert "w=(%d,%d)" % (w1, w2) in out
+        assert ("forced rejection" in out) == rejected
 
 
 # ------------------------------------------------------------ verification

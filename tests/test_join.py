@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sejoin.catalog import enumerate_ypq
 from sejoin.join import (
     JoinQuotient,
     JoinSpec,
@@ -99,6 +100,17 @@ class TestJoinSpec:
     def test_rejects_bad_weights(self):
         with pytest.raises(DomainError):
             JoinSpec(YPQ_A, 4, 15, 11, 34)
+
+    def test_canonical_gluing_accepted_on_p_up_to_3000(self):
+        # canonical_l's l1 divides I and is coprime to l2, so gcd(I, m2) = 1
+        # gives gcd(l1, l2*m2) = 1: JoinSpec accepts every canonical gluing
+        # of these first factors, whatever the weights
+        sols = enumerate_ypq(3000)
+        assert len(sols) == 828
+        for sol in sols:
+            assert sol.m2 == sol.p
+            assert sol.fano_index == sol.v2_0 + sol.v2_inf
+            assert gcd(sol.fano_index, sol.m2) == 1
 
 
 class TestSmoothness:
