@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
-from .kernel import ConsistencyError, DomainError, clear_denominators
+from .kernel import ConsistencyError, DomainError, _rational, clear_denominators
 
 # basis tags: position i is "x" or "y" for the i-th basis element;
 # "xyx" means {x1, y2, x3}
@@ -44,7 +44,7 @@ class BottOrbifold:
         for name, val in (("b", b), ("c", c)):
             if not isinstance(val, (int, Fraction)):
                 raise DomainError("%s must be an integer or a Fraction, got %r" % (name, val))
-        mv = tuple(Fraction(x) for x in m)
+        mv = tuple(Fraction(_rational(x, "ramification value")) for x in m)
         if len(mv) != 6:
             raise DomainError("m must have six entries, got %d" % len(mv))
         if any(x <= 0 for x in mv):
@@ -71,7 +71,8 @@ class CohClass:
     def __post_init__(self):
         if self.basis not in BASES:
             raise DomainError("unknown basis %r" % (self.basis,))
-        object.__setattr__(self, "coeffs", tuple(Fraction(x) for x in self.coeffs))
+        coeffs = tuple(Fraction(_rational(x, "coefficient")) for x in self.coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
         if len(self.coeffs) != 3:
             raise DomainError("need exactly three coefficients")
 
@@ -174,7 +175,7 @@ def h3_matrix(orb: BottOrbifold, kahler_coeffs: Sequence) -> Tuple[List[List[Fra
     ``kahler_coeffs`` = (c1, c2, c3) are the x-basis coefficients of the
     polarizing class; all must be positive.
     """
-    c1, c2, c3 = (Fraction(x) for x in kahler_coeffs)
+    c1, c2, c3 = (Fraction(_rational(x, "class coefficient")) for x in kahler_coeffs)
     if c1 <= 0 or c2 <= 0 or c3 <= 0:
         raise DomainError("class coefficients must be positive")
     a, b, c = orb.abc

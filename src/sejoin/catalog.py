@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .bott import is_log_fano
 from .join import (
@@ -30,7 +30,7 @@ from .join import (
     w_from_k,
 )
 from .kernel import AlgebraicRoot, ConsistencyError, DomainError
-from .metric import CalabiData, CalabiProfile, ke_conditions, ke_profile
+from .metric import CalabiData, CalabiProfile, ke_profile
 from .topology import TorsionInvariant, h4_torsion, homotopy_distinct
 from .ypq import YpqEinstein, family_member, is_quasi_regular, solve
 
@@ -100,13 +100,13 @@ def weight_pairs(k=None, w=None, k_list=None, w_bound=None) -> List[Tuple[int, i
         raise DomainError("give exactly one weight choice: k (--k), w (--w), "
                           "k_list (--k-list) or w_bound (--w-bound)")
     if k is not None:
-        return [w_from_k(Fraction(k))]
+        return [w_from_k(k)]
     if w is not None:
         w1, w2 = w
         validate_w(w1, w2)
         return [(w1, w2)]
     if k_list is not None:
-        return [w_from_k(Fraction(k)) for k in k_list]
+        return [w_from_k(k) for k in k_list]
     if w_bound < 2:
         raise DomainError("w_bound must be >= 2")
     return [(w1, w2) for w1 in range(2, w_bound + 1) for w2 in range(1, w1)
@@ -140,22 +140,21 @@ def _assemble(sol: YpqEinstein, w1: int, w2: int) -> SERecord:
         notes.append("irregular ray: no quotient orbifold")
         return SERecord(torsion=torsion, notes=tuple(notes), **base)
     quotient = quotient_orbifold(spec, ray)
-    data = CalabiData.from_join(spec, ray, quotient)
-    ke1, ke2 = ke_conditions(data)
-    profile = ke_profile(data) if (ke1 and ke2) else None
-    log_fano = is_log_fano(quotient.bott())
-    # a positive Kaehler-Einstein quotient has c1^orb in the Kaehler cone
-    if ke1 and ke2 and not log_fano:
+    # every quasi-regular join is Kaehler-Einstein (README, known issues):
+    # ke_profile raises unless both KE identities hold, and a positive
+    # Kaehler-Einstein quotient has c1^orb in the Kaehler cone
+    profile = ke_profile(CalabiData.from_join(spec, ray, quotient))
+    if not is_log_fano(quotient.bott()):
         raise ConsistencyError(
             "Kaehler-Einstein quotient of (%d, %d) with w = (%d, %d) is not log Fano"
             % (sol.p, sol.q, w1, w2)
         )
     return SERecord(
         quotient=quotient,
-        r3=data.r3,
-        ke1=ke1,
-        ke2=ke2,
-        log_fano=log_fano,
+        r3=profile.r3,
+        ke1=True,
+        ke2=True,
+        log_fano=True,
         torsion=torsion,
         profile=profile,
         notes=tuple(notes),

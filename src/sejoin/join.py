@@ -21,6 +21,7 @@ from .kernel import (
     DegenerateEquationError,
     DomainError,
     Polynomial,
+    _rational,
     integrate_sym,
     real_roots,
 )
@@ -150,7 +151,7 @@ def se_ray_from_w(w1: int, w2: int) -> ReebRay:
 def w_from_k(k) -> Tuple[int, int]:
     """Coprime weights (w1, w2) realizing a chosen rational k > 1:
     w2/w1 = (3 + 2k + k^2) / (k(1 + 2k + 3k^2))."""
-    k = Fraction(k)
+    k = Fraction(_rational(k, "k"))
     if k <= 1:
         raise DomainError("need k > 1, got %s" % k)
     ratio = (3 + 2 * k + k * k) / (k * (1 + 2 * k + 3 * k * k))

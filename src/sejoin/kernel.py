@@ -26,7 +26,9 @@ one integer numerator and one positive integer denominator with a single
 Fraction at the end, and ``sturm_chain`` is an integer pseudo-remainder
 sequence on the coefficient list that its caller scaled to integers once,
 whose signs are read by integer Horner evaluation, with no Fraction built.
-Trial division and bisection read the same integer evaluation.
+Trial division and bisection read the same integer evaluation, and
+``count_roots_open`` deflates an endpoint root n/d by exact integer
+division by d z - n.
 An ``AlgebraicRoot`` stores its interval as three integers (a, b, d),
 meaning (a/d, b/d), and its sign change, Sturm count, comparisons,
 clipping and scaling read them by cross-multiplication; only ``lo``,
@@ -108,11 +110,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> Fraction:
-        if self.is_zero():
-            raise DomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __call__(self, x) -> Fraction:
         # Horner's rule on num/den, den > 0, for an int or Fraction x: no gcd
         # until the single Fraction at the end
@@ -157,23 +154,6 @@ class Polynomial:
         return Polynomial(c * other for c in self.coeffs)
 
     __rmul__ = __mul__
-
-    def __divmod__(self, other: "Polynomial"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.leading()
-        if len(rem) <= d:
-            return Polynomial(), Polynomial(rem)
-        quo = [Fraction(0)] * (len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            q = rem[i] / lead
-            quo[i - d] = q
-            if q:
-                for j in range(d + 1):
-                    rem[i - d + j] -= q * other.coeffs[j]
-        return Polynomial(quo), Polynomial(rem[:d])
 
     def derivative(self) -> "Polynomial":
         return Polynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
@@ -267,11 +247,22 @@ def _sign_variations(chain, m: int, d: int) -> int:
     return variations
 
 
-def _deflate_root(p: Polynomial, r: Fraction) -> Polynomial:
-    q, rem = divmod(p, Polynomial((-r, 1)))
-    if not rem.is_zero():
-        raise ConsistencyError("deflation by non-root %s" % (r,))
-    return q
+def _deflate(ints: list, n: int, d: int) -> list:
+    """The integer coefficients of p / (d z - n), for p with integer
+    coefficients ``ints`` (lowest degree first) and a root n/d in lowest
+    terms, d > 0.  By Gauss's lemma the quotient has integer coefficients,
+    found from the top by exact division by d; a nonzero remainder means
+    n/d is no root, and raises ConsistencyError."""
+    quo, q = [], 0
+    for c in reversed(ints):
+        q, rem = divmod(c + n * q, d)
+        if rem:
+            break
+        quo.append(q)
+    # the last step divides p(n/d) * d^deg by d, so it must leave 0
+    if rem or q:
+        raise ConsistencyError("deflation by non-root %s" % (Fraction(n, d),))
+    return quo[-2::-1]
 
 
 def count_roots_open(p: Polynomial, lo, hi) -> int:
@@ -285,9 +276,8 @@ def count_roots_open(p: Polynomial, lo, hi) -> int:
     ints = clear_denominators(p.coeffs)[0]
     for x in (lo, hi):
         while _scaled_value(ints, x.numerator, x.denominator) == 0:
-            p = _deflate_root(p, x)
-            ints = clear_denominators(p.coeffs)[0]
-    if p.degree < 1:
+            ints = _deflate(ints, x.numerator, x.denominator)
+    if len(ints) < 2:
         return 0
     # Sturm's theorem: with p nonzero at both ends, the chain counts distinct
     # roots even when p has repeated factors

@@ -20,6 +20,7 @@ from .kernel import (
     DegenerateEquationError,
     DomainError,
     Polynomial,
+    _rational,
     integrate_sym,
     sturm_positive_on,
 )
@@ -65,7 +66,7 @@ class CalabiData:
             raise DomainError("twist n must be nonzero")
         if gcd(abs(self.n), self.m3) != 1:
             raise DomainError("need gcd(n, m3) = 1")
-        r3 = Fraction(self.r3)
+        r3 = Fraction(_rational(self.r3, "r3"))
         object.__setattr__(self, "r3", r3)
         if not 0 < abs(r3) < 1:
             raise DomainError("need 0 < |r3| < 1")
@@ -137,7 +138,7 @@ class CalabiProfile:
     F: Polynomial
 
     def theta(self, z) -> Fraction:
-        z = Fraction(z)
+        z = Fraction(_rational(z, "z"))
         if not -1 <= z <= 1:
             raise DomainError("z must lie in [-1, 1]")
         return self.F(z) / (1 + self.r3 * z) ** 2
@@ -153,11 +154,13 @@ class CalabiProfile:
 
 
 def ke_profile(data: CalabiData) -> CalabiProfile:
-    """Construct the Einstein profile for verified Calabi data:
+    """Construct the Einstein profile for Calabi data:
     F(z) = integral from -1 to z of (1 + r3*t)^2 * R(t) dt.
 
-    Every boundary condition and interior positivity is re-verified exactly;
-    violations raise loudly since they cannot occur for genuine SE data.
+    The two KE identities are evaluated here, once for a record, and raise
+    DomainError unless both hold.  Every boundary condition and interior
+    positivity is re-verified exactly; violations raise loudly since they
+    cannot occur for genuine SE data.
     """
     ke1, ke2 = ke_conditions(data)
     if not (ke1 and ke2):

@@ -18,6 +18,7 @@ from .kernel import (
     ConsistencyError,
     DomainError,
     Polynomial,
+    _rational,
     integer_sqrt_exact,
     integrate_sym,
     real_roots,
@@ -44,7 +45,7 @@ def _reduced_pq(p: int, q: int) -> Tuple[int, int]:
 def einstein_integrand(p: int, q: int, v0, vinf) -> Polynomial:
     """The degree-2 polynomial in z whose vanishing integral over [-1, 1]
     characterises transverse-Einstein Reeb parameters (v0, vinf)."""
-    v0, vinf = Fraction(v0), Fraction(vinf)
+    v0, vinf = Fraction(_rational(v0, "v0")), Fraction(_rational(vinf, "vinf"))
     lin1 = Polynomial((v0 - vinf, -(v0 + vinf)))
     lin2 = Polynomial(((p + q) * vinf + (p - q) * v0, (p + q) * vinf - (p - q) * v0))
     return lin1 * lin2

@@ -1,10 +1,17 @@
 """The package computes without floats: no float() call and no float
-literal appears anywhere in src/sejoin."""
+literal appears anywhere in src/sejoin, and no coercion to Fraction takes a
+float or a string."""
 
 import ast
 import pathlib
 
 import pytest
+
+from sejoin.bott import BottOrbifold, CohClass, h3_matrix
+from sejoin.catalog import build_record, weight_pairs
+from sejoin.join import w_from_k
+from sejoin.metric import CalabiData
+from sejoin.ypq import einstein_integrand
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sejoin"
 
@@ -30,3 +37,33 @@ def test_guard_finds_float_uses():
            "class AlgebraicRoot:\n    def __float__(self):\n        return float(0.25)\n")
     assert sorted(_float_uses(src)) == [(1, "float() call"), (2, "float literal 0.5"),
                                         (5, "float literal 0.25"), (5, "float() call")]
+
+
+GOLDEN_ORB = BottOrbifold(70, 78540, 748, (1, 1, 91, 65, 255, 165))
+GOLDEN_PROFILE = build_record(13, 8, k=2).profile
+
+# every library coercion to Fraction, each called with one value x; a float's
+# binary value or a parsed string would otherwise enter as a rational
+COERCIONS = {
+    "w_from_k": w_from_k,
+    "weight_pairs.k": lambda x: weight_pairs(k=x),
+    "weight_pairs.k_list": lambda x: weight_pairs(k_list=[2, x]),
+    "build_record": lambda x: build_record(13, 8, k=x),
+    "CalabiData.r3": lambda x: CalabiData(a=70, m2_0=91, m2_inf=65, fano_index=12, v3_0=17,
+                                          v3_inf=11, m3=15, n=748, r3=x),
+    "CalabiProfile.theta": GOLDEN_PROFILE.theta,
+    "BottOrbifold.m": lambda x: BottOrbifold(70, 78540, 748, (1, 1, 91, 65, 255, x)),
+    "CohClass.coeffs": lambda x: CohClass(basis="xxx", coeffs=(1, x, 1), abc=(0, 0, 0)),
+    "h3_matrix": lambda x: h3_matrix(GOLDEN_ORB, (1, x, 1)),
+    "einstein_integrand": lambda x: einstein_integrand(13, 8, x, 1),
+}
+
+
+@pytest.mark.parametrize("bad", [1.1, "1/3"], ids=["float", "str"])
+@pytest.mark.parametrize("name", sorted(COERCIONS))
+def test_coercions_take_ints_and_fractions_only(name, bad):
+    # k = 1.1 is 2476979795053773/2251799813685248: its 47-digit weights
+    # would send build_record into trial division that does not return
+    with pytest.raises(TypeError):
+        COERCIONS[name](bad)
+

@@ -91,17 +91,6 @@ def test_polynomial_arithmetic():
     assert (3 * p).coeffs == (F(3), F(3))
 
 
-def test_polynomial_divmod():
-    num = Polynomial((-21, 8, 5))        # (5t - 7)(t + 3)
-    den = Polynomial((3, 1))
-    q, r = divmod(num, den)
-    assert q.coeffs == (F(-7), F(5))
-    assert r.is_zero()
-    q2, r2 = divmod(Polynomial((1, 0, 1)), Polynomial((0, 1)))
-    assert q2.coeffs == (F(0), F(1))
-    assert r2.coeffs == (F(1),)
-
-
 def test_polynomial_takes_ints_and_fractions_only():
     # Fraction(x) would let a float or a string in as a rational
     with pytest.raises(TypeError):
@@ -143,11 +132,28 @@ def test_primitive():
     assert kernel._primitive_ints(()) == []
 
 
+def _long_division(a, b):
+    """Reference (quotient, remainder) of the coefficient list a by the
+    nonzero list b (lowest degree first), by Fraction long division,
+    independent of the kernel; the remainder has no trailing zeros."""
+    a, quo = [Fraction(c) for c in a], []
+    while len(a) >= len(b):
+        q = a[-1] / b[-1]
+        quo.append(q)
+        shift = len(a) - len(b)
+        for j, c in enumerate(b):
+            a[shift + j] -= q * c
+        a.pop()  # the leading term cancels
+    while a and a[-1] == 0:
+        a.pop()
+    return quo[::-1], a
+
+
 def _monic_gcd(a, b):
     """Reference gcd by the Euclidean algorithm, independent of sturm_chain."""
     while not b.is_zero():
-        a, b = b, divmod(a, b)[1]
-    return (1 / a.leading()) * a
+        a, b = b, Polynomial(_long_division(a.coeffs, b.coeffs)[1])
+    return (1 / a.coeffs[-1]) * a
 
 
 def _square_free(p):
@@ -173,7 +179,7 @@ def _unpruned_rational_roots(p):
                 if cand not in roots and p(cand) == 0:
                     roots.append(cand)
                     while p.degree > 0 and p(cand) == 0:
-                        p = divmod(p, Polynomial((-cand, 1)))[0]
+                        p = Polynomial(_long_division(p.coeffs, (-cand, 1))[0])
     return sorted(roots), p
 
 
@@ -199,7 +205,7 @@ def _surd_roots(p):
 
 def _cauchy(p):
     """1 + max |a_i/a_n|: every root of p has a smaller absolute value."""
-    return 1 + max(abs(c) for c in p.coeffs[:-1]) / abs(p.leading())
+    return 1 + max(abs(c) for c in p.coeffs[:-1]) / abs(p.coeffs[-1])
 
 
 def _all_real_roots(p):
@@ -249,7 +255,7 @@ def test_sturm_chain_ends_in_gcd():
     sq = p * p * Polynomial((2, 1))  # (z - 1)^2 (z + 2)
     g = Polynomial(sturm_chain(_content_free_ints(sq))[-1])
     # gcd(sq, sq') = z - 1, up to a constant factor
-    assert g.degree == 1 and (1 / g.leading()) * g == p
+    assert g.degree == 1 and (1 / g.coeffs[-1]) * g == p
     assert _monic_gcd(sq, sq.derivative()) == p
 
 
@@ -285,21 +291,9 @@ def test_polynomial_call_matches_fraction_horner(coeffs, x):
 def _classical_sturm(p):
     """Reference Sturm sequence p, p', -rem, ... by Fraction long division on
     coefficient lists (lowest degree first), independent of the kernel."""
-    def rem(a, b):
-        a = list(a)
-        while len(a) >= len(b):
-            q = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for j, c in enumerate(b):
-                a[shift + j] -= q * c
-            a.pop()  # the leading term cancels
-            while a and a[-1] == 0:
-                a.pop()
-        return a
-
     chain = [list(p.coeffs), [i * c for i, c in enumerate(p.coeffs) if i > 0]]
     while chain[-1]:
-        chain.append([-c for c in rem(chain[-2], chain[-1])])
+        chain.append([-c for c in _long_division(chain[-2], chain[-1])[1]])
     chain.pop()
     return [Polynomial(t) for t in chain]
 
@@ -323,7 +317,7 @@ def test_sturm_chain_is_positive_multiple_of_classical(base, factor, e):
     classical = _classical_sturm(p)
     assert len(chain) == len(classical)
     for term, ref in zip(chain, classical):
-        c = term.leading() / ref.leading()
+        c = term.coeffs[-1] / ref.coeffs[-1]
         assert c > 0 and term == ref * c
 
 
@@ -383,16 +377,6 @@ def test_count_roots_open_square_factor():
     assert count_roots_open(p, -10, 10) == 2
 
 
-def _divide_out(coeffs, x):
-    """coeffs / (z - x) for a root x, by synthetic division on Fractions
-    (lowest degree first)."""
-    out, acc = [], Fraction(0)
-    for c in reversed(coeffs[1:]):
-        acc = acc * x + c
-        out.append(acc)
-    return out[::-1]
-
-
 def _reference_count(p, lo, hi):
     """Distinct roots of p in (lo, hi), independent of the kernel: roots at
     the ends are divided out, then the sign variations of the classical
@@ -400,7 +384,7 @@ def _reference_count(p, lo, hi):
     coeffs = list(p.coeffs)
     for x in (lo, hi):
         while len(coeffs) > 1 and _fraction_horner(coeffs, x) == 0:
-            coeffs = _divide_out(coeffs, x)
+            coeffs = _long_division(coeffs, (-x, 1))[0]
     if len(coeffs) < 2:
         return 0
 
@@ -439,14 +423,50 @@ def test_count_roots_open_matches_classical_sturm(case):
     assert count_roots_open(p, lo, hi) == _reference_count(p, lo, hi)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sparse_lead, st.fractions(-5, 5, max_denominator=6), st.integers(0, 3))
+@example([F(-1, 2), 0, 1], F(1, 2), 2)  # deflated twice, then 1/2 is no root
+@example([1, 2, 1], F(-1), 1)          # -1 is a root of base too
+def test_deflation_matches_fraction_long_division(base, root, e):
+    # p = base * (d z - n)^e, scaled to integers: the endpoint root n/d
+    # repeated e times or more, as count_roots_open meets it
+    n, d = root.numerator, root.denominator
+    p = Polynomial(base)
+    for _ in range(e):
+        p = p * Polynomial((-n, d))
+    ints, deflations = kernel.clear_denominators(p.coeffs)[0], 0
+    while True:
+        quo, rem = _long_division(ints, (-n, d))
+        if rem:
+            with pytest.raises(ConsistencyError):
+                kernel._deflate(ints, n, d)
+            break
+        # Gauss's lemma: dividing by the primitive d z - n keeps integers
+        assert all(q.denominator == 1 for q in quo)
+        ints = kernel._deflate(ints, n, d)
+        assert ints == quo
+        deflations += 1
+    assert deflations >= e
+
+
+def test_deflation_by_a_non_root_is_a_consistency_error():
+    # z^2 - 2 at 1: every division by d = 1 is exact, and the remainder -1
+    # is left at the end; at 1/2 the first division by 2 is not exact
+    for n, d in ((1, 1), (1, 2), (0, 1)):
+        with pytest.raises(ConsistencyError):
+            kernel._deflate([-2, 0, 1], n, d)
+    assert kernel._deflate([0, -2, 0, 1], 0, 1) == [-2, 0, 1]
+
+
 def _no_fraction_evaluation(self, x):
     raise AssertionError("Polynomial.__call__(%r, %s)" % (self, x))
 
 
 def test_root_counts_build_no_fraction_values(monkeypatch):
     # the Sturm count, the sign-change test and every sign an AlgebraicRoot
-    # reads run on its integer coefficients; only a root at an end of the
-    # interval divides p by a Fraction polynomial
+    # reads run on its integer coefficients, and a root at an end of the
+    # interval is divided out on them
+    ends = Polynomial((-1, 0, 1)) * Polynomial((-1, 0, 1)) * Polynomial((2, -1))
     fallback = AlgebraicRoot(Polynomial((1 - F(2, 10**30), -2, 1)), 1, 3)
     ray = se_ray_from_w(5, 2)
     monkeypatch.setattr(Polynomial, "__call__", _no_fraction_evaluation)
@@ -471,6 +491,8 @@ def test_root_counts_build_no_fraction_values(monkeypatch):
                         lambda self, coeffs=(): pytest.fail("Polynomial built"))
     root = AlgebraicRoot(quad, 0, 10)
     assert len(scalings) == 1 and root.coeffs == (-182, 15, 112)
+    # (z^2 - 1)^2 (2 - z): the double roots at -1 and 1 are deflated out
+    assert count_roots_open(ends, -1, 1) == 0 and count_roots_open(ends, 1, 3) == 1
 
 
 def test_sturm_positive_on():
@@ -744,20 +766,6 @@ def test_fraction_to_decimal_rounding():
 # -------------------------------------------------------------- random laws
 
 
-@settings(max_examples=60, derandomize=True, database=None)
-@given(
-    st.lists(st.integers(-9, 9), min_size=1, max_size=5),
-    st.lists(st.integers(-9, 9), min_size=1, max_size=5),
-)
-def test_poly_divmod_law(a, b):
-    pa, pb = Polynomial(a), Polynomial(b)
-    if pb.is_zero():
-        return
-    q, r = divmod(pa, pb)
-    assert q * pb + r == pa
-    assert r.is_zero() or r.degree < pb.degree
-
-
 @settings(max_examples=40, derandomize=True, database=None)
 @given(st.lists(st.integers(-6, 6), min_size=2, max_size=5))
 def test_real_roots_are_roots_and_counted(coeffs):
@@ -775,7 +783,7 @@ def test_real_roots_are_roots_and_counted(coeffs):
         # r isolates the positive root of p itself: an isqrt interval of a
         # quadratic, or (0, m) for a cubic, as (z+1)(z^2-2) on (0, 3)
         assert r.poly(r.lo) * r.poly(r.hi) < 0 and r.lo >= 0
-        assert r.poly.degree == p.degree and divmod(p, r.poly)[1].is_zero()
+        assert r.poly.degree == p.degree and not _long_division(p.coeffs, r.poly.coeffs)[1]
 
 
 def _below_sqrt(x, d):
@@ -827,7 +835,7 @@ def test_repeated_factors_counted_once(c, linear, d, f, lo, hi):
     else:
         # sqrt(d), isolated as a root of p itself
         assert isinstance(root, AlgebraicRoot)
-        assert root.poly.degree == p.degree and divmod(p, root.poly)[1].is_zero()
+        assert root.poly.degree == p.degree and not _long_division(p.coeffs, root.poly.coeffs)[1]
         # the interval lies on the root's side of 0, which may be one end
         assert root.lo >= 0 and root.hi > 0
         sqrt_d = AlgebraicRoot(Polynomial((-d, 0, 1)), 0, d + 1)

@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
+from sejoin import catalog, metric
 from sejoin.bott import _to_x, c1_orb
-from sejoin.catalog import build_record, enumerate_ypq, family_record
+from sejoin.catalog import build_record, enumerate_joins, enumerate_ypq, family_record
 from sejoin.join import JoinSpec, quotient_orbifold, se_ray_from_w
 from sejoin.kernel import (
     ConsistencyError,
@@ -198,6 +199,18 @@ class TestKEProfile:
             profile.grid(0)
 
 
+# every rational 1 < k <= 4 with denominator at most 4: 18 values
+SWEEP_K = sorted({Fraction(a, b) for b in range(1, 5) for a in range(b + 1, 4 * b + 1)})
+
+
+def _calabi_data(sol, l1, l2, w1, w2):
+    """The Calabi data of the join of ``sol`` with weights (w1, w2), glued
+    with (l1, l2)."""
+    spec = JoinSpec(ypq=sol, l1=l1, l2=l2, w1=w1, w2=w2)
+    ray = se_ray_from_w(w1, w2)
+    return CalabiData.from_join(spec, ray, quotient_orbifold(spec, ray))
+
+
 class TestBottAgreesWithMetric:
     """The quotient Bott orbifold and the Calabi data must use one fiber
     twist c1(L_n) = n*c1^orb(N)/I.  The first KE identity is the restriction
@@ -216,6 +229,10 @@ class TestBottAgreesWithMetric:
         return tuple(s3 / 2 * x for x in (scale * line[0], scale * line[1], 2))
 
     def _check(self, rec):
+        # the record's own Calabi data satisfies both KE identities
+        data = _calabi_data(rec.ypq, rec.l1, rec.l2, rec.w1, rec.w2)
+        assert ke_conditions(data) == (True, True)
+        assert rec.r3 == data.r3 and rec.profile == ke_profile(data)
         assert (rec.ke1, rec.ke2) == (True, True)
         assert _to_x(c1_orb(rec.quotient.bott())) == self._expected_c1(rec)
         assert rec.log_fano is True
@@ -230,9 +247,52 @@ class TestBottAgreesWithMetric:
             Fraction(224, 65), Fraction(32, 975), Fraction(28, 2805))
 
     def test_k_sweep(self):
+        assert len(SWEEP_K) == 18
         count = 0
         for sol in enumerate_ypq(40):
-            for k in (Fraction(3, 2), Fraction(7, 3), Fraction(5, 2), 3, 4):
+            for k in SWEEP_K:
                 self._check(build_record(sol.p, sol.q, k=k))
                 count += 1
-        assert count == 50
+        assert count == 180
+
+
+class TestEveryQuasiRegularJoinIsKE:
+    """ke2 is the SE ray equation of se_ray_from_w times m3*v3_0*v3_inf*A^2,
+    and ke1 reduces to I*l2 = l1*(w1 + w2), which the canonical gluing
+    satisfies, so a record builds its profile on one KE evaluation and has
+    no non-KE branch."""
+
+    @pytest.mark.parametrize("l1,l2", [(1, 1), (1, 2), (5, 1), (7, 45), (4, 15)])
+    def test_ke1_is_the_canonical_gluing_identity(self, l1, l2):
+        # (13, 8) with w = (34, 11): only the canonical (4, 15) satisfies it
+        sol, w1, w2 = solve(13, 8), 34, 11
+        expected = sol.fano_index * l2 == l1 * (w1 + w2)
+        assert expected == ((l1, l2) == (4, 15))
+        assert ke_conditions(_calabi_data(sol, l1, l2, w1, w2)) == (expected, True)
+
+    @staticmethod
+    def _patch(monkeypatch, fake):
+        # every module that binds ke_conditions, as the benchmark tracer wraps it
+        original = metric.ke_conditions
+        for module in (catalog, metric):
+            if getattr(module, "ke_conditions", None) is original:
+                monkeypatch.setattr(module, "ke_conditions", fake)
+
+    @pytest.mark.parametrize("p,q,k", [(13, 8, 2), (13, 7, Fraction(7, 3))])
+    def test_one_ke_evaluation_per_record(self, monkeypatch, p, q, k):
+        seen = []
+        original = metric.ke_conditions
+        self._patch(monkeypatch, lambda data: seen.append(data) or original(data))
+        build_record(p, q, k=k)
+        assert len(seen) == 1
+        # an irregular record has no quotient and evaluates nothing
+        build_record(13, 8, w=(2, 1))
+        assert len(seen) == 1
+
+    def test_failed_ke_identity_is_an_error(self, monkeypatch):
+        # ruled out by the derivation, so no record with ke false is built
+        self._patch(monkeypatch, lambda data: (True, False))
+        with pytest.raises(DomainError):
+            build_record(13, 8, k=2)
+        (rec,) = enumerate_joins(solve(13, 8), k=2)
+        assert rec.error is not None and rec.ke1 is None and rec.profile is None
