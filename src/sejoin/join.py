@@ -29,8 +29,9 @@ from .ypq import YpqEinstein
 
 
 def validate_w(w1: int, w2: int) -> None:
-    """Raise DomainError unless w1 > w2 >= 1 are coprime integers."""
-    if not (isinstance(w1, int) and isinstance(w2, int)):
+    """Raise DomainError unless w1 > w2 >= 1 are coprime integers; a bool
+    is no weight, although it is an int."""
+    if not all(isinstance(w, int) and not isinstance(w, bool) for w in (w1, w2)):
         raise DomainError("weights must be integers")
     if not (w1 > w2 >= 1):
         raise DomainError("need w1 > w2 >= 1, got (%s, %s)" % (w1, w2))

@@ -18,8 +18,9 @@ is the first positive rational candidate that trial division finds, each
 tested on integers, or else the root on the first bisection interval of
 (0, m), m the Cauchy bound, narrower than NEWTON_START.  So that root,
 and its copy scaled by a factor below 1, starts ``decimal_bounds``' Newton
-steps with no bisection left.  ``AlgebraicRoot`` compares with rationals
-only, by one sign test inside its interval.
+steps with no bisection left.  ``AlgebraicRoot._cmp`` is the one exact
+placement of a root against a rational: cross-multiplication outside its
+interval, else one sign test against the stored sign at the lower end.
 
 The hot paths run on integers: ``Polynomial.__call__`` is Horner's rule on
 one integer numerator and one positive integer denominator with a single
@@ -334,20 +335,18 @@ def _quadratic_cell(coeffs, n: int, larger: bool):
     return j, 2 * a * n, exact
 
 
-def _bisection(coeffs, a: int, b: int, d: int, wn: int, wd: int):
+def _bisection(coeffs, a: int, b: int, d: int, wn: int, wd: int, lo_positive: bool):
     """The first bisection interval of (a/d, b/d) narrower than wn/wd, as an
     integer triple (a, b, d), for the polynomial with integer coefficients
-    ``coeffs`` (lowest degree first) that changes sign once on (a/d, b/d).
+    ``coeffs`` (lowest degree first) that changes sign once on (a/d, b/d)
+    and is positive at a/d iff ``lo_positive``.
 
     Both ends share the denominator d, which doubles at each step, so a
     step costs one integer Horner evaluation of d^deg * poly(m/d) and no
     gcd.  A midpoint m/d that is a root ends the bisection with (m, m, d).
     An interval narrower than wn/wd already is returned with no evaluation.
     """
-    if (b - a) * wd < wn * d:
-        return a, b, d
-    lo_positive = _scaled_value(coeffs, a, d) > 0
-    while True:
+    while (b - a) * wd >= wn * d:
         m, d = a + b, 2 * d
         v = _scaled_value(coeffs, m, d)
         if v == 0:
@@ -356,8 +355,7 @@ def _bisection(coeffs, a: int, b: int, d: int, wn: int, wd: int):
             a, b = 2 * a, m
         else:
             a, b = m, 2 * b
-        if (b - a) * wd < wn * d:
-            return a, b, d
+    return a, b, d
 
 
 class AlgebraicRoot:
@@ -372,14 +370,16 @@ class AlgebraicRoot:
     are read-only views of them as Fractions.  The invariant that the
     interval isolates exactly one root (with a sign change) is checked at
     construction by a Sturm count, or carried over from x to s*x by
-    ``scaled``, which counts nothing.  Refinement methods are pure: they
-    return data, never mutate.  It compares with rationals only, an int or
-    a Fraction: ``<`` or ``>`` with anything else, another AlgebraicRoot
-    included, raises TypeError, since bisecting two intervals of one number
-    never ends.
+    ``scaled``, which counts nothing; both store the sign of poly at lo,
+    ``_lo_positive``.  ``_cmp`` is the one exact placement of the root
+    against a rational, for ``<``, ``>`` and every cell of
+    ``decimal_bounds``.  Refinement methods are pure.  It compares with
+    rationals only, an int or a Fraction: ``<`` or ``>`` with anything
+    else, another AlgebraicRoot included, raises TypeError, since bisecting
+    two intervals of one number never ends.
     """
 
-    __slots__ = ("coeffs", "_a", "_b", "_d")
+    __slots__ = ("coeffs", "_a", "_b", "_d", "_lo_positive")
 
     def __init__(self, poly, lo, hi):
         """The root of ``poly`` in (lo, hi), each end an int or a Fraction:
@@ -398,7 +398,8 @@ class AlgebraicRoot:
             coeffs = poly
             if not coeffs or coeffs[-1] <= 0 or gcd(*coeffs) != 1:
                 raise DomainError("%r are not primitive integer coefficients" % (poly,))
-        if not coeffs or _scaled_value(coeffs, a, d) * _scaled_value(coeffs, b, d) >= 0:
+        at_lo = _scaled_value(coeffs, a, d)
+        if at_lo * _scaled_value(coeffs, b, d) >= 0:
             raise DomainError("no sign change of %r on (%s, %s)" % (poly, lo, hi))
         # neither end is a root, so Sturm's theorem applies without deflation.
         # real_roots' roots need no count by Descartes' rule, but this is the
@@ -410,6 +411,7 @@ class AlgebraicRoot:
         object.__setattr__(self, "_a", a)
         object.__setattr__(self, "_b", b)
         object.__setattr__(self, "_d", d)
+        object.__setattr__(self, "_lo_positive", at_lo > 0)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraicRoot is immutable")
@@ -446,6 +448,7 @@ class AlgebraicRoot:
         object.__setattr__(out, "_a", n * self._a)
         object.__setattr__(out, "_b", n * self._b)
         object.__setattr__(out, "_d", m * self._d)
+        object.__setattr__(out, "_lo_positive", self._lo_positive)
         return out
 
     def refined_interval(self, width):
@@ -464,7 +467,8 @@ class AlgebraicRoot:
             raise DomainError("refinement width must be positive")
         if len(self.coeffs) == 3:
             return self._quadratic_interval(wn, wd)
-        a, b, d = _bisection(self.coeffs, self._a, self._b, self._d, wn, wd)
+        a, b, d = _bisection(self.coeffs, self._a, self._b, self._d, wn, wd,
+                             self._lo_positive)
         if a == b:
             # rational root: collapse to a tiny bracketing interval
             mid, eps = Fraction(a, d), Fraction(wn, 4 * wd)
@@ -476,11 +480,11 @@ class AlgebraicRoot:
         N = ceil(1/width), width = wn/wd, clipped to (lo, hi).  It is
         narrower than width/2, and its ends are multiples of 1/e, e = 2aN,
         so no point of the grid 1/N lies inside it.  With a > 0, the root is
-        the larger one when poly(lo) < 0.  A rational root x gives
-        (x - width/4, x + width/4), clipped."""
+        the larger one when poly(lo) < 0, read from ``_lo_positive`` with no
+        evaluation.  A rational root x gives (x - width/4, x + width/4),
+        clipped."""
         a, b, d = self._a, self._b, self._d
-        larger = _scaled_value(self.coeffs, a, d) < 0
-        j, e, exact = _quadratic_cell(self.coeffs, -(-wd // wn), larger)
+        j, e, exact = _quadratic_cell(self.coeffs, -(-wd // wn), not self._lo_positive)
         if exact:
             x, eps = Fraction(j, e), Fraction(wn, 4 * wd)
             return max(self.lo, x - eps), min(self.hi, x + eps)
@@ -497,30 +501,25 @@ class AlgebraicRoot:
         k/10^digits inside it, so the cell is floor(lo * 10^digits), with
         no sign test unless the root is rational.  For other degrees,
         integer Newton steps from a bracket narrower than ``NEWTON_START``
-        propose the cell n, and an exact test decides it: n, n - 1 or
-        n + 1 is taken only when poly changes sign on that cell clipped to
-        (lo, hi), or vanishes at its lower end.  If none passes, the
-        interval is bisected below 10^-digits and one grid point inside it,
-        if any, settles the cell."""
+        propose the cell n; ``_cmp`` takes n, n - 1 or n + 1 only if it holds
+        x.  Else the interval is bisected below 10^-digits, and ``_cmp`` at
+        the one grid point inside it, if any, settles the cell."""
         if digits < 1:
             raise DomainError("digits must be >= 1")
         scale = 10**digits
         n = None if len(self.coeffs) == 3 else self._newton_cell(
             scale, -(-10 * digits // 3) + 16)
         for cell in () if n is None else (n, n - 1, n + 1):
-            if self._cell_holds_root(cell, scale):
+            if self._cmp(cell, scale) >= 0 > self._cmp(cell + 1, scale):
                 break
         else:
             lo, hi = self.refined_interval(Fraction(1, scale))
             cell = lo.numerator * scale // lo.denominator
-            if hi.numerator * scale > (cell + 1) * hi.denominator:
-                # (lo, hi) is narrower than a cell and holds one grid point
-                # g = (cell + 1)/scale: x >= g iff poly(g) is 0 or has poly's
-                # sign at lo
-                g = _scaled_value(self.coeffs, cell + 1, scale)
-                at_lo = _scaled_value(self.coeffs, lo.numerator, lo.denominator)
-                if g == 0 or (g > 0) == (at_lo > 0):
-                    cell += 1
+            # (lo, hi) is narrower than a cell; the one grid point
+            # (cell + 1)/scale it may hold is placed against x exactly
+            if (hi.numerator * scale > (cell + 1) * hi.denominator
+                    and self._cmp(cell + 1, scale) >= 0):
+                cell += 1
         return _scaled_to_decimal(cell, digits), _scaled_to_decimal(cell + 1, digits)
 
     def _newton_cell(self, scale: int, bits: int):
@@ -554,27 +553,13 @@ class AlgebraicRoot:
             x = min(max(x, (ln << k) // ld), -((-hn << k) // hd))
         return x * scale >> bits
 
-    def _cell_holds_root(self, n: int, scale: int) -> bool:
-        """True iff floor(x * scale) == n, decided exactly: the cell
-        [n/scale, (n+1)/scale] clipped to (lo, hi) has a sign change of poly
-        on its ends, or n/scale lies in (lo, hi) and is the root itself."""
-        a, b, d = self._a, self._b, self._d
-        lo = (n, scale) if n * d > a * scale else (a, d)
-        hi = (n + 1, scale) if (n + 1) * d < b * scale else (b, d)
-        if lo[0] * hi[1] >= hi[0] * lo[1]:
-            return False
-        # poly(lo) != 0, so a zero at the clipped lower end is the grid
-        # point n/scale in (lo, hi)
-        va = _scaled_value(self.coeffs, *lo)
-        return va == 0 or va * _scaled_value(self.coeffs, *hi) < 0
-
-    def _cmp_fraction(self, x) -> int:
-        """The sign of root - x, for an int or Fraction x.  The ends decide
-        an x outside (lo, hi), by cross-multiplication.  Inside, the root is
-        poly's only one, and poly changes sign there, so poly(x) is 0 at the
-        root and otherwise has poly's sign at lo exactly when x lies below
-        the root."""
-        xn, xd = x.numerator, x.denominator
+    def _cmp(self, xn: int, xd: int) -> int:
+        """The sign of x - xn/xd, xd > 0: the one exact placement of the
+        root x against a rational.  The ends decide an xn/xd outside (lo,
+        hi), by cross-multiplication.  Inside, x is poly's only root and
+        poly changes sign there, so poly(xn/xd) is 0 at x and otherwise has
+        poly's sign at lo, the stored ``_lo_positive``, exactly when xn/xd
+        lies below x: one integer Horner evaluation at most."""
         a, b, d = self._a, self._b, self._d
         if xn * d <= a * xd:
             return 1
@@ -583,17 +568,17 @@ class AlgebraicRoot:
         v = _scaled_value(self.coeffs, xn, xd)
         if v == 0:
             return 0
-        return 1 if (v > 0) == (_scaled_value(self.coeffs, a, d) > 0) else -1
+        return 1 if (v > 0) == self._lo_positive else -1
 
     def __lt__(self, other):
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self._cmp_fraction(other) < 0
+        return self._cmp(other.numerator, other.denominator) < 0
 
     def __gt__(self, other):
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self._cmp_fraction(other) > 0
+        return self._cmp(other.numerator, other.denominator) > 0
 
     def __repr__(self):
         return "AlgebraicRoot(%r, (%s, %s))" % (self.poly, self.lo, self.hi)
@@ -678,8 +663,9 @@ def real_roots(p: Polynomial) -> list:
             if _scaled_value(ints, num, den) == 0:
                 return [Fraction(num, den)]
     # every positive rational root was tried above, so no midpoint is a root
+    # ints[0] = a0 < 0 is the sign at the lower end 0
     a, b, d = _bisection(ints, 0, bound, an, NEWTON_START.numerator,
-                         NEWTON_START.denominator)
+                         NEWTON_START.denominator, False)
     if a == b:
         raise ConsistencyError("%r vanishes at %s, which trial division missed"
                                % (p, Fraction(a, d)))

@@ -137,6 +137,9 @@ class CalabiProfile:
     r3: Fraction
     F: Polynomial
 
+    def __post_init__(self):
+        object.__setattr__(self, "r3", Fraction(_rational(self.r3, "r3")))
+
     def theta(self, z) -> Fraction:
         z = Fraction(_rational(z, "z"))
         if not -1 <= z <= 1:

@@ -267,6 +267,15 @@ class TestWeightGate:
         if names:
             assert run_cli(["join", "--p", "1", "--q", "0"] + flags, capsys) == expected
 
+    @pytest.mark.parametrize("w", [(3, True), (True, 1), (3, 1.0), (Fraction(3), 1),
+                                   (3, "1")], ids=repr)
+    def test_weights_must_be_integers(self, w):
+        # a bool is an int to isinstance, but True would be exported as "True"
+        for call in (lambda: weight_pairs(w=w), lambda: build_record(13, 8, w=w),
+                     lambda: enumerate_joins(solve(13, 8), w=w)):
+            with pytest.raises(DomainError, match="^weights must be integers$"):
+                call()
+
     @pytest.mark.parametrize("k", ["2", "3/2", "5/3"])
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
     @pytest.mark.parametrize("rejected", [False, True], ids=["built", "rejected"])

@@ -10,7 +10,7 @@ import pytest
 from sejoin.bott import BottOrbifold, CohClass, h3_matrix
 from sejoin.catalog import build_record, weight_pairs
 from sejoin.join import w_from_k
-from sejoin.metric import CalabiData
+from sejoin.metric import CalabiData, CalabiProfile
 from sejoin.ypq import einstein_integrand
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sejoin"
@@ -51,6 +51,7 @@ COERCIONS = {
     "build_record": lambda x: build_record(13, 8, k=x),
     "CalabiData.r3": lambda x: CalabiData(a=70, m2_0=91, m2_inf=65, fano_index=12, v3_0=17,
                                           v3_inf=11, m3=15, n=748, r3=x),
+    "CalabiProfile.r3": lambda x: CalabiProfile(r3=x, F=GOLDEN_PROFILE.F),
     "CalabiProfile.theta": GOLDEN_PROFILE.theta,
     "BottOrbifold.m": lambda x: BottOrbifold(70, 78540, 748, (1, 1, 91, 65, 255, x)),
     "CohClass.coeffs": lambda x: CohClass(basis="xxx", coeffs=(1, x, 1), abc=(0, 0, 0)),

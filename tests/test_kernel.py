@@ -923,7 +923,7 @@ def _assert_bisection_agrees(root, digits, probes=()):
     for width in (F(1, 10**digits), (root.hi - root.lo) / 2**digits):
         assert root.refined_interval(width) == reference(root, width)
     for x in (root.lo, root.hi, (root.lo + root.hi) / 2) + tuple(probes):
-        assert root._cmp_fraction(x) == _fraction_cmp(root, x)
+        assert root._cmp(x.numerator, x.denominator) == _fraction_cmp(root, x)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -978,10 +978,10 @@ def test_integer_bisection_midpoint_root(poly, lo, hi, root):
         width = F(1, 10**digits)
         assert r.refined_interval(width) == (root - width / 4, root + width / 4)
         assert r.refined_interval(width) == _fraction_bisection(r, width)
-    assert r._cmp_fraction(root) == 0
+    assert r._cmp(root.numerator, root.denominator) == 0
     assert r < root + F(1, 10**50) and r > root - F(1, 10**50)
     for x in (root - F(1, 7), root + F(1, 9), lo, hi):
-        assert r._cmp_fraction(x) == _fraction_cmp(r, x)
+        assert r._cmp(x.numerator, x.denominator) == _fraction_cmp(r, x)
 
 
 @st.composite
@@ -1030,7 +1030,7 @@ def test_quadratic_refinement_in_closed_form(roots, digits, halvings):
         # at 10^-digits
         probes = (root.lo, root.hi, (root.lo + root.hi) / 2, root.lo - 1,
                   root.hi + F(1, 3), intervals[1][0]) + intervals[2]
-        assert [root._cmp_fraction(x) for x in probes] == [
+        assert [root._cmp(x.numerator, x.denominator) for x in probes] == [
             _fraction_cmp(root, x) for x in probes]
 
 
@@ -1252,6 +1252,38 @@ def test_decimal_bounds_cost_grows_with_newton_steps(monkeypatch):
     lo, _ = k.decimal_bounds(4000)
     assert lo.startswith("1.7478477657396181608648273246901858997656")
     assert len(calls) <= 48
+
+
+def test_census_cells_evaluate_nothing_after_the_build(monkeypatch):
+    # a quadratic knows its side of the vertex from the sign stored at lo,
+    # so each 40-digit cell of the census is isqrt work alone
+    ratios = [ray_ratio(p, q)[0] for p in range(2, 61) for q in range(1, p)
+              if gcd(p, q) == 1]
+    ratios = [r for r in ratios if not isinstance(r, Fraction)]
+    assert len(ratios) > 900
+
+    def fail(*args):
+        pytest.fail("_scaled_value%r after the build" % (args,))
+
+    monkeypatch.setattr(kernel, "_scaled_value", fail)
+    for ratio in ratios:
+        ratio.decimal_bounds(40)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(printed_roots(), st.integers(1, 40),
+       st.fractions(F(1, 100), 100, max_denominator=100))
+def test_stored_lower_sign_and_cmp_match_the_references(roots, digits, s):
+    # _lo_positive is poly's sign at lo, also on a scaled copy, which counts
+    # nothing; _cmp places each end of the cells decimal_bounds tries (the
+    # Newton cell, its neighbours, the fallback's grid point) as Fraction
+    # bisection does
+    scale = 10**digits
+    for root in roots + [root.scaled(s) for root in roots]:
+        assert root._lo_positive == (root.poly(root.lo) > 0)
+        n = _cell(*root.decimal_bounds(digits), digits)
+        for m in (n - 1, n, n + 1, n + 2):
+            assert root._cmp(m, scale) == _fraction_cmp(root, F(m, scale))
 
 
 @pytest.mark.parametrize("coeffs,root", [
