@@ -39,10 +39,10 @@ class BottOrbifold:
     m: Tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]
 
     def __init__(self, a: int, b, c, m: Sequence):
-        if not isinstance(a, int):
+        if not isinstance(a, int) or isinstance(a, bool):
             raise DomainError("a must be an integer, got %r" % (a,))
         for name, val in (("b", b), ("c", c)):
-            if not isinstance(val, (int, Fraction)):
+            if not isinstance(val, (int, Fraction)) or isinstance(val, bool):
                 raise DomainError("%s must be an integer or a Fraction, got %r" % (name, val))
         mv = tuple(Fraction(_rational(x, "ramification value")) for x in m)
         if len(mv) != 6:
@@ -198,10 +198,10 @@ def monoid_act(orb: BottOrbifold, lam: Sequence[int], shift: Sequence[int]) -> B
     if len(lam) != 6 or len(shift) != 6:
         raise DomainError("lam and shift must have six entries")
     for x in lam:
-        if not isinstance(x, int) or x < 1:
+        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
             raise DomainError("lam entries must be integers >= 1")
     for x in shift:
-        if not isinstance(x, int) or x < 0:
+        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
             raise DomainError("shift entries must be integers >= 0")
     new_m = tuple(l * mj + sh for l, mj, sh in zip(lam, orb.m, shift))
     return BottOrbifold(orb.a, orb.b, orb.c, new_m)

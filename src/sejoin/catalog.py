@@ -46,8 +46,10 @@ F_COEFFS = 5
 
 @dataclass(frozen=True)
 class SERecord:
-    """One fully derived join record; irregular rays omit the quotient
-    block, failed constructions carry an ``error`` instead."""
+    """One join record, storing only what its construction decides; a
+    failed construction stores an ``error`` and no ray, an irregular ray no
+    quotient or profile.  ``smooth``, ``r3``, ``ke1``, ``ke2``, ``log_fano``
+    and ``notes`` are read from those facts."""
 
     ypq: YpqEinstein
     w1: int
@@ -55,21 +57,40 @@ class SERecord:
     l1: int
     l2: int
     ray: Optional[ReebRay] = None
-    smooth: Optional[bool] = None
     smooth_witnesses: Tuple[Tuple[int, int, int], ...] = ()
-    quotient: Optional[JoinQuotient] = None
-    r3: Optional[Fraction] = None
-    ke1: Optional[bool] = None
-    ke2: Optional[bool] = None
-    log_fano: Optional[bool] = None
     torsion: Optional[TorsionInvariant] = None
+    quotient: Optional[JoinQuotient] = None
     profile: Optional[CalabiProfile] = None
     error: Optional[str] = None
-    notes: Tuple[str, ...] = FIXED_NOTES
 
     @property
     def k(self) -> Union[Fraction, AlgebraicRoot, None]:
         return None if self.ray is None else self.ray.k
+
+    @property
+    def smooth(self) -> Optional[bool]:
+        return None if self.ray is None else not self.smooth_witnesses
+
+    @property
+    def r3(self) -> Optional[Fraction]:
+        return None if self.profile is None else self.profile.r3
+
+    @property
+    def ke1(self) -> Optional[bool]:
+        """True on a record with a quotient, which _assemble builds only if
+        both KE identities hold and it is log Fano; ke2 and log_fano alike."""
+        return True if self.quotient is not None else None
+
+    ke2 = log_fano = ke1
+
+    @property
+    def notes(self) -> Tuple[str, ...]:
+        if self.error is not None:
+            return FIXED_NOTES + ("construction rejected",)
+        notes = FIXED_NOTES + ("canonical gluing",)
+        notes += () if self.smooth else ("non-smooth join; torsion formula not applied",)
+        notes += () if self.ray.quasi_regular else ("irregular ray: no quotient orbifold",)
+        return notes
 
     @property
     def sort_key(self):
@@ -114,52 +135,31 @@ def weight_pairs(k=None, w=None, k_list=None, w_bound=None) -> List[Tuple[int, i
 
 
 def _assemble(sol: YpqEinstein, w1: int, w2: int) -> SERecord:
+    """The record of one weight pair with the canonical gluing; raises
+    ConsistencyError unless a quasi-regular join passes the quotient, KE
+    and log Fano cross-checks."""
     l1, l2 = canonical_l(w1, w2, sol.fano_index)
-    notes = list(FIXED_NOTES) + ["canonical gluing"]
     spec = JoinSpec(ypq=sol, l1=l1, l2=l2, w1=w1, w2=w2)
     ray = se_ray_from_w(w1, w2)
     smooth, witnesses = smoothness_check(spec)
-    base = dict(
-        ypq=sol,
-        w1=w1,
-        w2=w2,
-        l1=l1,
-        l2=l2,
-        ray=ray,
-        smooth=smooth,
-        smooth_witnesses=tuple(witnesses),
-    )
-    if not smooth:
-        notes.append("non-smooth join; torsion formula not applied")
     # torsion needs only the first factor and the gluing integers, so it is
     # available even when the ray is irregular
-    torsion = None
-    if smooth:
-        torsion = h4_torsion(sol.v2_0, sol.v2_inf, sol.m2, l2, w1, w2, l1)
-    if not ray.quasi_regular:
-        notes.append("irregular ray: no quotient orbifold")
-        return SERecord(torsion=torsion, notes=tuple(notes), **base)
-    quotient = quotient_orbifold(spec, ray)
-    # every quasi-regular join is Kaehler-Einstein (README, known issues):
-    # ke_profile raises unless both KE identities hold, and a positive
-    # Kaehler-Einstein quotient has c1^orb in the Kaehler cone
-    profile = ke_profile(CalabiData.from_join(spec, ray, quotient))
-    if not is_log_fano(quotient.bott()):
-        raise ConsistencyError(
-            "Kaehler-Einstein quotient of (%d, %d) with w = (%d, %d) is not log Fano"
-            % (sol.p, sol.q, w1, w2)
-        )
-    return SERecord(
-        quotient=quotient,
-        r3=profile.r3,
-        ke1=True,
-        ke2=True,
-        log_fano=True,
-        torsion=torsion,
-        profile=profile,
-        notes=tuple(notes),
-        **base,
-    )
+    torsion = h4_torsion(sol.v2_0, sol.v2_inf, sol.m2, l2, w1, w2, l1) if smooth else None
+    quotient = profile = None
+    if ray.quasi_regular:
+        quotient = quotient_orbifold(spec, ray)
+        # every quasi-regular join is Kaehler-Einstein (README, known issues):
+        # ke_profile raises unless both KE identities hold, and a positive
+        # Kaehler-Einstein quotient has c1^orb in the Kaehler cone
+        profile = ke_profile(CalabiData.from_join(spec, ray, quotient))
+        if not is_log_fano(quotient.bott()):
+            raise ConsistencyError(
+                "Kaehler-Einstein quotient of (%d, %d) with w = (%d, %d) is not log Fano"
+                % (sol.p, sol.q, w1, w2)
+            )
+    return SERecord(ypq=sol, w1=w1, w2=w2, l1=l1, l2=l2, ray=ray,
+                    smooth_witnesses=tuple(witnesses), torsion=torsion,
+                    quotient=quotient, profile=profile)
 
 
 def family_k2(t: int) -> int:
@@ -186,9 +186,10 @@ def enumerate_joins(sol: YpqEinstein, k=None, w=None, k_list=None,
     """Records for the pairs of one weight choice, as ``weight_pairs`` reads
     it: a single k or w gives a batch of one.
 
-    Per-item failures (e.g. gluing-pair rejection) become error records
-    rather than aborting the batch; a failed internal cross-check is kept
-    apart by the prefix "ConsistencyError: " on its error text.
+    A construction that raises DomainError or ConsistencyError becomes an
+    error record, which stores the error text and no ray, rather than
+    aborting the batch; a failed internal cross-check is kept apart by the
+    prefix "ConsistencyError: " on its error text.
     """
     records = []
     for w1, w2 in weight_pairs(k=k, w=w, k_list=k_list, w_bound=w_bound):
@@ -199,13 +200,7 @@ def enumerate_joins(sol: YpqEinstein, k=None, w=None, k_list=None,
             if isinstance(exc, ConsistencyError):
                 error = "ConsistencyError: " + error
             l1, l2 = canonical_l(w1, w2, sol.fano_index)
-            records.append(
-                SERecord(
-                    ypq=sol, w1=w1, w2=w2, l1=l1, l2=l2,
-                    error=error,
-                    notes=FIXED_NOTES + ("construction rejected",),
-                )
-            )
+            records.append(SERecord(ypq=sol, w1=w1, w2=w2, l1=l1, l2=l2, error=error))
     records.sort(key=lambda r: r.sort_key)
     return records
 

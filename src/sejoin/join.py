@@ -102,33 +102,33 @@ def se_cubic(w1: int, w2: int) -> Polynomial:
 
 @dataclass(frozen=True)
 class ReebRay:
-    """A Reeb ray in the w-cone of the join.
+    """A Reeb ray in the w-cone of the join: the root ``k`` of the defining
+    cubic, always in (1, oo), and the ratio v3_inf/v3_0 = k*w2/w1.  Both
+    are Fractions on a quasi-regular ray, whose coprime (v3_0, v3_inf) are
+    the ratio's denominator and numerator, and isolated algebraic numbers
+    on an irregular ray, whose components are None."""
 
-    Quasi-regular rays carry coprime positive integers (v3_0, v3_inf);
-    irregular rays carry the ratio v3_inf/v3_0 as an isolated algebraic
-    number instead.  ``k`` is the corresponding root of the defining cubic,
-    always in (1, oo).
-    """
-
-    quasi_regular: bool
     k: Union[Fraction, AlgebraicRoot]
-    v3_0: Optional[int] = None
-    v3_inf: Optional[int] = None
-    ratio: Union[Fraction, AlgebraicRoot, None] = None
+    ratio: Union[Fraction, AlgebraicRoot]
 
     def __post_init__(self):
-        if self.quasi_regular:
-            if not (isinstance(self.v3_0, int) and isinstance(self.v3_inf, int)):
-                raise DomainError("quasi-regular ray needs integer components")
-            if self.v3_0 < 1 or self.v3_inf < 1 or gcd(self.v3_0, self.v3_inf) != 1:
-                raise DomainError("ray components must be coprime positive integers")
-            if self.ratio != Fraction(self.v3_inf, self.v3_0):
-                raise DomainError("ratio inconsistent with components")
-        else:
-            if not isinstance(self.ratio, AlgebraicRoot):
-                raise DomainError("irregular ray needs an isolated algebraic ratio")
-            if self.v3_0 is not None or self.v3_inf is not None:
-                raise DomainError("irregular ray has no integer components")
+        kind = Fraction if isinstance(self.ratio, Fraction) else AlgebraicRoot
+        if not (isinstance(self.k, kind) and isinstance(self.ratio, kind)):
+            raise DomainError("k and ratio must both be Fractions or both AlgebraicRoots")
+        if not self.ratio > 0:
+            raise DomainError("ray ratio must be positive, got %s" % (self.ratio,))
+
+    @property
+    def quasi_regular(self) -> bool:
+        return isinstance(self.ratio, Fraction)
+
+    @property
+    def v3_0(self) -> Optional[int]:
+        return self.ratio.denominator if self.quasi_regular else None
+
+    @property
+    def v3_inf(self) -> Optional[int]:
+        return self.ratio.numerator if self.quasi_regular else None
 
 
 def se_ray_from_w(w1: int, w2: int) -> ReebRay:
@@ -140,13 +140,12 @@ def se_ray_from_w(w1: int, w2: int) -> ReebRay:
         raise ConsistencyError("the positive root of %r is not above 1" % (cubic,))
     if isinstance(k, Fraction):
         ratio = k * w2 / w1
-        v3_0, v3_inf = ratio.denominator, ratio.numerator
-        if not verify_se_ray(w1, w2, v3_0, v3_inf):
+        if not verify_se_ray(w1, w2, ratio.denominator, ratio.numerator):
             raise ConsistencyError(
                 "cubic root k=%s fails the ray integral for w=(%d,%d)" % (k, w1, w2)
             )
-        return ReebRay(True, k, v3_0, v3_inf, ratio)
-    return ReebRay(False, k, ratio=k.scaled(Fraction(w2, w1)))
+        return ReebRay(k, ratio)
+    return ReebRay(k, k.scaled(Fraction(w2, w1)))
 
 
 def w_from_k(k) -> Tuple[int, int]:

@@ -80,8 +80,8 @@ def clear_denominators(values) -> Tuple[list, int]:
 
 def _rational(x, what: str):
     """x, when it is an int or a Fraction; TypeError otherwise, so that no
-    float or string enters exact arithmetic as a rational."""
-    if isinstance(x, (int, Fraction)):
+    float, string or bool enters exact arithmetic as a rational."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return x
     raise TypeError("%s must be an int or a Fraction, got %r" % (what, x))
 

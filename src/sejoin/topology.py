@@ -43,7 +43,7 @@ def h4_torsion(v0: int, vinf: int, m: int, l2: int, w1: int, w2: int, l1: int) -
     """
     for name, val in (("v0", v0), ("vinf", vinf), ("m", m), ("l2", l2),
                       ("w1", w1), ("w2", w2), ("l1", l1)):
-        if not isinstance(val, int) or val < 1:
+        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
             raise DomainError("%s must be a positive integer" % name)
     return TorsionInvariant(v0 * vinf * m * m * l2 * l2, w1 * w2 * l1 * l1)
 

@@ -26,7 +26,8 @@ from .kernel import (
 
 
 def _validate_pq(p: int, q: int) -> None:
-    if not (isinstance(p, int) and isinstance(q, int)):
+    if (not (isinstance(p, int) and isinstance(q, int))
+            or isinstance(p, bool) or isinstance(q, bool)):
         raise DomainError("p, q must be integers")
     if not (p > q >= 1):
         raise DomainError("need p > q >= 1, got p=%s q=%s" % (p, q))
@@ -162,7 +163,7 @@ def solve(p: int, q: int) -> YpqEinstein:
 def family_member(k2: int) -> YpqEinstein:
     """Member k2 >= 0 of the quadratic sub-family p = 12k2^2 + 18k2 + 7,
     q = 12k2^2 + 16k2 + 5, whose quotient data is polynomial in k2."""
-    if not isinstance(k2, int) or k2 < 0:
+    if not isinstance(k2, int) or isinstance(k2, bool) or k2 < 0:
         raise DomainError("family parameter must be a non-negative integer")
     p = 12 * k2 * k2 + 18 * k2 + 7
     q = 12 * k2 * k2 + 16 * k2 + 5

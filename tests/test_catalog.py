@@ -206,6 +206,17 @@ class TestEnumerateJoins:
         assert bad.error == "forced failure"
         assert "construction rejected" in bad.notes
         assert recs[0].error is None and recs[1].error is None
+        # every derived key of an error record is None, its notes included
+        none = dict.fromkeys(["regular", "k", "k_interval", "v3", "s", "m3", "n", "b", "c",
+                              "m_vector", "torsion", "smooth", "smooth_witnesses", "ke1",
+                              "ke2", "log_fano", "r3", "F_coeffs"])
+        assert record_to_dict(bad) == {
+            "schema": "sejoin-record/1", "p": "13", "q": "8", "v2": ["7", "5"], "m2": "13",
+            "a": "70", "I": "12", "w": ["3", "2"], "l1": "12", "l2": "5", **none,
+            "error": "forced failure", "notes": ["pi1 = 0", "pi2 = Z^2", "construction rejected"],
+        }
+        row = export_records([bad], "csv").splitlines()[1]
+        assert row == "13,8,7,5,13,70,12,3,2,12,5" + "," * 19 + "forced failure"
 
     def test_consistency_error_becomes_error_record(self, monkeypatch, capsys):
         real = catalog._assemble

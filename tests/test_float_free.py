@@ -1,17 +1,19 @@
 """The package computes without floats: no float() call and no float
-literal appears anywhere in src/sejoin, and no coercion to Fraction takes a
-float or a string."""
+literal appears anywhere in src/sejoin, no coercion to Fraction takes a
+float, a string or a bool, and no integer gate takes a bool."""
 
 import ast
 import pathlib
 
 import pytest
 
-from sejoin.bott import BottOrbifold, CohClass, h3_matrix
+from sejoin.bott import BottOrbifold, CohClass, h3_matrix, monoid_act
 from sejoin.catalog import build_record, weight_pairs
 from sejoin.join import w_from_k
+from sejoin.kernel import DomainError, Polynomial
 from sejoin.metric import CalabiData, CalabiProfile
-from sejoin.ypq import einstein_integrand
+from sejoin.topology import h4_torsion
+from sejoin.ypq import einstein_integrand, family_member, ray_ratio
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sejoin"
 
@@ -57,10 +59,12 @@ COERCIONS = {
     "CohClass.coeffs": lambda x: CohClass(basis="xxx", coeffs=(1, x, 1), abc=(0, 0, 0)),
     "h3_matrix": lambda x: h3_matrix(GOLDEN_ORB, (1, x, 1)),
     "einstein_integrand": lambda x: einstein_integrand(13, 8, x, 1),
+    "Polynomial": lambda x: Polynomial((x, 1)),
 }
 
 
-@pytest.mark.parametrize("bad", [1.1, "1/3"], ids=["float", "str"])
+# a bool is an int to isinstance, but True is no rational
+@pytest.mark.parametrize("bad", [1.1, "1/3", True], ids=["float", "str", "bool"])
 @pytest.mark.parametrize("name", sorted(COERCIONS))
 def test_coercions_take_ints_and_fractions_only(name, bad):
     # k = 1.1 is 2476979795053773/2251799813685248: its 47-digit weights
@@ -68,3 +72,26 @@ def test_coercions_take_ints_and_fractions_only(name, bad):
     with pytest.raises(TypeError):
         COERCIONS[name](bad)
 
+
+
+# every integer gate, each called with True where it checks an integer, and
+# the message it raises for any other non-integer
+INTEGER_GATES = {
+    "ray_ratio.q": (lambda: ray_ratio(3, True), "p, q must be integers"),
+    "family_member": (lambda: family_member(True), "family parameter must be a non-negative"),
+    "BottOrbifold.a": (lambda: BottOrbifold(True, 0, 0, (1,) * 6), "a must be an integer"),
+    "BottOrbifold.b": (lambda: BottOrbifold(1, True, 0, (1,) * 6), "b must be an integer or"),
+    "BottOrbifold.c": (lambda: BottOrbifold(1, 0, True, (1,) * 6), "c must be an integer or"),
+    "h4_torsion": (lambda: h4_torsion(True, 1, 1, 1, 1, 1, 1), "v0 must be a positive integer"),
+    "monoid_act.lam": (lambda: monoid_act(GOLDEN_ORB, (True,) * 6, (0,) * 6),
+                       "lam entries must be integers"),
+    "monoid_act.shift": (lambda: monoid_act(GOLDEN_ORB, (1,) * 6, (True,) * 6),
+                         "shift entries must be integers"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_GATES))
+def test_integer_gates_reject_bool(name):
+    call, message = INTEGER_GATES[name]
+    with pytest.raises(DomainError, match=message):
+        call()

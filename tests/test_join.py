@@ -207,12 +207,22 @@ class TestSeRay:
         assert lo == "1.5213797068"
 
     def test_reebray_validation(self):
+        irregular = se_ray_from_w(2, 1)
+        # k and ratio are both Fractions or both algebraic
         with pytest.raises(DomainError):
-            ReebRay(True, Fraction(2), 34, 22, Fraction(22, 34))
+            ReebRay(Fraction(2), irregular.ratio)
         with pytest.raises(DomainError):
-            ReebRay(True, Fraction(2), 17, 11, Fraction(11, 18))
-        with pytest.raises(DomainError):
-            ReebRay(False, Fraction(2), ratio=Fraction(11, 17))
+            ReebRay(irregular.k, Fraction(11, 17))
+        # the ratio is positive
+        for bad in (Fraction(0), Fraction(-11, 17)):
+            with pytest.raises(DomainError):
+                ReebRay(Fraction(2), bad)
+
+    def test_components_are_read_from_the_ratio(self):
+        # a Fraction is in lowest terms, so 22/34 is the ray (17, 11)
+        ray = ReebRay(Fraction(2), Fraction(22, 34))
+        assert ray.quasi_regular is True
+        assert (ray.v3_0, ray.v3_inf) == (17, 11)
 
 
 class TestWFromK:
@@ -301,13 +311,13 @@ class TestQuotientOrbifold:
             quotient_orbifold(spec, se_ray_from_w(2, 1))
 
     def test_degenerate_ray(self):
-        ray = ReebRay(True, Fraction(3), 3, 1, Fraction(1, 3))
+        ray = ReebRay(Fraction(3), Fraction(1, 3))
         spec = JoinSpec(YPQ_A, 1, 1, 3, 1)
         with pytest.raises(DegenerateEquationError):
             quotient_orbifold(spec, ray)
 
     def test_wrong_orientation(self):
-        ray = ReebRay(True, Fraction(2), 5, 1, Fraction(1, 5))
+        ray = ReebRay(Fraction(2), Fraction(1, 5))
         spec = JoinSpec(YPQ_A, 1, 1, 3, 2)
         with pytest.raises(DomainError):
             quotient_orbifold(spec, ray)
