@@ -22,7 +22,8 @@ from .kernel import (
     DomainError,
     Polynomial,
     _rational,
-    integrate_sym,
+    integrate_sym_ints,
+    mul_ints,
     real_roots,
 )
 from .ypq import YpqEinstein
@@ -165,7 +166,8 @@ def w_from_k(k) -> Tuple[int, int]:
 
 def verify_se_ray(w1: int, w2: int, v3_0: int, v3_inf: int) -> bool:
     """Exact check that (v3_0, v3_inf) spans a Sasaki-Einstein Reeb ray for
-    weights (w1, w2): the defining integral over [-1, 1] vanishes.
+    weights (w1, w2): the defining integral over [-1, 1] of
+    (C - D z)(A + B z)^2 vanishes, read on its integer coefficients.
 
     Cross-checked against the closed form 3CA^2 + CB^2 - 2ABD = 0 with
     C = v3_0 - v3_inf, D = v3_0 + v3_inf, A = w1*v3_inf + w2*v3_0,
@@ -177,9 +179,8 @@ def verify_se_ray(w1: int, w2: int, v3_0: int, v3_inf: int) -> bool:
     d = v3_0 + v3_inf
     a = w1 * v3_inf + w2 * v3_0
     b = w1 * v3_inf - w2 * v3_0
-    lin = Polynomial((c, -d))
-    sq = Polynomial((a, b))
-    integral = integrate_sym(lin * sq * sq)
+    sq = [a, b]
+    integral, _ = integrate_sym_ints(mul_ints([c, -d], mul_ints(sq, sq)))
     closed = 3 * c * a * a + c * b * b - 2 * a * b * d
     if (integral == 0) != (closed == 0):
         raise ConsistencyError("integral and closed form disagree")

@@ -1,12 +1,13 @@
 """Exact arithmetic kernel.
 
-Scalars are arbitrary-precision ``int`` and ``fractions.Fraction`` values,
-polynomials are dense coefficient tuples over Fraction, and irrational roots
-are carried as the primitive integer coefficients of a square-free
-polynomial with an isolating interval, refined only where a comparison or
-``decimal_bounds`` needs it.  No floats enter any computation: an
-``AlgebraicRoot`` takes int and Fraction operands only, and raises
-TypeError on anything else.
+Scalars are arbitrary-precision ``int`` and ``fractions.Fraction`` values.
+A ``Polynomial`` is a dense coefficient tuple over Fraction, the form a
+record stores; the computations behind it run on integer coefficient lists
+(lowest degree first).  Irrational roots are carried as the primitive
+integer coefficients of a square-free polynomial with an isolating
+interval, refined only where a comparison or ``decimal_bounds`` needs it.
+No floats enter any computation: an ``AlgebraicRoot`` takes int and
+Fraction operands only, and raises TypeError on anything else.
 
 ``real_roots`` returns the one positive root of a polynomial of degree 2 or
 3 with p(0) != 0 and one sign variation in its coefficients, as the SE
@@ -22,14 +23,18 @@ steps with no bisection left.  ``AlgebraicRoot._cmp`` is the one exact
 placement of a root against a rational: cross-multiplication outside its
 interval, else one sign test against the stored sign at the lower end.
 
-The hot paths run on integers: ``Polynomial.__call__`` is Horner's rule on
-one integer numerator and one positive integer denominator with a single
-Fraction at the end, and ``sturm_chain`` is an integer pseudo-remainder
-sequence on the coefficient list that its caller scaled to integers once,
-whose signs are read by integer Horner evaluation, with no Fraction built.
-Trial division and bisection read the same integer evaluation, and
-``count_roots_open`` deflates an endpoint root n/d by exact integer
-division by d z - n.
+The hot paths run on integers.  ``mul_ints`` and ``integrate_sym_ints`` are
+the one polynomial product and the one integral over [-1, 1], on integer
+lists: ``Polynomial.__mul__`` and ``integrate_sym`` clear denominators once
+and call them, and the KE profile and the two ray integrals call them
+directly, with a Fraction built only where a record stores one.
+``Polynomial.__call__`` is Horner's rule on one integer numerator and one
+positive integer denominator with a single Fraction at the end, and
+``sturm_chain`` is an integer pseudo-remainder sequence on the coefficient
+list that its caller scaled to integers once, whose signs are read by
+integer Horner evaluation, with no Fraction built.  Trial division and
+bisection read the same integer evaluation, and ``count_roots_open``
+deflates an endpoint root n/d by exact integer division by d z - n.
 An ``AlgebraicRoot`` stores its interval as three integers (a, b, d),
 meaning (a/d, b/d), and its sign change, Sturm count, comparisons,
 clipping and scaling read them by cross-multiplication; only ``lo``,
@@ -144,24 +149,13 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if self.is_zero() or other.is_zero():
-                return Polynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
+            a, da = clear_denominators(self.coeffs)
+            b, db = clear_denominators(other.coeffs)
+            return Polynomial(Fraction(c, da * db) for c in mul_ints(a, b))
         other = _rational(other, "scalar")
         return Polynomial(c * other for c in self.coeffs)
 
     __rmul__ = __mul__
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
-
-    def antiderivative(self) -> "Polynomial":
-        # constant of integration 0
-        return Polynomial([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
 
     def __repr__(self):
         if self.is_zero():
@@ -173,13 +167,33 @@ class Polynomial:
         return "Polynomial(%s)" % " + ".join(terms)
 
 
+def mul_ints(a: list, b: list) -> list:
+    """The integer coefficients of the product of the polynomials with
+    integer coefficients ``a`` and ``b`` (lowest degree first)."""
+    if not (a and b):
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def integrate_sym_ints(coeffs: list) -> Tuple[int, int]:
+    """(n, d), d > 0, with n/d the integral over [-1, 1] of the polynomial
+    with integer coefficients ``coeffs`` (lowest degree first): odd powers
+    vanish and z^(2j) gives 2/(2j+1), so d is the lcm of those 2j+1 and n
+    is 0 exactly when the integral is."""
+    d = lcm(*range(1, len(coeffs) + 1, 2))
+    return sum(2 * c * (d // (i + 1)) for i, c in enumerate(coeffs) if i % 2 == 0), d
+
+
 def integrate_sym(p: Polynomial) -> Fraction:
-    """Exact integral of p over [-1, 1]: odd powers vanish, z^(2j) gives 2/(2j+1)."""
-    total = Fraction(0)
-    for i, c in enumerate(p.coeffs):
-        if i % 2 == 0:
-            total += 2 * c / (i + 1)
-    return total
+    """Exact integral of p over [-1, 1], by ``integrate_sym_ints`` on the
+    integer multiple of p that clears its denominators."""
+    ints, scale = clear_denominators(p.coeffs)
+    n, d = integrate_sym_ints(ints)
+    return Fraction(n, d * scale)
 
 
 def _content_free(ints: list) -> list:
@@ -373,10 +387,13 @@ class AlgebraicRoot:
     ``scaled``, which counts nothing; both store the sign of poly at lo,
     ``_lo_positive``.  ``_cmp`` is the one exact placement of the root
     against a rational, for ``<``, ``>`` and every cell of
-    ``decimal_bounds``.  Refinement methods are pure.  It compares with
+    ``decimal_bounds``.  Refinement methods are pure.  It orders against
     rationals only, an int or a Fraction: ``<`` or ``>`` with anything
-    else, another AlgebraicRoot included, raises TypeError, since bisecting
-    two intervals of one number never ends.
+    else, a bool or another AlgebraicRoot included, raises TypeError, since
+    bisecting two intervals of one number never ends.  ``==`` needs no
+    bisection: two roots are equal when they are the same root of the same
+    primitive polynomial, so it is equality of numbers for roots of
+    irreducible polynomials, as every root that ``real_roots`` builds is.
     """
 
     __slots__ = ("coeffs", "_a", "_b", "_d", "_lo_positive")
@@ -571,14 +588,34 @@ class AlgebraicRoot:
         return 1 if (v > 0) == self._lo_positive else -1
 
     def __lt__(self, other):
-        if not isinstance(other, (int, Fraction)):
+        if isinstance(other, bool) or not isinstance(other, (int, Fraction)):
             return NotImplemented
         return self._cmp(other.numerator, other.denominator) < 0
 
     def __gt__(self, other):
-        if not isinstance(other, (int, Fraction)):
+        if isinstance(other, bool) or not isinstance(other, (int, Fraction)):
             return NotImplemented
         return self._cmp(other.numerator, other.denominator) > 0
+
+    def __eq__(self, other):
+        """The same root of the same polynomial: equal ``coeffs``, and a
+        sign change of poly on the intersection of the two intervals.  That
+        intersection lies in each interval, whose one root is where poly
+        changes sign, and its ends are ends of the two intervals, where poly
+        is nonzero; so it changes sign there exactly when it holds both
+        roots.  Read on integers, with no refinement."""
+        if not isinstance(other, AlgebraicRoot):
+            return NotImplemented
+        if self.coeffs != other.coeffs:
+            return False
+        d = self._d * other._d
+        lo = max(self._a * other._d, other._a * self._d)
+        hi = min(self._b * other._d, other._b * self._d)
+        return lo < hi and (_scaled_value(self.coeffs, lo, d)
+                            * _scaled_value(self.coeffs, hi, d)) < 0
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     def __repr__(self):
         return "AlgebraicRoot(%r, (%s, %s))" % (self.poly, self.lo, self.hi)

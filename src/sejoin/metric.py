@@ -21,7 +21,9 @@ from .kernel import (
     DomainError,
     Polynomial,
     _rational,
-    integrate_sym,
+    _scaled_value,
+    integrate_sym_ints,
+    mul_ints,
     sturm_positive_on,
 )
 
@@ -98,32 +100,32 @@ class CalabiData:
         )
 
 
-def _slope_polynomial(data: CalabiData) -> Polynomial:
-    # R(t) = (1 - t)/m3_inf - (1 + t)/m3_0, the affine function matching the
-    # required endpoint slopes of Theta
-    p = Fraction(1, data.m3_inf) - Fraction(1, data.m3_0)
-    q = Fraction(1, data.m3_inf) + Fraction(1, data.m3_0)
-    return Polynomial((p, -q))
+def _weighted_slope(data: CalabiData) -> list:
+    # (1 + r3 t)^2 R(t), with R(t) = (1 - t)/m3_inf - (1 + t)/m3_0 the affine
+    # function matching the required endpoint slopes of Theta, times
+    # rd^2 * m3_0 * m3_inf for r3 = rn/rd: the integer coefficients of
+    # (rd + rn t)^2 ((m3_0 - m3_inf) - (m3_0 + m3_inf) t)
+    weight = [data.r3.denominator, data.r3.numerator]
+    return mul_ints(mul_ints(weight, weight),
+                    [data.m3_0 - data.m3_inf, -(data.m3_0 + data.m3_inf)])
 
 
 def ke_conditions(data: CalabiData) -> Tuple[bool, bool]:
-    """The two exact Einstein conditions.
+    """The two exact Einstein conditions, read on integers.
 
-    ke1: 2*r3*I/n = (1 + r3)/m3_inf + (1 - r3)/m3_0.
+    ke1: 2*r3*I/n = (1 + r3)/m3_inf + (1 - r3)/m3_0, cross-multiplied.
     ke2: the weighted slope integral over [-1, 1] vanishes; cross-checked
     against the closed form 3P + P*r3^2 = 2*r3*Q with
-    P = 1/m3_inf - 1/m3_0, Q = 1/m3_inf + 1/m3_0.
+    P = 1/m3_inf - 1/m3_0, Q = 1/m3_inf + 1/m3_0, both sides times
+    rd^2 * m3_0 * m3_inf for r3 = rn/rd.
     """
-    r3 = data.r3
-    ke1 = (
-        2 * r3 * data.fano_index / data.n
-        == (1 + r3) / Fraction(data.m3_inf) + (1 - r3) / Fraction(data.m3_0)
-    )
-    weight = Polynomial((1, r3))
-    slope = _slope_polynomial(data)
-    integral = integrate_sym(weight * weight * slope)
-    p, q = slope.coeffs[0], -slope.coeffs[1]
-    closed = 3 * p + p * r3 * r3 - 2 * r3 * q
+    rn, rd = data.r3.numerator, data.r3.denominator
+    m0, minf = data.m3_0, data.m3_inf
+    ke1 = (2 * rn * data.fano_index * m0 * minf
+           == data.n * ((rd + rn) * m0 + (rd - rn) * minf))
+    integral, _ = integrate_sym_ints(_weighted_slope(data))
+    p, q = m0 - minf, m0 + minf
+    closed = 3 * p * rd * rd + p * rn * rn - 2 * rn * rd * q
     if (integral == 0) != (closed == 0):
         raise ConsistencyError("KE2 integral and closed form disagree")
     return ke1, integral == 0
@@ -161,26 +163,32 @@ def ke_profile(data: CalabiData) -> CalabiProfile:
     F(z) = integral from -1 to z of (1 + r3*t)^2 * R(t) dt.
 
     The two KE identities are evaluated here, once for a record, and raise
-    DomainError unless both hold.  Every boundary condition and interior
-    positivity is re-verified exactly; violations raise loudly since they
-    cannot occur for genuine SE data.
+    DomainError unless both hold.  F is built on integers, as
+    H = 12 * rd^2 * m3_0 * m3_inf * F with r3 = rn/rd, and becomes
+    Fractions once, over that one denominator.  Every boundary condition
+    and interior positivity is re-verified exactly; violations raise loudly
+    since they cannot occur for genuine SE data.
     """
     ke1, ke2 = ke_conditions(data)
     if not (ke1 and ke2):
         raise DomainError("ke_conditions must both hold, got (%s, %s)" % (ke1, ke2))
     r3 = data.r3
-    weight = Polynomial((1, r3))
-    slope = _slope_polynomial(data)
-    anti = (weight * weight * slope).antiderivative()
-    f = anti + Polynomial((-anti(-1),))
-    if f(-1) != 0 or f(1) != 0:
+    rn, rd = r3.numerator, r3.denominator
+    m0, minf = data.m3_0, data.m3_inf
+    # 12 * the antiderivative of the integer cubic, minus its value at -1
+    h = [0] + [12 // (i + 1) * c for i, c in enumerate(_weighted_slope(data))]
+    h[0] = -_scaled_value(h, -1, 1)
+    if _scaled_value(h, -1, 1) or _scaled_value(h, 1, 1):
         raise ConsistencyError("profile endpoints do not vanish")
-    # F has simple zeros at the endpoints, so Theta' there is F'/(1 + r3*z)^2
-    df = f.derivative()
-    if df(-1) != (1 - r3) ** 2 * Fraction(2, data.m3_inf):
+    # F has simple zeros at the endpoints, so Theta' there is F'/(1 + r3*z)^2:
+    # (1 - r3)^2 * 2/m3_inf at -1 and -(1 + r3)^2 * 2/m3_0 at +1, times the scale
+    dh = [i * c for i, c in enumerate(h)][1:]
+    if _scaled_value(dh, -1, 1) != 24 * (rd - rn) ** 2 * m0:
         raise ConsistencyError("Theta slope at -1 is wrong")
-    if df(1) != -((1 + r3) ** 2) * Fraction(2, data.m3_0):
+    if _scaled_value(dh, 1, 1) != -24 * (rd + rn) ** 2 * minf:
         raise ConsistencyError("Theta slope at +1 is wrong")
+    scale = 12 * rd * rd * m0 * minf
+    f = Polynomial(Fraction(c, scale) for c in h)
     if not sturm_positive_on(f, -1, 1):
         raise ConsistencyError("profile is not positive on (-1, 1)")
     return CalabiProfile(r3=r3, F=f)

@@ -20,7 +20,8 @@ from .kernel import (
     Polynomial,
     _rational,
     integer_sqrt_exact,
-    integrate_sym,
+    integrate_sym_ints,
+    mul_ints,
     real_roots,
 )
 
@@ -52,6 +53,13 @@ def einstein_integrand(p: int, q: int, v0, vinf) -> Polynomial:
     return lin1 * lin2
 
 
+def _integrand_ints(p: int, q: int, v0: int, vinf: int) -> list:
+    """The integer coefficients of ``einstein_integrand`` at integer
+    (v0, vinf)."""
+    return mul_ints([v0 - vinf, -(v0 + vinf)],
+                    [(p + q) * vinf + (p - q) * v0, (p + q) * vinf - (p - q) * v0])
+
+
 def ray_ratio(p: int, q: int) -> Tuple[Union[Fraction, AlgebraicRoot], Polynomial]:
     """Ratio t = v0/vinf of the unique positive transverse-Einstein ray,
     plus the quadratic it solves: 2*beta*t^2 + (alpha - beta)*t - 2*alpha = 0
@@ -70,7 +78,7 @@ def ray_ratio(p: int, q: int) -> Tuple[Union[Fraction, AlgebraicRoot], Polynomia
     if isinstance(ratio, Fraction):
         # cross-check against the defining integral, not the quadratic
         v0, vinf = ratio.numerator, ratio.denominator
-        if integrate_sym(einstein_integrand(p, q, v0, vinf)) != 0:
+        if integrate_sym_ints(_integrand_ints(p, q, v0, vinf))[0] != 0:
             raise ConsistencyError("ray (%d, %d) fails the integral check" % (v0, vinf))
     return ratio, quad
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sejoin import join
 from sejoin.catalog import enumerate_ypq
 from sejoin.join import (
     JoinQuotient,
@@ -35,6 +36,7 @@ from sejoin.kernel import (
     Polynomial,
     _primitive_ints,
     count_roots_open,
+    integrate_sym,
     real_roots,
     sturm_chain,
 )
@@ -265,6 +267,44 @@ class TestVerifySeRay:
         # the condition depends only on the two rays, not their scale
         assert verify_se_ray(34, 11, 34, 22) is True
         assert verify_se_ray(68, 22, 17, 11) is True
+
+    @staticmethod
+    def _reference(w1, w2, v3_0, v3_inf):
+        """The ray integral over Fractions, as verify_se_ray computed it
+        before it moved to integer coefficient lists."""
+        c, d = v3_0 - v3_inf, v3_0 + v3_inf
+        sq = Polynomial((w1 * v3_inf + w2 * v3_0, w1 * v3_inf - w2 * v3_0))
+        return integrate_sym(Polynomial((c, -d)) * sq * sq) == 0
+
+    def test_matches_fraction_integral(self):
+        # the SE rays of drawn rational k, their multiples, and near misses
+        rng = random.Random(31)
+        solutions = misses = 0
+        for _ in range(300):
+            k = Fraction(rng.randrange(2, 3000), rng.randrange(1, 1000))
+            if k <= 1:
+                continue
+            w1, w2 = w_from_k(k)
+            ratio = k * w2 / w1
+            lam = rng.randrange(1, 4)
+            cases = [(lam * ratio.denominator, lam * ratio.numerator),
+                     (ratio.denominator + rng.randrange(1, 3), ratio.numerator),
+                     (rng.randrange(1, 10**6), rng.randrange(1, 10**6))]
+            for v3_0, v3_inf in cases:
+                expected = self._reference(w1, w2, v3_0, v3_inf)
+                assert verify_se_ray(w1, w2, v3_0, v3_inf) is expected
+                solutions += expected
+                misses += not expected
+        assert solutions >= 250 and misses >= 500
+
+    def test_disagreeing_integral_is_an_error(self, monkeypatch):
+        # the closed form 3CA^2 + CB^2 - 2ABD still judges the integral
+        monkeypatch.setattr(join, "integrate_sym_ints", lambda coeffs: (1, 1))
+        with pytest.raises(ConsistencyError):
+            verify_se_ray(34, 11, 17, 11)
+        monkeypatch.setattr(join, "integrate_sym_ints", lambda coeffs: (0, 1))
+        with pytest.raises(ConsistencyError):
+            verify_se_ray(2, 1, 1, 1)
 
 
 class TestQuotientOrbifold:

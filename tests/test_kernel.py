@@ -28,6 +28,8 @@ from sejoin.kernel import (
     fraction_to_decimal,
     integer_sqrt_exact,
     integrate_sym,
+    integrate_sym_ints,
+    mul_ints,
     real_roots,
     sturm_chain,
     sturm_positive_on,
@@ -120,12 +122,6 @@ def test_root_counts_take_ints_and_fractions_only():
     assert sturm_positive_on(Polynomial((1,)), 0, F(1, 1000))
 
 
-def test_polynomial_derivative_antiderivative():
-    p = Polynomial((5, 0, -3, 2))
-    assert p.derivative().coeffs == (F(0), F(-6), F(6))
-    assert p.antiderivative().derivative() == p
-
-
 def test_primitive():
     assert kernel._primitive_ints((F(1, 2), F(-3, 4))) == [-2, 3]
     assert kernel._primitive_ints((F(-2), F(-4))) == [1, 2]
@@ -156,9 +152,19 @@ def _monic_gcd(a, b):
     return (1 / a.coeffs[-1]) * a
 
 
+def _derivative(p):
+    """p' by the power rule, independent of the kernel."""
+    return Polynomial(i * c for i, c in enumerate(p.coeffs) if i)
+
+
+def _antiderivative(p):
+    """The antiderivative of p with constant term 0, by the power rule."""
+    return Polynomial([0] + [c / (i + 1) for i, c in enumerate(p.coeffs)])
+
+
 def _square_free(p):
     """p(0) != 0 and p square-free."""
-    return p.coeffs[0] != 0 and _monic_gcd(p, p.derivative()).degree == 0
+    return p.coeffs[0] != 0 and _monic_gcd(p, _derivative(p)).degree == 0
 
 
 def _all_divisors(n):
@@ -256,7 +262,7 @@ def test_sturm_chain_ends_in_gcd():
     g = Polynomial(sturm_chain(_content_free_ints(sq))[-1])
     # gcd(sq, sq') = z - 1, up to a constant factor
     assert g.degree == 1 and (1 / g.coeffs[-1]) * g == p
-    assert _monic_gcd(sq, sq.derivative()) == p
+    assert _monic_gcd(sq, _derivative(sq)) == p
 
 
 def _content_free_ints(p):
@@ -356,8 +362,34 @@ def test_integrate_sym_values():
 @given(st.lists(st.integers(-50, 50), min_size=1, max_size=6))
 def test_integrate_sym_matches_antiderivative(coeffs):
     p = Polynomial(coeffs)
-    anti = p.antiderivative()
+    anti = _antiderivative(p)
     assert integrate_sym(p) == anti(1) - anti(-1)
+
+
+@settings(derandomize=True, database=None)
+@given(st.lists(st.integers(-50, 50), max_size=6), st.lists(st.integers(-50, 50), max_size=6),
+       st.integers(1, 12))
+def test_integer_helpers_match_fraction_arithmetic(a, b, d):
+    # the one product and the one integral, on integer lists, against the
+    # schoolbook product and the antiderivative over Fractions
+    prod = mul_ints(a, b)
+    ref = [F(0)] * (len(a) + len(b) - 1 if a and b else 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            ref[i + j] += x * y
+    assert prod == ref
+    assert Polynomial(F(c, d) for c in a) * Polynomial(b) == Polynomial(F(c, d) for c in ref)
+    n, den = integrate_sym_ints(prod)
+    anti = _antiderivative(Polynomial(prod))
+    assert den > 0 and F(n, den) == anti(1) - anti(-1)
+    assert integrate_sym(Polynomial(F(c, d) for c in prod)) == F(n, den * d)
+
+
+def test_integrate_sym_ints_denominator():
+    assert integrate_sym_ints([]) == (0, 1)
+    assert integrate_sym_ints([5, 7]) == (10, 1)
+    # 2*1 + 2*1/3 + 2*1/5 over lcm(1, 3, 5)
+    assert integrate_sym_ints([1, 9, 1, 9, 1]) == (30 + 10 + 6, 15)
 
 
 # ------------------------------------------------------------ root counting
@@ -721,6 +753,39 @@ def test_algebraic_root_comparisons():
     assert sqrt2 < F(142, 100)
     assert sqrt2 > 1
     assert not (sqrt2 < F(7, 5)) or not (sqrt2 > F(7, 5))
+
+
+def test_algebraic_root_rejects_bool():
+    # a bool is an int, but no rational operand, as at every other gate
+    ratio = se_ray_from_w(2, 1).ratio
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            ratio < flag
+        with pytest.raises(TypeError):
+            ratio > flag
+    assert ratio > 0 and ratio < 1
+
+
+def test_algebraic_root_equality():
+    sqrt2 = AlgebraicRoot(Polynomial((-2, 0, 1)), 1, 2)
+    assert sqrt2 == AlgebraicRoot(Polynomial((-2, 0, 1)), 1, 3)
+    assert sqrt2 == AlgebraicRoot([-2, 0, 1], F(7, 5), F(3, 2))
+    assert hash(sqrt2) == hash(AlgebraicRoot(Polynomial((-2, 0, 1)), 1, 3))
+    # -sqrt(2) has the same coeffs; the intervals tell them apart
+    minus = AlgebraicRoot(Polynomial((-2, 0, 1)), -2, -1)
+    assert minus.coeffs == sqrt2.coeffs
+    assert sqrt2 != minus and minus != sqrt2
+    # -sqrt(2) and sqrt(2) on intervals that overlap, but hold one root each
+    assert AlgebraicRoot([-2, 0, 1], -2, F(1, 2)) != AlgebraicRoot([-2, 0, 1], 0, 2)
+    # another polynomial, or no AlgebraicRoot at all
+    assert sqrt2 != AlgebraicRoot(Polynomial((-3, 0, 1)), 1, 2)
+    assert sqrt2 != F(7, 5) and sqrt2 != 1
+    # a scaled copy is the same number as the root built on its polynomial
+    t, _ = ray_ratio(5, 2)
+    assert t.scaled(F(1, 3)) == AlgebraicRoot(t.scaled(F(1, 3)).coeffs, 0, 1)
+    # equal irregular records, rebuilt
+    assert build_record(13, 8, w=(5, 2)) == build_record(13, 8, w=(5, 2))
+    assert build_record(13, 8, w=(5, 2)) != build_record(13, 8, w=(7, 2))
 
 
 def test_algebraic_root_immutable():

@@ -5,14 +5,22 @@ was integrated by hand from (1 + t/2)^2 ((1-t)/18 - (1+t)/34) and serves as
 the main frozen fixture.
 """
 
+import dataclasses
+import random
 from fractions import Fraction
-
 import pytest
 
 from sejoin import catalog, metric
 from sejoin.bott import _to_x, c1_orb
 from sejoin.catalog import build_record, enumerate_joins, enumerate_ypq, family_record
-from sejoin.join import JoinSpec, quotient_orbifold, se_ray_from_w
+from sejoin.join import (
+    JoinSpec,
+    ReebRay,
+    canonical_l,
+    quotient_orbifold,
+    se_ray_from_w,
+    w_from_k,
+)
 from sejoin.kernel import (
     ConsistencyError,
     DegenerateEquationError,
@@ -41,6 +49,11 @@ FAMILY_F = (
     Polynomial((0, 4, Fraction(-9, 2), -4, Fraction(-13, 16))) * Fraction(1, 153)
     + Polynomial((Fraction(5, 144),))
 )
+
+
+def _derivative(p):
+    """p' by the power rule."""
+    return Polynomial(i * c for i, c in enumerate(p.coeffs) if i)
 
 
 class TestR3:
@@ -147,7 +160,7 @@ class TestKEProfile:
         assert profile.F(-1) == 0
         assert profile.F(1) == 0
         # Theta'(-1) = F'(-1)/(1-r3)^2 = 2/m3_inf, likewise at +1
-        deriv = profile.F.derivative()
+        deriv = _derivative(profile.F)
         assert deriv(-1) / (1 - profile.r3) ** 2 == Fraction(1, 9)
         assert deriv(1) / (1 + profile.r3) ** 2 == Fraction(-1, 17)
         assert profile.theta(-1) == 0
@@ -159,7 +172,7 @@ class TestKEProfile:
         assert profile.F(-1) == 0 and profile.F(1) == 0
         assert profile.F.degree == 4
         assert sturm_positive_on(profile.F, -1, 1)
-        deriv = profile.F.derivative()
+        deriv = _derivative(profile.F)
         assert deriv(-1) / (1 - profile.r3) ** 2 == Fraction(2, 165)
         assert deriv(1) / (1 + profile.r3) ** 2 == Fraction(-2, 255)
 
@@ -172,7 +185,7 @@ class TestKEProfile:
                 Fraction(1, data.m3_inf) - Fraction(1, data.m3_0),
                 -(Fraction(1, data.m3_inf) + Fraction(1, data.m3_0)),
             ))
-            assert profile.F.derivative() == weight * weight * slope
+            assert _derivative(profile.F) == weight * weight * slope
 
     def test_rejects_non_ke_data(self):
         data = CalabiData(
@@ -197,6 +210,85 @@ class TestKEProfile:
         assert pts[2][1] == Fraction(5, 144)
         with pytest.raises(DomainError):
             profile.grid(0)
+
+
+def _reference_ke(data):
+    """(ke1, ke2, F) by the Fraction formulas the metric layer used before
+    it moved to integer coefficient lists: ke1 as stated, ke2 as the
+    integral of (1 + r3 t)^2 R(t) over [-1, 1], and F as that integrand's
+    antiderivative minus its value at -1."""
+    r3, m0, minf = data.r3, Fraction(data.m3_0), Fraction(data.m3_inf)
+    ke1 = 2 * r3 * data.fano_index / data.n == (1 + r3) / minf + (1 - r3) / m0
+    weight = Polynomial((1, r3))
+    integrand = weight * weight * Polynomial((1 / minf - 1 / m0, -(1 / minf + 1 / m0)))
+    ke2 = sum(2 * c / (i + 1) for i, c in enumerate(integrand.coeffs) if i % 2 == 0) == 0
+    anti = Polynomial([0] + [c / (i + 1) for i, c in enumerate(integrand.coeffs)])
+    return ke1, ke2, anti + Polynomial((-anti(-1),))
+
+
+def _drawn_ke_data():
+    """The Calabi data of drawn rational k, as in the rational-k benchmark:
+    k = a/b with four a in each doubling stratum up to 1536 and 1 <= b < a,
+    joined to every quasi-regular first factor with p <= 40 whose canonical
+    gluing is accepted.  The ray is read off k, with no root finding."""
+    rng = random.Random("metric reference")
+    ks = []
+    for lo in (3, 6, 12, 24, 48, 96, 192, 384, 768):
+        for _ in range(4):
+            a = rng.randrange(lo, 2 * lo)
+            ks.append(Fraction(a, rng.randrange(1, a)))
+    out = []
+    for sol in enumerate_ypq(40):
+        for k in ks:
+            w1, w2 = w_from_k(k)
+            try:
+                spec = JoinSpec(sol, *canonical_l(w1, w2, sol.fano_index), w1, w2)
+            except DomainError:
+                continue
+            ray = ReebRay(k, k * w2 / w1)
+            out.append(CalabiData.from_join(spec, ray, quotient_orbifold(spec, ray)))
+    return out
+
+
+class TestIntegerPathMatchesFractions:
+    DATA = _drawn_ke_data()
+
+    def test_drawn_data(self):
+        assert len(self.DATA) >= 250
+        assert max(d.m3_0 for d in self.DATA) > 10**9
+        for data in self.DATA:
+            ke1, ke2, f = _reference_ke(data)
+            assert ke_conditions(data) == (ke1, ke2) == (True, True)
+            assert ke_profile(data).F == f
+            # the same reduced Fractions, stored once
+            assert ke_profile(data).F.coeffs == f.coeffs
+
+    def test_mutations_raise(self):
+        for data in self.DATA[::5]:
+            r3 = data.r3
+            for change in (dict(n=data.n + 1), dict(n=2 * data.n),
+                           dict(r3=r3 * Fraction(1000, 1001)),
+                           dict(r3=r3 + Fraction(1, 10 * r3.denominator)),
+                           dict(v3_0=data.v3_0 + 1), dict(m3=data.m3 + 1)):
+                try:
+                    bad = dataclasses.replace(data, **change)
+                except DomainError:
+                    continue
+                ke1, ke2, _ = _reference_ke(bad)
+                assert ke_conditions(bad) == (ke1, ke2) != (True, True)
+                with pytest.raises(DomainError):
+                    ke_profile(bad)
+
+    def test_disagreeing_closed_form_is_an_error(self, monkeypatch):
+        # the integral and the closed form of ke2 must agree both ways
+        monkeypatch.setattr(metric, "integrate_sym_ints", lambda coeffs: (1, 1))
+        with pytest.raises(ConsistencyError):
+            ke_conditions(GOLDEN_A_DATA)
+        with pytest.raises(ConsistencyError):
+            ke_profile(FAMILY0_DATA)
+        monkeypatch.setattr(metric, "integrate_sym_ints", lambda coeffs: (0, 1))
+        with pytest.raises(ConsistencyError):
+            ke_conditions(dataclasses.replace(GOLDEN_A_DATA, v3_0=1, v3_inf=1))
 
 
 # every rational 1 < k <= 4 with denominator at most 4: 18 values

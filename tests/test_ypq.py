@@ -348,6 +348,37 @@ class TestFamily:
             family_member(Fraction(1, 2))
 
 
+def test_integer_integral_matches_fraction_integral():
+    # ray_ratio's check reads the integrand's integer coefficients; they are
+    # einstein_integrand's, and vanish on the SE ray exactly when its
+    # integral over Fractions does
+    rng = random.Random(31)
+    pairs = _pairs(200)
+    cases = [(p, q) + einstein_ray(p, q) for p, q in pairs]
+    cases += [(p, q, v0 + rng.randrange(1, 4), vinf) for p, q, v0, vinf in cases]
+    while len(cases) < 400:
+        p = rng.randrange(2, 500)
+        q = rng.randrange(1, p)
+        if gcd(p, q) == 1:
+            cases.append((p, q, rng.randrange(1, 10**4), rng.randrange(1, 10**4)))
+    hits = 0
+    for p, q, v0, vinf in cases:
+        ints = ypq._integrand_ints(p, q, v0, vinf)
+        assert Polynomial(ints) == einstein_integrand(p, q, v0, vinf)
+        vanishes = integrate_sym(einstein_integrand(p, q, v0, vinf)) == 0
+        assert (kernel.integrate_sym_ints(ints)[0] == 0) is vanishes
+        hits += vanishes
+    assert hits == len(pairs)
+
+
+def test_failed_integral_check_is_an_error(monkeypatch):
+    monkeypatch.setattr(ypq, "integrate_sym_ints", lambda coeffs: (1, 1))
+    with pytest.raises(ConsistencyError):
+        ray_ratio(13, 8)
+    # an irrational ratio has no integral to check
+    assert isinstance(ray_ratio(5, 2)[0], AlgebraicRoot)
+
+
 def test_random_quasi_regular_rays_integrate_to_zero():
     rng = random.Random(20260814)
     pairs = _pairs(200)
