@@ -11,32 +11,28 @@ y_1 = x_1, y_2 = a*x_1 + x_2, y_3 = b*x_1 + c*x_2 + x_3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
-from .kernel import ConsistencyError, DomainError, _rational, clear_denominators
+from .kernel import ConsistencyError, DomainError, Frozen, _rational, clear_denominators
 
 # basis tags: position i is "x" or "y" for the i-th basis element;
 # "xyx" means {x1, y2, x3}
 BASES = ("xxx", "xxy", "xyx", "xyy")
 
 
-@dataclass(frozen=True)
-class BottOrbifold:
+class BottOrbifold(Frozen):
     """Bott manifold matrix entries plus ramification vector.
 
     Ramification values are positive; non-integer rationals are allowed and
     describe cone singularities along the invariant divisors.  The first
     twist a is an integer, since stage 1 carries no branch divisor; the
     last-stage twist (b, c) may be rational: it is then c1 of a line
-    orbibundle over the stage-2 orbifold, written on x1, x2.
+    orbibundle over the stage-2 orbifold, written on x1, x2.  The six
+    ramification values m are stored as a tuple of Fractions.
     """
 
-    a: int
-    b: Union[int, Fraction]
-    c: Union[int, Fraction]
-    m: Tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]
+    __slots__ = ("a", "b", "c", "m")
 
     def __init__(self, a: int, b, c, m: Sequence):
         if not isinstance(a, int) or isinstance(a, bool):
@@ -59,22 +55,21 @@ class BottOrbifold:
         return (self.a, self.b, self.c)
 
 
-@dataclass(frozen=True)
-class CohClass:
+class CohClass(Frozen):
     """A degree-2 class: three rational coefficients in one of the four
     distinguished bases, tagged with the ambient (a, b, c)."""
 
-    basis: str
-    coeffs: Tuple[Fraction, Fraction, Fraction]
-    abc: Tuple[int, int, int]
+    __slots__ = ("basis", "coeffs", "abc")
 
-    def __post_init__(self):
-        if self.basis not in BASES:
-            raise DomainError("unknown basis %r" % (self.basis,))
-        coeffs = tuple(Fraction(_rational(x, "coefficient")) for x in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        if len(self.coeffs) != 3:
+    def __init__(self, basis: str, coeffs: Sequence, abc: Tuple[int, int, int]):
+        if basis not in BASES:
+            raise DomainError("unknown basis %r" % (basis,))
+        coeffs = tuple(Fraction(_rational(x, "coefficient")) for x in coeffs)
+        if len(coeffs) != 3:
             raise DomainError("need exactly three coefficients")
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "abc", abc)
 
 
 def c1_orb(orb: BottOrbifold, basis: str = "xxx") -> CohClass:

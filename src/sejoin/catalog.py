@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -29,7 +28,7 @@ from .join import (
     validate_w,
     w_from_k,
 )
-from .kernel import AlgebraicRoot, ConsistencyError, DomainError
+from .kernel import AlgebraicRoot, ConsistencyError, DomainError, Frozen
 from .metric import CalabiData, CalabiProfile, ke_profile
 from .topology import TorsionInvariant, h4_torsion, homotopy_distinct
 from .ypq import YpqEinstein, family_member, is_quasi_regular, solve
@@ -44,24 +43,33 @@ FIXED_NOTES = ("pi1 = 0", "pi2 = Z^2")
 F_COEFFS = 5
 
 
-@dataclass(frozen=True)
-class SERecord:
+class SERecord(Frozen):
     """One join record, storing only what its construction decides; a
     failed construction stores an ``error`` and no ray, an irregular ray no
     quotient or profile.  ``smooth``, ``r3``, ``ke1``, ``ke2``, ``log_fano``
     and ``notes`` are read from those facts."""
 
-    ypq: YpqEinstein
-    w1: int
-    w2: int
-    l1: int
-    l2: int
-    ray: Optional[ReebRay] = None
-    smooth_witnesses: Tuple[Tuple[int, int, int], ...] = ()
-    torsion: Optional[TorsionInvariant] = None
-    quotient: Optional[JoinQuotient] = None
-    profile: Optional[CalabiProfile] = None
-    error: Optional[str] = None
+    __slots__ = ("ypq", "w1", "w2", "l1", "l2", "ray", "smooth_witnesses", "torsion",
+                 "quotient", "profile", "error")
+
+    def __init__(self, ypq: YpqEinstein, w1: int, w2: int, l1: int, l2: int,
+                 ray: Optional[ReebRay] = None,
+                 smooth_witnesses: Tuple[Tuple[int, int, int], ...] = (),
+                 torsion: Optional[TorsionInvariant] = None,
+                 quotient: Optional[JoinQuotient] = None,
+                 profile: Optional[CalabiProfile] = None,
+                 error: Optional[str] = None):
+        object.__setattr__(self, "ypq", ypq)
+        object.__setattr__(self, "w1", w1)
+        object.__setattr__(self, "w2", w2)
+        object.__setattr__(self, "l1", l1)
+        object.__setattr__(self, "l2", l2)
+        object.__setattr__(self, "ray", ray)
+        object.__setattr__(self, "smooth_witnesses", smooth_witnesses)
+        object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "error", error)
 
     @property
     def k(self) -> Union[Fraction, AlgebraicRoot, None]:
@@ -208,20 +216,33 @@ def enumerate_joins(sol: YpqEinstein, k=None, w=None, k_list=None,
 # ------------------------------------------------------------- verification
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    expected: object
-    got: object
+class Check(Frozen):
+    """One compared value of ``verify_paper_examples``."""
+
+    __slots__ = ("name", "expected", "got")
+
+    def __init__(self, name: str, expected: object, got: object):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "got", got)
 
     @property
     def ok(self) -> bool:
         return self.expected == self.got
 
 
-@dataclass
-class VerificationReport:
-    checks: List[Check] = field(default_factory=list)
+class VerificationReport(Frozen):
+    """The checks of ``verify_paper_examples``, in order.  Unlike the
+    records it is mutable, so it has no hash; equality and the repr are
+    the records'."""
+
+    __slots__ = ("checks",)
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, checks: Optional[List[Check]] = None):
+        self.checks = [] if checks is None else checks
 
     def add(self, name, expected, got):
         self.checks.append(Check(name, expected, got))

@@ -9,7 +9,6 @@ and assembles the quotient Bott orbifold data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Tuple, Union
@@ -20,6 +19,7 @@ from .kernel import (
     ConsistencyError,
     DegenerateEquationError,
     DomainError,
+    Frozen,
     Polynomial,
     _rational,
     integrate_sym_ints,
@@ -50,8 +50,7 @@ def canonical_l(w1: int, w2: int, fano_index: int) -> Tuple[int, int]:
     return fano_index // g, (w1 + w2) // g
 
 
-@dataclass(frozen=True)
-class JoinSpec:
+class JoinSpec(Frozen):
     """A join of a solved Y^{p,q} with the weighted 3-sphere S^3_{(w1,w2)},
     glued with integers (l1, l2).
 
@@ -59,21 +58,22 @@ class JoinSpec:
     l1 must be coprime to l2*m2 (which subsumes gcd(l1, m2) = 1).
     """
 
-    ypq: YpqEinstein
-    l1: int
-    l2: int
-    w1: int
-    w2: int
+    __slots__ = ("ypq", "l1", "l2", "w1", "w2")
 
-    def __post_init__(self):
-        validate_w(self.w1, self.w2)
-        if self.l1 < 1 or self.l2 < 1:
+    def __init__(self, ypq: YpqEinstein, l1: int, l2: int, w1: int, w2: int):
+        validate_w(w1, w2)
+        if l1 < 1 or l2 < 1:
             raise DomainError("gluing integers must be positive")
-        if gcd(self.l1, self.l2 * self.ypq.m2) != 1:
+        if gcd(l1, l2 * ypq.m2) != 1:
             raise DomainError(
                 "need gcd(l1, l2*m2) = 1, got gcd(%d, %d) = %d"
-                % (self.l1, self.l2 * self.ypq.m2, gcd(self.l1, self.l2 * self.ypq.m2))
+                % (l1, l2 * ypq.m2, gcd(l1, l2 * ypq.m2))
             )
+        object.__setattr__(self, "ypq", ypq)
+        object.__setattr__(self, "l1", l1)
+        object.__setattr__(self, "l2", l2)
+        object.__setattr__(self, "w1", w1)
+        object.__setattr__(self, "w2", w2)
 
 
 def smoothness_check(spec: JoinSpec) -> Tuple[bool, List[Tuple[int, int, int]]]:
@@ -101,23 +101,24 @@ def se_cubic(w1: int, w2: int) -> Polynomial:
     return Polynomial((-3 * w1, -(2 * w1 - w2), 2 * w2 - w1, 3 * w2))
 
 
-@dataclass(frozen=True)
-class ReebRay:
+class ReebRay(Frozen):
     """A Reeb ray in the w-cone of the join: the root ``k`` of the defining
     cubic, always in (1, oo), and the ratio v3_inf/v3_0 = k*w2/w1.  Both
     are Fractions on a quasi-regular ray, whose coprime (v3_0, v3_inf) are
     the ratio's denominator and numerator, and isolated algebraic numbers
     on an irregular ray, whose components are None."""
 
-    k: Union[Fraction, AlgebraicRoot]
-    ratio: Union[Fraction, AlgebraicRoot]
+    __slots__ = ("k", "ratio")
 
-    def __post_init__(self):
-        kind = Fraction if isinstance(self.ratio, Fraction) else AlgebraicRoot
-        if not (isinstance(self.k, kind) and isinstance(self.ratio, kind)):
+    def __init__(self, k: Union[Fraction, AlgebraicRoot],
+                 ratio: Union[Fraction, AlgebraicRoot]):
+        kind = Fraction if isinstance(ratio, Fraction) else AlgebraicRoot
+        if not (isinstance(k, kind) and isinstance(ratio, kind)):
             raise DomainError("k and ratio must both be Fractions or both AlgebraicRoots")
-        if not self.ratio > 0:
-            raise DomainError("ray ratio must be positive, got %s" % (self.ratio,))
+        if not ratio > 0:
+            raise DomainError("ray ratio must be positive, got %s" % (ratio,))
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "ratio", ratio)
 
     @property
     def quasi_regular(self) -> bool:
@@ -187,8 +188,7 @@ def verify_se_ray(w1: int, w2: int, v3_0: int, v3_inf: int) -> bool:
     return integral == 0
 
 
-@dataclass(frozen=True)
-class JoinQuotient:
+class JoinQuotient(Frozen):
     """Quotient Bott orbifold of a quasi-regular join: twist matrix entries
     (a, b, c), ramification vector m, and the bookkeeping integers behind
     them.
@@ -203,14 +203,18 @@ class JoinQuotient:
     ``bott()`` carries c1(L_n) itself.
     """
 
-    a: int
-    b: int
-    c: int
-    m: Tuple[int, int, int, int, int, int]
-    s: int
-    m3: int
-    n: int
-    fano_index: int
+    __slots__ = ("a", "b", "c", "m", "s", "m3", "n", "fano_index")
+
+    def __init__(self, a: int, b: int, c: int, m: Tuple[int, int, int, int, int, int],
+                 s: int, m3: int, n: int, fano_index: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "m3", m3)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "fano_index", fano_index)
 
     def bott(self) -> BottOrbifold:
         """The quotient as a Bott orbifold whose last stage is twisted by

@@ -47,6 +47,9 @@ degrees, ``decimal_bounds`` proposes the cell by integer Newton steps,
 whose precision about doubles each step, and accepts it only on an exact
 sign test, so a d-digit cell costs O(log d) evaluations instead of the
 ~3.3 d of bisection.
+
+``Frozen`` is the one immutability idiom of the package: ``Polynomial``,
+``AlgebraicRoot`` and the record classes of the other modules derive from it.
 """
 
 from __future__ import annotations
@@ -66,6 +69,42 @@ class DegenerateEquationError(DomainError):
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check that should be impossible to fail has failed."""
+
+
+class Frozen:
+    """An immutable value whose fields are its class's ``__slots__``.
+
+    A subclass's ``__init__`` sets each field with ``object.__setattr__``;
+    assigning or deleting an attribute raises AttributeError.  Two
+    instances are equal when they are of one class and their fields are
+    equal, and an object of another class is never equal to one; the hash
+    is that of the field tuple, and the repr reads ``Name(field=value, ...)``.
+    This is what ``@dataclass(frozen=True)`` generates, written once instead
+    of generated at every import.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
 
 
 def integer_sqrt_exact(n: int) -> Union[int, None]:
@@ -91,7 +130,7 @@ def _rational(x, what: str):
     raise TypeError("%s must be an int or a Fraction, got %r" % (what, x))
 
 
-class Polynomial:
+class Polynomial(Frozen):
     """Dense univariate polynomial over Fraction.
 
     coeffs[i] is the coefficient of z^i; trailing zeros are stripped, so the
@@ -105,9 +144,6 @@ class Polynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     @property
     def degree(self) -> int:
@@ -372,7 +408,7 @@ def _bisection(coeffs, a: int, b: int, d: int, wn: int, wd: int, lo_positive: bo
     return a, b, d
 
 
-class AlgebraicRoot:
+class AlgebraicRoot(Frozen):
     """A real algebraic number: the unique root of ``poly`` in (lo, hi).
 
     The polynomial is stored once, as its primitive integer coefficients
@@ -429,9 +465,6 @@ class AlgebraicRoot:
         object.__setattr__(self, "_b", b)
         object.__setattr__(self, "_d", d)
         object.__setattr__(self, "_lo_positive", at_lo > 0)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraicRoot is immutable")
 
     @property
     def poly(self) -> Polynomial:

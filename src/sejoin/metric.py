@@ -9,7 +9,6 @@ the endpoints and the Einstein equation close up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import List, Tuple
@@ -19,6 +18,7 @@ from .kernel import (
     ConsistencyError,
     DegenerateEquationError,
     DomainError,
+    Frozen,
     Polynomial,
     _rational,
     _scaled_value,
@@ -42,38 +42,37 @@ def r3_from_ray(w1: int, w2: int, v3_0: int, v3_inf: int) -> Fraction:
     return r3
 
 
-@dataclass(frozen=True)
-class CalabiData:
+class CalabiData(Frozen):
     """Inputs of the generalized Calabi construction: the Einstein base
     (twist a, ramifications, Fano index), the fiber data m3*(v3_0, v3_inf),
-    the bundle twist n, and the polarization constant r3."""
+    the bundle twist n, and the polarization constant r3, a Fraction."""
 
-    a: int
-    m2_0: int
-    m2_inf: int
-    fano_index: int
-    v3_0: int
-    v3_inf: int
-    m3: int
-    n: int
-    r3: Fraction
+    __slots__ = ("a", "m2_0", "m2_inf", "fano_index", "v3_0", "v3_inf", "m3", "n", "r3")
 
-    def __post_init__(self):
-        if min(self.a, self.m2_0, self.m2_inf, self.fano_index,
-               self.v3_0, self.v3_inf, self.m3) < 1:
+    def __init__(self, a: int, m2_0: int, m2_inf: int, fano_index: int, v3_0: int,
+                 v3_inf: int, m3: int, n: int, r3):
+        if min(a, m2_0, m2_inf, fano_index, v3_0, v3_inf, m3) < 1:
             raise DomainError("base and fiber data must be positive")
-        if gcd(self.v3_0, self.v3_inf) != 1:
+        if gcd(v3_0, v3_inf) != 1:
             raise DomainError("fiber core must be coprime")
-        if self.n == 0:
+        if n == 0:
             raise DomainError("twist n must be nonzero")
-        if gcd(abs(self.n), self.m3) != 1:
+        if gcd(abs(n), m3) != 1:
             raise DomainError("need gcd(n, m3) = 1")
-        r3 = Fraction(_rational(self.r3, "r3"))
-        object.__setattr__(self, "r3", r3)
+        r3 = Fraction(_rational(r3, "r3"))
         if not 0 < abs(r3) < 1:
             raise DomainError("need 0 < |r3| < 1")
-        if (r3 > 0) != (self.n > 0):
+        if (r3 > 0) != (n > 0):
             raise DomainError("r3 and n must have the same sign")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "m2_0", m2_0)
+        object.__setattr__(self, "m2_inf", m2_inf)
+        object.__setattr__(self, "fano_index", fano_index)
+        object.__setattr__(self, "v3_0", v3_0)
+        object.__setattr__(self, "v3_inf", v3_inf)
+        object.__setattr__(self, "m3", m3)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r3", r3)
 
     @property
     def m3_0(self) -> int:
@@ -131,16 +130,16 @@ def ke_conditions(data: CalabiData) -> Tuple[bool, bool]:
     return ke1, integral == 0
 
 
-@dataclass(frozen=True)
-class CalabiProfile:
+class CalabiProfile(Frozen):
     """The Einstein profile: Theta(z) = F(z)/(1 + r3*z)^2 with F quartic,
-    F(-1) = F(1) = 0 and F > 0 inside.  The pair (r3, F) determines it."""
+    F(-1) = F(1) = 0 and F > 0 inside.  The pair (r3, F) determines it;
+    r3 is stored as a Fraction."""
 
-    r3: Fraction
-    F: Polynomial
+    __slots__ = ("r3", "F")
 
-    def __post_init__(self):
-        object.__setattr__(self, "r3", Fraction(_rational(self.r3, "r3")))
+    def __init__(self, r3, F: Polynomial):
+        object.__setattr__(self, "r3", Fraction(_rational(r3, "r3")))
+        object.__setattr__(self, "F", F)
 
     def theta(self, z) -> Fraction:
         z = Fraction(_rational(z, "z"))

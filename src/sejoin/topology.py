@@ -8,24 +8,23 @@ homotopy types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Tuple
 
-from .kernel import DomainError
+from .kernel import DomainError, Frozen
 
 
-@dataclass(frozen=True)
-class TorsionInvariant:
+class TorsionInvariant(Frozen):
     """Orders (A, B) of the two cyclic summands presenting H^4 of a smooth
     join; compared via isomorphism class, never raw presentation."""
 
-    A: int
-    B: int
+    __slots__ = ("A", "B")
 
-    def __post_init__(self):
-        if self.A < 1 or self.B < 1:
+    def __init__(self, A: int, B: int):
+        if A < 1 or B < 1:
             raise DomainError("cyclic orders must be positive")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
 
     @property
     def factors(self) -> Tuple[int, ...]:

@@ -8,7 +8,6 @@ quotient ramification data, and the orbifold Fano index, all exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Tuple, Union
@@ -17,6 +16,7 @@ from .kernel import (
     AlgebraicRoot,
     ConsistencyError,
     DomainError,
+    Frozen,
     Polynomial,
     _rational,
     integer_sqrt_exact,
@@ -119,20 +119,23 @@ def fano_index(m2: int, v0: int, vinf: int, a: int) -> int:
     return gcd((2 * m2 * v0 + a) * vinf, v0 + vinf)
 
 
-@dataclass(frozen=True)
-class YpqEinstein:
+class YpqEinstein(Frozen):
     """One quasi-regular transverse-Einstein structure on Y^{p,q} together
     with its quotient orbifold Hirzebruch data."""
 
-    p: int
-    q: int
-    v2_0: int
-    v2_inf: int
-    m2: int
-    m2_0: int
-    m2_inf: int
-    a: int
-    fano_index: int
+    __slots__ = ("p", "q", "v2_0", "v2_inf", "m2", "m2_0", "m2_inf", "a", "fano_index")
+
+    def __init__(self, p: int, q: int, v2_0: int, v2_inf: int, m2: int, m2_0: int,
+                 m2_inf: int, a: int, fano_index: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "v2_0", v2_0)
+        object.__setattr__(self, "v2_inf", v2_inf)
+        object.__setattr__(self, "m2", m2)
+        object.__setattr__(self, "m2_0", m2_0)
+        object.__setattr__(self, "m2_inf", m2_inf)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "fano_index", fano_index)
 
     def anticanonical_coefficients(self) -> Tuple[Fraction, Fraction]:
         """(b_hat, c_hat) = K*c1^orb(N)/I: the orbifold anticanonical class

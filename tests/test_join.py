@@ -5,7 +5,6 @@ the (17,3) family member serve as frozen fixtures; every derived quantity
 below was recomputed by hand before being asserted.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
@@ -329,7 +328,8 @@ class TestQuotientOrbifold:
         spec = JoinSpec(YPQ_A, 4, 15, 34, 11)
         quo = quotient_orbifold(spec, se_ray_from_w(34, 11))
         with pytest.raises(ConsistencyError):
-            dataclasses.replace(quo, c=quo.c + 1).bott()
+            JoinQuotient(a=quo.a, b=quo.b, c=quo.c + 1, m=quo.m, s=quo.s, m3=quo.m3,
+                         n=quo.n, fano_index=quo.fano_index).bott()
 
     def test_golden_b(self):
         spec = JoinSpec(YPQ_B, 7, 45, 34, 11)
