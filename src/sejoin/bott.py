@@ -7,6 +7,9 @@ structure adds a 6-vector m of ramification values, ordered
 (b, c) be rational.  Degree-2 classes can be written in four distinguished
 bases built from the divisor classes x_i and
 y_1 = x_1, y_2 = a*x_1 + x_2, y_3 = b*x_1 + c*x_2 + x_3.
+
+The orbifold first Chern class has one formula, ``_c1_x_ints``, on integers;
+``c1_orb``, ``is_log_fano`` and ``join.JoinQuotient.bott`` read it.
 """
 
 from __future__ import annotations
@@ -19,6 +22,16 @@ from .kernel import ConsistencyError, DomainError, Frozen, _rational, clear_deno
 # basis tags: position i is "x" or "y" for the i-th basis element;
 # "xyx" means {x1, y2, x3}
 BASES = ("xxx", "xxy", "xyx", "xyy")
+
+
+def _check_abc(a, b, c) -> None:
+    """Raise DomainError unless a is an int and b, c are each an int or a
+    Fraction, none of them a bool."""
+    if not isinstance(a, int) or isinstance(a, bool):
+        raise DomainError("a must be an integer, got %r" % (a,))
+    for name, val in (("b", b), ("c", c)):
+        if not isinstance(val, (int, Fraction)) or isinstance(val, bool):
+            raise DomainError("%s must be an integer or a Fraction, got %r" % (name, val))
 
 
 class BottOrbifold(Frozen):
@@ -35,11 +48,7 @@ class BottOrbifold(Frozen):
     __slots__ = ("a", "b", "c", "m")
 
     def __init__(self, a: int, b, c, m: Sequence):
-        if not isinstance(a, int) or isinstance(a, bool):
-            raise DomainError("a must be an integer, got %r" % (a,))
-        for name, val in (("b", b), ("c", c)):
-            if not isinstance(val, (int, Fraction)) or isinstance(val, bool):
-                raise DomainError("%s must be an integer or a Fraction, got %r" % (name, val))
+        _check_abc(a, b, c)
         mv = tuple(Fraction(_rational(x, "ramification value")) for x in m)
         if len(mv) != 6:
             raise DomainError("m must have six entries, got %d" % len(mv))
@@ -61,30 +70,48 @@ class CohClass(Frozen):
 
     __slots__ = ("basis", "coeffs", "abc")
 
-    def __init__(self, basis: str, coeffs: Sequence, abc: Tuple[int, int, int]):
+    def __init__(self, basis: str, coeffs: Sequence, abc: Sequence):
         if basis not in BASES:
             raise DomainError("unknown basis %r" % (basis,))
         coeffs = tuple(Fraction(_rational(x, "coefficient")) for x in coeffs)
         if len(coeffs) != 3:
             raise DomainError("need exactly three coefficients")
+        abc = tuple(abc)
+        if len(abc) != 3:
+            raise DomainError("abc must have three entries, got %d" % len(abc))
+        _check_abc(*abc)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "abc", abc)
+
+
+def _c1_x_ints(a: int, b, c, m: Sequence) -> Tuple[int, int, int, int]:
+    """The x-basis c1^orb (s1 + a/m2_0 + b/m3_0, s2 + c/m3_0, s3), with
+    s_i = 1/m_i_0 + 1/m_i_inf, as integers (A, B, C, d), d > 0, meaning
+    (A/d, B/d, C/d); b, c and the positive m_j are ints or Fractions."""
+    # d clears every denominator: those of b and c, and the numerators of m
+    d = b.denominator * c.denominator
+    for x in m:
+        d *= x.numerator
+    # r_j = d/m_j, an integer since d carries the numerator of m_j
+    r1_0, r1_inf, r2_0, r2_inf, r3_0, r3_inf = (x.denominator * (d // x.numerator) for x in m)
+    # d/m3_0 still carries the denominators of b and c
+    return (r1_0 + r1_inf + a * r2_0 + b.numerator * r3_0 // b.denominator,
+            r2_0 + r2_inf + c.numerator * r3_0 // c.denominator,
+            r3_0 + r3_inf,
+            d)
 
 
 def c1_orb(orb: BottOrbifold, basis: str = "xxx") -> CohClass:
     """Orbifold first Chern class in the requested distinguished basis.
 
     In the x-basis it is (s1 + a/m2_0 + b/m3_0, s2 + c/m3_0, s3) with
-    s_i = 1/m_i_0 + 1/m_i_inf; the other bases follow by the basis change,
-    and the third coefficient s3 is the same in every basis.  An unknown
-    basis raises DomainError from CohClass.
+    s_i = 1/m_i_0 + 1/m_i_inf, read from ``_c1_x_ints``; the other bases
+    follow by the basis change, and the third coefficient s3 is the same in
+    every basis.  An unknown basis raises DomainError from CohClass.
     """
-    a, b, c = orb.abc
-    m1_0, m1_inf, m2_0, m2_inf, m3_0, m3_inf = orb.m
-    x_coeffs = (1 / m1_0 + 1 / m1_inf + a / m2_0 + b / m3_0,
-                1 / m2_0 + 1 / m2_inf + c / m3_0,
-                1 / m3_0 + 1 / m3_inf)
+    big_a, big_b, big_c, d = _c1_x_ints(*orb.abc, orb.m)
+    x_coeffs = (Fraction(big_a, d), Fraction(big_b, d), Fraction(big_c, d))
     return CohClass(basis=basis, coeffs=_from_x(x_coeffs, basis, orb.abc), abc=orb.abc)
 
 
@@ -127,9 +154,25 @@ def basis_change(cls: CohClass, target: str) -> CohClass:
 def is_log_fano(orb: BottOrbifold) -> bool:
     """True iff the orbifold first Chern class has strictly positive
     coefficients in all four distinguished bases (equivalently, it lies in
-    the Kaehler cone)."""
-    x_coeffs = c1_orb(orb).coeffs
-    return all(v > 0 for basis in BASES for v in _from_x(x_coeffs, basis, orb.abc))
+    the Kaehler cone).
+
+    With c1^orb = (A, B, C)/d from ``_c1_x_ints`` and b = bn/bd, c = cn/cd,
+    the four bases have seven distinct coefficients: A, B, C (xxx),
+    A - bC and B - cC (xxy), A - aB (xyx) and A - aB + acC - bC (xyy).
+    C = d*s3 is positive, as the m_j are; each of the other six is tested
+    for its sign as an integer, times the positive d, bd or cd that clears
+    it.
+    """
+    a, b, c = orb.abc
+    big_a, big_b, big_c, _ = _c1_x_ints(a, b, c, orb.m)
+    bn, bd = b.numerator, b.denominator
+    cn, cd = c.numerator, c.denominator
+    xyx_a = big_a - a * big_b
+    return (big_a > 0 and big_b > 0
+            and big_a * bd > big_c * bn
+            and big_b * cd > big_c * cn
+            and xyx_a > 0
+            and (xyx_a * cd + a * big_c * cn) * bd > big_c * bn * cd)
 
 
 # ------------------------------------------------------------------ H3 matrix

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Tuple, Union
 
-from .bott import BottOrbifold, c1_orb
+from .bott import BottOrbifold, _c1_x_ints
 from .kernel import (
     AlgebraicRoot,
     ConsistencyError,
@@ -22,6 +22,7 @@ from .kernel import (
     Frozen,
     Polynomial,
     _rational,
+    _scaled_value,
     integrate_sym_ints,
     mul_ints,
     real_roots,
@@ -94,11 +95,16 @@ def smoothness_check(spec: JoinSpec) -> Tuple[bool, List[Tuple[int, int, int]]]:
     return not witnesses, witnesses
 
 
+def _se_cubic_ints(w1: int, w2: int) -> List[int]:
+    """The integer coefficients of ``se_cubic``, lowest degree first."""
+    return [-3 * w1, -(2 * w1 - w2), 2 * w2 - w1, 3 * w2]
+
+
 def se_cubic(w1: int, w2: int) -> Polynomial:
     """The cubic in k whose root in (1, oo) fixes the Sasaki-Einstein Reeb ray:
     3*w2*k^3 + (2*w2 - w1)*k^2 - (2*w1 - w2)*k - 3*w1."""
     validate_w(w1, w2)
-    return Polynomial((-3 * w1, -(2 * w1 - w2), 2 * w2 - w1, 3 * w2))
+    return Polynomial(_se_cubic_ints(w1, w2))
 
 
 class ReebRay(Frozen):
@@ -152,15 +158,20 @@ def se_ray_from_w(w1: int, w2: int) -> ReebRay:
 
 def w_from_k(k) -> Tuple[int, int]:
     """Coprime weights (w1, w2) realizing a chosen rational k > 1:
-    w2/w1 = (3 + 2k + k^2) / (k(1 + 2k + 3k^2))."""
-    k = Fraction(_rational(k, "k"))
-    if k <= 1:
+    w2/w1 = (3 + 2k + k^2) / (k(1 + 2k + 3k^2)), which for k = a/b in lowest
+    terms is w2 : w1 = b(a^2 + 2ab + 3b^2) : a(3a^2 + 2ab + b^2), reduced by
+    its gcd; the cubic is then checked at k on its integer coefficients."""
+    k = _rational(k, "k")
+    a, b = k.numerator, k.denominator
+    if a <= b:
         raise DomainError("need k > 1, got %s" % k)
-    ratio = (3 + 2 * k + k * k) / (k * (1 + 2 * k + 3 * k * k))
-    w1, w2 = ratio.denominator, ratio.numerator
+    w1 = a * (3 * a * a + 2 * a * b + b * b)
+    w2 = b * (a * a + 2 * a * b + 3 * b * b)
+    g = gcd(w1, w2)
+    w1, w2 = w1 // g, w2 // g
     if not w1 > w2:
         raise ConsistencyError("w1 <= w2 for k=%s" % k)
-    if se_cubic(w1, w2)(k) != 0:
+    if _scaled_value(_se_cubic_ints(w1, w2), a, b):
         raise ConsistencyError("weights (%d, %d) do not solve the cubic at k=%s" % (w1, w2, k))
     return w1, w2
 
@@ -201,12 +212,23 @@ class JoinQuotient(Frozen):
     the coordinates of c1(L_n) in the K-scaled basis (x1/K, x2/K) with
     K = m2*v2_0*v2_inf = lcm(m2_0, m2_inf), in which they are integral;
     ``bott()`` carries c1(L_n) itself.
+
+    Every field is an int, and m holds six positive ints; anything else,
+    a bool included, raises DomainError.
     """
 
     __slots__ = ("a", "b", "c", "m", "s", "m3", "n", "fano_index")
 
     def __init__(self, a: int, b: int, c: int, m: Tuple[int, int, int, int, int, int],
                  s: int, m3: int, n: int, fano_index: int):
+        for name, val in (("a", a), ("b", b), ("c", c), ("s", s), ("m3", m3), ("n", n),
+                          ("fano_index", fano_index)):
+            if not isinstance(val, int) or isinstance(val, bool):
+                raise DomainError("%s must be an integer, got %r" % (name, val))
+        m = tuple(m)
+        if len(m) != 6 or not all(isinstance(x, int) and not isinstance(x, bool) and x > 0
+                                  for x in m):
+            raise DomainError("m must be six positive integers, got %r" % (m,))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -219,16 +241,20 @@ class JoinQuotient(Frozen):
     def bott(self) -> BottOrbifold:
         """The quotient as a Bott orbifold whose last stage is twisted by
         c1(L_n) = n*c1^orb(N)/I on x1, x2; raises ConsistencyError unless
-        (b, c) = K*c1(L_n)."""
-        base = c1_orb(BottOrbifold(self.a, 0, 0, self.m)).coeffs[:2]
-        twist = tuple(self.n * x / self.fano_index for x in base)
+        (b, c) = K*c1(L_n).
+
+        c1^orb(N) = (A, B)/d is that of the Bott orbifold (a, 0, 0, m), so
+        c1(L_n) = n*(A, B)/(d*I) and the check cross-multiplies by d*I."""
+        big_a, big_b, _, d = _c1_x_ints(self.a, 0, 0, self.m)
+        # c1(L_n) = (twist_b, twist_c)/den
+        twist_b, twist_c, den = self.n * big_a, self.n * big_b, d * self.fano_index
         scale = lcm(self.m[2], self.m[3])
-        if (self.b, self.c) != tuple(scale * t for t in twist):
+        if self.b * den != scale * twist_b or self.c * den != scale * twist_c:
             raise ConsistencyError(
                 "(b, c) = (%d, %d) is not %d*c1(L_n) = %d*(%s, %s)"
-                % (self.b, self.c, scale, scale, twist[0], twist[1])
+                % (self.b, self.c, scale, scale, Fraction(twist_b, den), Fraction(twist_c, den))
             )
-        return BottOrbifold(self.a, twist[0], twist[1], self.m)
+        return BottOrbifold(self.a, Fraction(twist_b, den), Fraction(twist_c, den), self.m)
 
 
 def quotient_orbifold(spec: JoinSpec, ray: ReebRay) -> JoinQuotient:

@@ -83,6 +83,44 @@ def _in_kahler_cone_by_walls(abc, x_coeffs) -> bool:
     return all(n > 0 for n in _wall_numbers(abc, x_coeffs))
 
 
+def _reference_c1(orb):
+    """The x-basis c1^orb over Fractions, as c1_orb computed it before it
+    read the integer routine."""
+    a, b, c = orb.abc
+    m1_0, m1_inf, m2_0, m2_inf, m3_0, m3_inf = orb.m
+    return (1 / m1_0 + 1 / m1_inf + a / m2_0 + b / m3_0,
+            1 / m2_0 + 1 / m2_inf + c / m3_0,
+            1 / m3_0 + 1 / m3_inf)
+
+
+def _reference_log_fano(orb) -> bool:
+    """The four-basis Fraction test is_log_fano ran before its integer sign
+    tests: every coefficient of c1^orb positive in xxx, xxy, xyx and xyy."""
+    a, b, c = orb.abc
+    big_a, big_b, big_c = _reference_c1(orb)
+    beta = big_b - big_c * c
+    bases = ((big_a, big_b, big_c),
+             (big_a - big_c * b, beta, big_c),
+             (big_a - a * big_b, big_b, big_c),
+             (big_a - a * beta - b * big_c, beta, big_c))
+    return all(v > 0 for coeffs in bases for v in coeffs)
+
+
+def _drawn_orbifolds():
+    """Criterion 7a's sampler, then rational last-stage twists as the
+    quotients of quasi-regular joins carry, with Fraction ramification."""
+    rng = random.Random(70001)
+    orbs = []
+    for _ in range(1000):
+        abc = tuple(rng.randrange(-4, 5) for _ in range(3))
+        orbs.append(BottOrbifold(*abc, tuple(rng.randrange(1, 7) for _ in range(6))))
+    for _ in range(300):
+        b, c = (Fraction(rng.randrange(-40, 41), rng.randrange(1, 8)) for _ in range(2))
+        m = tuple(Fraction(rng.randrange(1, 9), rng.randrange(1, 3)) for _ in range(6))
+        orbs.append(BottOrbifold(rng.randrange(-4, 5), b, c, m))
+    return orbs
+
+
 def _positive_in_all_bases(abc, x_coeffs) -> bool:
     cls = CohClass(basis="xxx", coeffs=tuple(Fraction(x) for x in x_coeffs), abc=abc)
     return all(
@@ -131,6 +169,10 @@ class TestC1Orb:
             "xyx": (F(224, 195), F(32, 975), F(28, 2805)),
             "xyy": (F(112, 195), F(16, 975), F(28, 2805)),
         }
+
+    def test_matches_fraction_reference(self):
+        for orb in _drawn_orbifolds():
+            assert _to_x(c1_orb(orb)) == _reference_c1(orb)
 
     def test_sum_of_divisor_classes_at_unit_m(self):
         a, b, c = 4, -7, 3
@@ -214,21 +256,12 @@ class TestLogFano:
             assert is_log_fano(orb) == _in_kahler_cone_by_walls(orb.abc, xc)
 
     def test_matches_c1_orb_in_every_basis(self):
-        # criterion 7a's sampler, then rational last-stage twists as the
-        # quotients of quasi-regular joins carry
-        rng = random.Random(70001)
-        orbs = []
-        for _ in range(1000):
-            abc = tuple(rng.randrange(-4, 5) for _ in range(3))
-            orbs.append(BottOrbifold(*abc, tuple(rng.randrange(1, 7) for _ in range(6))))
-        for _ in range(300):
-            b, c = (Fraction(rng.randrange(-40, 41), rng.randrange(1, 8)) for _ in range(2))
-            m = tuple(Fraction(rng.randrange(1, 9), rng.randrange(1, 3)) for _ in range(6))
-            orbs.append(BottOrbifold(rng.randrange(-4, 5), b, c, m))
+        orbs = _drawn_orbifolds()
         hits = 0
         for orb in orbs:
             expected = all(c > 0 for b in BASES for c in c1_orb(orb, b).coeffs)
-            assert is_log_fano(orb) == expected
+            assert _reference_log_fano(orb) is expected
+            assert is_log_fano(orb) is expected
             hits += expected
         assert 0 < hits < len(orbs)
 

@@ -9,7 +9,7 @@ import pytest
 
 from sejoin.bott import BottOrbifold, CohClass, h3_matrix, monoid_act
 from sejoin.catalog import build_record, weight_pairs
-from sejoin.join import w_from_k
+from sejoin.join import JoinQuotient, w_from_k
 from sejoin.kernel import DomainError, Polynomial
 from sejoin.metric import CalabiData, CalabiProfile
 from sejoin.topology import h4_torsion
@@ -74,14 +74,39 @@ def test_coercions_take_ints_and_fractions_only(name, bad):
 
 
 
+# the fields of the golden record's quotient, (13, 8) with k = 2
+GOLDEN_QUOTIENT = dict(a=70, b=78540, c=748, m=(1, 1, 91, 65, 255, 165), s=1, m3=15, n=748,
+                       fano_index=12)
+
+
+def _quotient_with(**change):
+    return JoinQuotient(**{**GOLDEN_QUOTIENT, **change}).bott()
+
+
 # every integer gate, each called with True where it checks an integer, and
-# the message it raises for any other non-integer
+# the message it raises for any other non-integer; a few gates are also
+# called with a float, a string or too few entries
 INTEGER_GATES = {
     "ray_ratio.q": (lambda: ray_ratio(3, True), "p, q must be integers"),
     "family_member": (lambda: family_member(True), "family parameter must be a non-negative"),
     "BottOrbifold.a": (lambda: BottOrbifold(True, 0, 0, (1,) * 6), "a must be an integer"),
     "BottOrbifold.b": (lambda: BottOrbifold(1, True, 0, (1,) * 6), "b must be an integer or"),
     "BottOrbifold.c": (lambda: BottOrbifold(1, 0, True, (1,) * 6), "c must be an integer or"),
+    "CohClass.abc.a": (lambda: CohClass("xxy", (1, 2, 3), (True, 0, 0)), "a must be an integer"),
+    "CohClass.abc.a-str": (lambda: CohClass("xxy", (1, 2, 3), ("a", 0, 0)),
+                           "a must be an integer"),
+    "CohClass.abc.b-float": (lambda: CohClass("xxy", (1, 2, 3), (1, 0.5, 0)),
+                             "b must be an integer or"),
+    "CohClass.abc.c": (lambda: CohClass("xxy", (1, 2, 3), (1, 0, True)),
+                       "c must be an integer or"),
+    "CohClass.abc.two-entries": (lambda: CohClass("xxy", (1, 2, 3), (1, 0)),
+                                 "abc must have three entries"),
+    **{"JoinQuotient.%s" % name: (lambda name=name: _quotient_with(**{name: True}),
+                                  "%s must be an integer" % name)
+       for name in ("a", "b", "c", "s", "m3", "n", "fano_index")},
+    "JoinQuotient.b-float": (lambda: _quotient_with(b=78540.0), "b must be an integer"),
+    "JoinQuotient.m": (lambda: _quotient_with(m=(1, True, 91, 65, 255, 165)),
+                       "m must be six positive integers"),
     "h4_torsion": (lambda: h4_torsion(True, 1, 1, 1, 1, 1, 1), "v0 must be a positive integer"),
     "monoid_act.lam": (lambda: monoid_act(GOLDEN_ORB, (True,) * 6, (0,) * 6),
                        "lam entries must be integers"),

@@ -7,14 +7,15 @@ below was recomputed by hand before being asserted.
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sejoin import join
-from sejoin.catalog import enumerate_ypq
+from sejoin.bott import BottOrbifold
+from sejoin.catalog import enumerate_joins, enumerate_ypq
 from sejoin.join import (
     JoinQuotient,
     JoinSpec,
@@ -238,6 +239,28 @@ class TestWFromK:
         with pytest.raises(DomainError):
             w_from_k(Fraction(1, 2))
 
+    @staticmethod
+    def _reference(k):
+        """The weights of k from the Fraction closed form, as w_from_k
+        computed them before it moved to integers."""
+        ratio = (3 + 2 * k + k * k) / (k * (1 + 2 * k + 3 * k * k))
+        return ratio.denominator, ratio.numerator
+
+    def test_matches_fraction_closed_form(self):
+        rng = random.Random(33)
+        for _ in range(500):
+            b = rng.randrange(1, 10 ** rng.randrange(1, 7))
+            k = Fraction(b + rng.randrange(1, 10 ** rng.randrange(1, 7)), b)
+            assert w_from_k(k) == self._reference(k)
+            if k.denominator == 1:
+                assert w_from_k(k.numerator) == self._reference(k)
+
+    def test_failed_cubic_check_is_an_error(self, monkeypatch):
+        # the weights are still checked against the cubic at k
+        monkeypatch.setattr(join, "_se_cubic_ints", lambda w1, w2: [1 - 3 * w1, 0, 0, 3 * w2])
+        with pytest.raises(ConsistencyError, match="do not solve the cubic at k=2"):
+            w_from_k(2)
+
     def test_round_trip(self):
         rng = random.Random(13)
         for _ in range(150):
@@ -330,6 +353,50 @@ class TestQuotientOrbifold:
         with pytest.raises(ConsistencyError):
             JoinQuotient(a=quo.a, b=quo.b, c=quo.c + 1, m=quo.m, s=quo.s, m3=quo.m3,
                          n=quo.n, fano_index=quo.fano_index).bott()
+
+    @staticmethod
+    def _reference_bott(quo):
+        """JoinQuotient.bott() over Fractions, as it was computed before the
+        integer c1^orb: c1(L_n) = n*c1^orb(N)/I, checked against (b, c)/K."""
+        a, m = quo.a, quo.m
+        base = (Fraction(1, m[0]) + Fraction(1, m[1]) + Fraction(a, m[2]),
+                Fraction(1, m[2]) + Fraction(1, m[3]))
+        twist = tuple(quo.n * x / quo.fano_index for x in base)
+        scale = lcm(m[2], m[3])
+        if (quo.b, quo.c) != tuple(scale * t for t in twist):
+            raise ConsistencyError("inconsistent twist")
+        return BottOrbifold(a, twist[0], twist[1], m)
+
+    def test_bott_matches_fraction_reference(self):
+        k_list = [2, 3, Fraction(3, 2), Fraction(5, 3), Fraction(7, 4)]
+        count = 0
+        for sol in enumerate_ypq(60):
+            for record in enumerate_joins(sol, k_list=k_list):
+                if record.quotient is not None:
+                    assert record.quotient.bott() == self._reference_bott(record.quotient)
+                    count += 1
+        assert count > 50
+
+    @pytest.mark.parametrize("change", [
+        lambda q: {"b": q.b + 1},
+        lambda q: {"n": q.n + 1},
+        lambda q: {"fano_index": q.fano_index + 1},
+        lambda q: {"m": q.m[:2] + (q.m[3], q.m[2]) + q.m[4:]},
+    ], ids=["b+1", "n+1", "fano_index+1", "m2-swapped"])
+    def test_bott_rejects_each_inconsistent_field(self, change):
+        spec = JoinSpec(YPQ_A, 4, 15, 34, 11)
+        quo = quotient_orbifold(spec, se_ray_from_w(34, 11))
+        fields = dict(a=quo.a, b=quo.b, c=quo.c, m=quo.m, s=quo.s, m3=quo.m3, n=quo.n,
+                      fano_index=quo.fano_index)
+        with pytest.raises(ConsistencyError, match=r"is not 455\*c1\(L_n\)"):
+            JoinQuotient(**{**fields, **change(quo)}).bott()
+
+    @pytest.mark.parametrize("m", [(1, 0, 91, 65, 255, 165), (1, 1, 91, 65, 255),
+                                   (1, 1, Fraction(91), 65, 255, 165)],
+                             ids=["zero", "five-entries", "fraction"])
+    def test_rejects_m_other_than_six_positive_ints(self, m):
+        with pytest.raises(DomainError, match="m must be six positive integers"):
+            JoinQuotient(a=70, b=78540, c=748, m=m, s=1, m3=15, n=748, fano_index=12)
 
     def test_golden_b(self):
         spec = JoinSpec(YPQ_B, 7, 45, 34, 11)
