@@ -4,15 +4,15 @@ A catalog record bundles everything the pipeline derives from raw inputs
 (p, q) and a weight choice: first-factor Einstein data, gluing integers,
 Reeb ray, quotient orbifold, torsion, KE flags, and the Einstein profile.
 Exports are deterministic: sorted records, sorted keys, exact values as
-strings.
+strings.  Every JSON text of the package is written by ``to_json``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -103,6 +103,11 @@ class SERecord(Frozen):
     @property
     def sort_key(self):
         return (self.ypq.p, self.ypq.q, self.w1, self.w2)
+
+    def ray_cells(self, digits: int) -> list:
+        """The one-unit decimal cells of an irregular ray's k and ratio
+        k*w2/w1, both from one Newton iteration on k's cubic."""
+        return self.k.decimal_bounds(digits, scales=(1, Fraction(self.w2, self.w1)))
 
 
 def build_record(p: int, q: int, k=None, w=None) -> SERecord:
@@ -360,13 +365,8 @@ def verify_paper_examples(corrupt: Optional[str] = None) -> VerificationReport:
 # ------------------------------------------------------------------- export
 
 
-def _fmt(value: Union[Fraction, AlgebraicRoot, None], digits: int):
-    if value is None:
-        return None
-    if isinstance(value, Fraction):
-        return "%d/%d" % (value.numerator, value.denominator)
-    lo, hi = value.decimal_bounds(digits)
-    return [lo, hi]
+def _fmt(value: Optional[Fraction]) -> Optional[str]:
+    return None if value is None else "%d/%d" % (value.numerator, value.denominator)
 
 
 def ypq_to_dict(sol: YpqEinstein) -> Dict:
@@ -391,8 +391,8 @@ def record_to_dict(rec: SERecord, digits: int = 40) -> Dict:
         "l1": str(rec.l1),
         "l2": str(rec.l2),
         "regular": None if rec.ray is None else rec.ray.quasi_regular,
-        "k": _fmt(rec.k if isinstance(rec.k, Fraction) else None, digits),
-        "k_interval": _fmt(rec.k, digits) if isinstance(rec.k, AlgebraicRoot) else None,
+        "k": _fmt(rec.k if isinstance(rec.k, Fraction) else None),
+        "k_interval": None,
         "v3": None,
         "s": None,
         "m3": None,
@@ -406,7 +406,7 @@ def record_to_dict(rec: SERecord, digits: int = 40) -> Dict:
         "ke1": rec.ke1,
         "ke2": rec.ke2,
         "log_fano": rec.log_fano,
-        "r3": _fmt(rec.r3, digits),
+        "r3": _fmt(rec.r3),
         "F_coeffs": None,
         "error": rec.error,
         "notes": list(rec.notes),
@@ -414,7 +414,8 @@ def record_to_dict(rec: SERecord, digits: int = 40) -> Dict:
     if rec.ray is not None and rec.ray.quasi_regular:
         out["v3"] = [str(rec.ray.v3_0), str(rec.ray.v3_inf)]
     elif rec.ray is not None:
-        out["ratio_interval"] = _fmt(rec.ray.ratio, digits)
+        k_cell, ratio_cell = rec.ray_cells(digits)
+        out["k_interval"], out["ratio_interval"] = list(k_cell), list(ratio_cell)
     if rec.quotient is not None:
         quo = rec.quotient
         out.update(
@@ -430,7 +431,7 @@ def record_to_dict(rec: SERecord, digits: int = 40) -> Dict:
     if rec.profile is not None:
         coeffs = list(rec.profile.F.coeffs)
         coeffs += [Fraction(0)] * (F_COEFFS - len(coeffs))
-        out["F_coeffs"] = [_fmt(cf, digits) for cf in coeffs]
+        out["F_coeffs"] = [_fmt(cf) for cf in coeffs]
     return out
 
 
@@ -459,12 +460,48 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _json(value, pad: str) -> str:
+    """``value`` as ``to_json`` writes it, nested at the newline and
+    indentation ``pad``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    inner = pad + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is no str
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(key) + ": " + _json(value[key], inner)
+             for key in sorted(value)]) + pad + "}"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
+
+
+def to_json(value) -> str:
+    """The package's one JSON format: the bytes of ``json.dumps(value,
+    sort_keys=True, indent=2)`` for a value built of str, None, bool, int,
+    list and dict with str keys.  Anything else, a float or a Fraction
+    included, raises TypeError.  ``json.dumps`` with an ``indent`` runs
+    the encoder in pure Python, through a generator per container; this
+    writer joins each container's strings once."""
+    return _json(value, "\n")
+
+
 def export_records(records: Sequence[SERecord], fmt: str, digits: int = 40) -> str:
     """Serialize records deterministically; fmt is 'json' or 'csv'."""
     ordered = sorted(records, key=lambda r: r.sort_key)
     dicts = [record_to_dict(r, digits) for r in ordered]
     if fmt == "json":
-        return json.dumps(dicts, sort_keys=True, indent=2) + "\n"
+        return to_json(dicts) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)

@@ -38,6 +38,7 @@ from .catalog import (
     family_k2,
     family_record,
     record_to_dict,
+    to_json,
     verify_paper_examples,
     weight_pairs,
     write_export,
@@ -118,9 +119,8 @@ def _render_record(rec: SERecord, digits: int) -> str:
             % (rec.ray.v3_0, rec.ray.v3_inf, rec.k)
         )
     else:
-        lo, hi = rec.k.decimal_bounds(digits)
+        (lo, hi), (rlo, rhi) = rec.ray_cells(digits)
         lines.append("ray: irregular, k in [%s, %s]" % (lo, hi))
-        rlo, rhi = rec.ray.ratio.decimal_bounds(digits)
         lines.append("     ratio v3_inf/v3_0 in [%s, %s]" % (rlo, rhi))
     smooth_txt = "true" if rec.smooth else "false"
     if rec.smooth_witnesses:
@@ -151,7 +151,7 @@ def _cmd_ypq(args) -> int:
     sols = enumerate_ypq(args.max)
     if args.json:
         rows = [dict(ypq_to_dict(s), m2_pair=[str(s.m2_0), str(s.m2_inf)]) for s in sols]
-        print(json.dumps(rows, sort_keys=True, indent=2))
+        print(to_json(rows))
         return 0
     # (p,q) = (1,0) is the round homogeneous structure; it sits outside the
     # p > q >= 1 enumeration and all its parameters are 1 by convention
@@ -197,8 +197,8 @@ def _cmd_join(args) -> int:
         if choice:
             weight_pairs(**choice)
         if args.json:
-            print(json.dumps({"homogeneous": True, "p": "1", "q": "0",
-                              "note": "all parameters 1"}, sort_keys=True, indent=2))
+            print(to_json({"homogeneous": True, "p": "1", "q": "0",
+                           "note": "all parameters 1"}))
         else:
             print("p=1 q=0  homogeneous case: all parameters 1, torsion trivial")
         return 0
@@ -216,7 +216,7 @@ def _cmd_family(args) -> int:
     k2 = family_k2(args.t) if args.t is not None else args.k2
     rec = family_record(k2)
     if args.json:
-        print(json.dumps(record_to_dict(rec, args.digits), sort_keys=True, indent=2))
+        print(to_json(record_to_dict(rec, args.digits)))
     else:
         print("k2=%d" % k2)
         print(_render_record(rec, args.digits))

@@ -213,8 +213,9 @@ class JoinQuotient(Frozen):
     K = m2*v2_0*v2_inf = lcm(m2_0, m2_inf), in which they are integral;
     ``bott()`` carries c1(L_n) itself.
 
-    Every field is an int, and m holds six positive ints; anything else,
-    a bool included, raises DomainError.
+    Every field is an int, s, m3, n and fano_index are positive, and m
+    holds six positive ints, as ``quotient_orbifold`` builds them; anything
+    else, a bool included, raises DomainError.
     """
 
     __slots__ = ("a", "b", "c", "m", "s", "m3", "n", "fano_index")
@@ -225,6 +226,8 @@ class JoinQuotient(Frozen):
                           ("fano_index", fano_index)):
             if not isinstance(val, int) or isinstance(val, bool):
                 raise DomainError("%s must be an integer, got %r" % (name, val))
+            if val < 1 and name not in ("a", "b", "c"):
+                raise DomainError("%s must be positive, got %d" % (name, val))
         m = tuple(m)
         if len(m) != 6 or not all(isinstance(x, int) and not isinstance(x, bool) and x > 0
                                   for x in m):

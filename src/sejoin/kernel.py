@@ -46,7 +46,9 @@ of x.  A quadratic root's decimal cell is read off the isqrt cell that
 degrees, ``decimal_bounds`` proposes the cell by integer Newton steps,
 whose precision about doubles each step, and accepts it only on an exact
 sign test, so a d-digit cell costs O(log d) evaluations instead of the
-~3.3 d of bisection.
+~3.3 d of bisection.  One such iteration also proposes the cells of the
+multiples s*x that ``scales`` names, each placed by a sign test on x's own
+polynomial: an irregular record's k and ratio k*w2/w1 share it.
 
 ``Frozen`` is the one immutability idiom of the package: ``Polynomial``,
 ``AlgebraicRoot`` and the record classes of the other modules derive from it.
@@ -541,40 +543,66 @@ class AlgebraicRoot(Frozen):
         return (Fraction(j, e) if j * d > a * e else Fraction(a, d),
                 Fraction(j + 1, e) if (j + 1) * d < b * e else Fraction(b, d))
 
-    def decimal_bounds(self, digits: int = 40):
+    def decimal_bounds(self, digits: int = 40, *, scales=None):
         """The one-unit decimal cell (lo_str, hi_str) containing the number x,
         with ``digits`` fractional digits: lo_str = floor(x*10^digits)/10^digits
         and hi_str one unit more.  The strings depend on x alone, not on the
-        isolating interval.
+        isolating interval.  Given ``scales``, a sequence of ints or
+        Fractions s > 0, it returns instead a list with the cell of s*x for
+        each s, all read from one Newton iteration on poly: a record prints
+        k and its ratio k*w2/w1 as the cells of ``scales=(1, w2/w1)``.
 
         A quadratic's ``refined_interval(10^-digits)`` holds no grid point
         k/10^digits inside it, so the cell is floor(lo * 10^digits), with
         no sign test unless the root is rational.  For other degrees,
         integer Newton steps from a bracket narrower than ``NEWTON_START``
-        propose the cell n; ``_cmp`` takes n, n - 1 or n + 1 only if it holds
-        x.  Else the interval is bisected below 10^-digits, and ``_cmp`` at
-        the one grid point inside it, if any, settles the cell."""
+        give x to about ceil(10 digits/3) + 16 bits, plus log2 s for an s
+        above 1, and so propose the cell n of each s*x; ``_cmp`` takes n,
+        n - 1 or n + 1 only if it holds s*x, placing x against (n/10^digits)/s.
+        Else the interval is bisected until s times it is narrower than
+        10^-digits, and ``_cmp`` at the one grid point inside, if any,
+        settles the cell."""
         if digits < 1:
             raise DomainError("digits must be >= 1")
+        factors = (1,) if scales is None else [_rational(s, "scale factor") for s in scales]
+        if scales is not None and any(s.numerator <= 0 for s in factors):
+            raise DomainError("scale factors must be positive, got %s" % (factors,))
         scale = 10**digits
-        n = None if len(self.coeffs) == 3 else self._newton_cell(
-            scale, -(-10 * digits // 3) + 16)
-        for cell in () if n is None else (n, n - 1, n + 1):
-            if self._cmp(cell, scale) >= 0 > self._cmp(cell + 1, scale):
-                break
-        else:
-            lo, hi = self.refined_interval(Fraction(1, scale))
-            cell = lo.numerator * scale // lo.denominator
-            # (lo, hi) is narrower than a cell; the one grid point
-            # (cell + 1)/scale it may hold is placed against x exactly
-            if (hi.numerator * scale > (cell + 1) * hi.denominator
-                    and self._cmp(cell + 1, scale) >= 0):
-                cell += 1
-        return _scaled_to_decimal(cell, digits), _scaled_to_decimal(cell + 1, digits)
+        iterate = bits = None
+        if len(self.coeffs) != 3:
+            bits = -(-10 * digits // 3) + 16 + max(
+                [0] + [s.numerator.bit_length() - s.denominator.bit_length() for s in factors])
+            iterate = self._newton_iterate(bits)
+        cells = []
+        for s in factors:
+            cell = self._scaled_cell(s.numerator * scale, s.denominator, iterate, bits)
+            cells.append((_scaled_to_decimal(cell, digits),
+                          _scaled_to_decimal(cell + 1, digits)))
+        return cells[0] if scales is None else cells
 
-    def _newton_cell(self, scale: int, bits: int):
-        """floor(x' * scale) for an approximation x' of the root within a few
-        units of 2^-bits, or None if poly' vanishes at an iterate.
+    def _scaled_cell(self, n: int, m: int, iterate, bits: int) -> int:
+        """floor(x n/m) for the root x, proposed by ``iterate``, about
+        x 2^bits as ``_newton_iterate`` returns it, or by nothing if it is
+        None.  A cell c is taken only when ``_cmp`` places x at or above
+        c m/n and below (c + 1) m/n."""
+        if iterate is not None:
+            c = iterate * n // (m << bits)
+            for cell in (c, c - 1, c + 1):
+                if self._cmp(cell * m, n) >= 0 > self._cmp((cell + 1) * m, n):
+                    return cell
+        lo, hi = self.refined_interval(Fraction(m, n))
+        cell = lo.numerator * n // (lo.denominator * m)
+        # (lo, hi) times n/m is narrower than a cell; the one grid point
+        # (cell + 1) m/n it may hold is placed against x exactly
+        if (hi.numerator * n > (cell + 1) * m * hi.denominator
+                and self._cmp((cell + 1) * m, n) >= 0):
+            cell += 1
+        return cell
+
+    def _newton_iterate(self, bits: int):
+        """x' * 2^bits, an integer, for an approximation x' of the root
+        within a few units of 2^-bits, or None if poly' vanishes at an
+        iterate.
 
         From the midpoint of a bracket narrower than NEWTON_START, each step
         X <- X - floor(D^deg poly(X/D) / D^(deg-1) poly'(X/D)) with D = 2^k
@@ -582,7 +610,7 @@ class AlgebraicRoot(Frozen):
         Newton step about doubles the correct bits.  A step also loses about
         log2 |poly''/2poly'| bits, and the next step doubles that loss, so
         each precision keeps NEWTON_GUARD bits over half the next.  Nothing
-        here is trusted: the caller tests the cell exactly."""
+        here is trusted: the caller tests each cell exactly."""
         lo, hi = self.refined_interval(NEWTON_START)
         ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
         coeffs = self.coeffs
@@ -601,7 +629,7 @@ class AlgebraicRoot(Frozen):
             x -= _scaled_value(coeffs, x, 1 << k) // slope
             # kept in the bracket, so a diverging step cannot grow x
             x = min(max(x, (ln << k) // ld), -((-hn << k) // hd))
-        return x * scale >> bits
+        return x
 
     def _cmp(self, xn: int, xd: int) -> int:
         """The sign of x - xn/xd, xd > 0: the one exact placement of the

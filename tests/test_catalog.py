@@ -1,11 +1,15 @@
 """Record assembly, enumeration, paper verification, export, and the CLI."""
 
+import ast
 import itertools
 import json
+import pathlib
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sejoin import catalog, cli, metric
 from sejoin.catalog import (
@@ -16,6 +20,7 @@ from sejoin.catalog import (
     export_records,
     family_record,
     record_to_dict,
+    to_json,
     verify_paper_examples,
     weight_pairs,
     write_export,
@@ -425,6 +430,46 @@ class TestExport:
     def test_write_export_unwritable_path(self, tmp_path):
         with pytest.raises(RuntimeError, match="cannot write"):
             write_export([], "json", str(tmp_path / "no" / "dir" / "x.json"))
+
+
+# strings that exercise every escape: quotes, backslashes, control
+# characters, non-ASCII letters, an astral character and a lone surrogate
+JSON_TEXT = st.text(st.sampled_from('"\\/\x00\x08\t\n\x1f\x7fa Z9é\u2028\U0001d11e\ud800'))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_TEXT | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=20)
+
+
+class TestToJson:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(JSON_VALUES)
+    def test_matches_sorted_indented_json_dumps(self, value):
+        assert to_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_matches_on_exported_records(self):
+        dicts = [record_to_dict(r) for r in enumerate_joins(solve(13, 8), w_bound=5)]
+        dicts.append(record_to_dict(build_record(13, 8, k=2)))
+        assert to_json(dicts) == json.dumps(dicts, sort_keys=True, indent=2)
+
+    def test_is_the_one_json_writer(self):
+        # no module calls json.dump or json.dumps: every JSON text of the
+        # package, export and each --json, is written by to_json
+        calls = []
+        for path in sorted(pathlib.Path(catalog.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+                        and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                    calls.append("%s:%d" % (path.name, node.lineno))
+        assert calls == []
+
+    @pytest.mark.parametrize("value", [0.5, Fraction(1, 2), [1, 2.0], {"r3": Fraction(1, 3)},
+                                       (1, 2), {1: "a"}],
+                             ids=["float", "fraction", "nested-float", "nested-fraction",
+                                  "tuple", "int-key"])
+    def test_rejects_other_types(self, value):
+        with pytest.raises(TypeError):
+            to_json(value)
 
 
 # --------------------------------------------------------------------- CLI

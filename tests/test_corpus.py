@@ -45,6 +45,8 @@ CORPUS = [
                               "--json"]),
     ("profile-13-8-k-2-grid-8.txt", ["profile", "--record", str(DATA / "join-13-8-k-2.json"),
                                      "--grid", "8", "--decimal"]),
+    ("family-t-1.json", ["family", "--t", "1", "--json"]),
+    ("join-1-0.json", ["join", "--p", "1", "--q", "0", "--json"]),
 ]
 
 

@@ -398,6 +398,16 @@ class TestQuotientOrbifold:
         with pytest.raises(DomainError, match="m must be six positive integers"):
             JoinQuotient(a=70, b=78540, c=748, m=m, s=1, m3=15, n=748, fano_index=12)
 
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("name", ["s", "m3", "n", "fano_index"])
+    def test_rejects_counts_below_one(self, name, value):
+        # quotient_orbifold builds these positive; fano_index = 0 used to
+        # reach bott() and raise ZeroDivisionError there
+        fields = dict(a=70, b=78540, c=748, m=(1, 1, 91, 65, 255, 165), s=1, m3=15, n=748,
+                      fano_index=12)
+        with pytest.raises(DomainError, match="^%s must be positive, got %d$" % (name, value)):
+            JoinQuotient(**{**fields, name: value})
+
     def test_golden_b(self):
         spec = JoinSpec(YPQ_B, 7, 45, 34, 11)
         quo = quotient_orbifold(spec, se_ray_from_w(34, 11))

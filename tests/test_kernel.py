@@ -1351,6 +1351,71 @@ def test_stored_lower_sign_and_cmp_match_the_references(roots, digits, s):
             assert root._cmp(m, scale) == _fraction_cmp(root, F(m, scale))
 
 
+def test_record_cells_share_one_newton_iteration():
+    # every irregular ray with coprime w1 < 80: the cells of k and its ratio
+    # k*w2/w1 that one Newton iteration on k's cubic gives equal those of k
+    # and k.scaled(w2/w1) computed on their own, and none falls back to
+    # bisection, so k is refined once, to the bracket Newton starts from
+    pairs = 0
+    for w1 in range(2, 80):
+        for w2 in range(1, w1):
+            if gcd(w1, w2) > 1:
+                continue
+            ray = se_ray_from_w(w1, w2)
+            if ray.quasi_regular:
+                continue
+            pairs += 1
+            s = F(w2, w1)
+            for digits in (1, 40, 200):
+                with pytest.MonkeyPatch.context() as patch:
+                    calls = _counted_refinements(patch)
+                    cells = ray.k.decimal_bounds(digits, scales=(1, s))
+                assert calls == [kernel.NEWTON_START]
+                assert cells == [ray.k.decimal_bounds(digits),
+                                 ray.k.scaled(s).decimal_bounds(digits)]
+    assert pairs == 1929
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(printed_roots(), st.integers(1, 60),
+       st.lists(st.fractions(F(1, 1000), 10**12, max_denominator=1000), max_size=3))
+def test_scaled_cells_are_the_cells_of_the_scaled_roots(roots, digits, scales):
+    # quadratic roots too, and factors far above 1, whose log2 the Newton
+    # precision adds, so no cubic cell falls back to bisection; a factor of
+    # 1 is the cell of the root itself
+    for root in roots:
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _counted_refinements(patch)
+            cells = root.decimal_bounds(digits, scales=[1] + scales)
+        assert cells == ([root.decimal_bounds(digits)]
+                         + [root.scaled(s).decimal_bounds(digits) for s in scales])
+        assert len(calls) == (1 if len(root.coeffs) == 4 else 1 + len(scales))
+
+
+@pytest.mark.parametrize("digits", [1, 7, 40])
+def test_scaled_cells_fall_back_to_bisection(monkeypatch, digits):
+    # with no Newton iterate every cell is the bisection fallback's, whose
+    # grid point (n + 1)/(s 10^d) is placed against x; the reference bisects
+    # the scaled polynomial on Fractions
+    (k,) = real_roots(se_cubic(79, 8))
+    t, _ = ray_ratio(13, 5)
+    roots = [(root, s) for root in (k, t) for s in (F(8, 79), F(7, 3), F(1000, 7))]
+    monkeypatch.setattr(AlgebraicRoot, "_newton_iterate", lambda self, bits: None)
+    for root, s in roots:
+        cells = root.decimal_bounds(digits, scales=(1, s))
+        assert [_cell(*c, digits) for c in cells] == [
+            _plain_cell(root, digits), _plain_cell(root.scaled(s), digits)]
+
+
+@pytest.mark.parametrize("scales,error", [
+    ((1, 0), DomainError), ((F(-1, 2),), DomainError), ((0.5,), TypeError),
+    ((True,), TypeError)], ids=["zero", "negative", "float", "bool"])
+def test_decimal_bounds_scales_are_positive_rationals(scales, error):
+    (k,) = real_roots(se_cubic(5, 2))
+    with pytest.raises(error):
+        k.decimal_bounds(10, scales=scales)
+
+
 @pytest.mark.parametrize("coeffs,root", [
     ((-1, 1, 6), F(1, 3)),                      # 6z^2 + z - 1 = (3z - 1)(2z + 1)
     ((-3, 0, 2), ("1.2247448713", "1.2247448714")),  # 2z^2 - 3: discriminant 24
