@@ -141,11 +141,13 @@ class ReebRay(Frozen):
 
 def se_ray_from_w(w1: int, w2: int) -> ReebRay:
     """Solve the cubic for its unique root k in (1, oo) and convert to the
-    Reeb ray with v3_inf/v3_0 = k*w2/w1."""
-    cubic = se_cubic(w1, w2)
-    (k,) = real_roots(cubic)
+    Reeb ray with v3_inf/v3_0 = k*w2/w1.  ``real_roots`` takes the cubic as
+    its integer list, so no Polynomial is built; only the error raised when
+    k is not above 1 builds ``se_cubic`` to print it."""
+    validate_w(w1, w2)
+    (k,) = real_roots(_se_cubic_ints(w1, w2))
     if not k > 1:
-        raise ConsistencyError("the positive root of %r is not above 1" % (cubic,))
+        raise ConsistencyError("the positive root of %r is not above 1" % (se_cubic(w1, w2),))
     if isinstance(k, Fraction):
         ratio = k * w2 / w1
         if not verify_se_ray(w1, w2, ratio.denominator, ratio.numerator):

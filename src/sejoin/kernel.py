@@ -12,7 +12,9 @@ Fraction operands only, and raises TypeError on anything else.
 ``real_roots`` returns the one positive root of a polynomial of degree 2 or
 3 with p(0) != 0 and one sign variation in its coefficients, as the SE
 cubic and the Y^{p,q} quadratic are; by Descartes' rule of signs that root
-exists and is simple.  It raises DomainError on any other input.  One isqrt
+exists and is simple.  It raises DomainError on any other input.  It takes
+a Polynomial or a list of ints, made primitive on integers: the SE cubic
+comes as that list and is never a Polynomial.  One isqrt
 of a quadratic's discriminant decides whether the root is rational and
 otherwise gives it an interval narrower than NEWTON_START; a cubic's root
 is the first positive rational candidate that trial division finds, each
@@ -29,7 +31,9 @@ lists: ``Polynomial.__mul__`` and ``integrate_sym`` clear denominators once
 and call them, and the KE profile and the two ray integrals call them
 directly, with a Fraction built only where a record stores one.
 ``Polynomial.__call__`` is Horner's rule on one integer numerator and one
-positive integer denominator with a single Fraction at the end, and
+positive integer denominator with a single Fraction at the end;
+``_scaled_value``, the integer d^deg p(m/d) behind every sign test, takes
+three and four coefficients in closed form; and
 ``sturm_chain`` is an integer pseudo-remainder sequence on the coefficient
 list that its caller scaled to integers once, whose signs are read by
 integer Horner evaluation, with no Fraction built.  Trial division and
@@ -44,11 +48,12 @@ scaled root s*x (``AlgebraicRoot.scaled``), which inherits the certificate
 of x.  A quadratic root's decimal cell is read off the isqrt cell that
 ``_quadratic_cell`` puts it in, on a grid that 10^-d divides.  For other
 degrees, ``decimal_bounds`` proposes the cell by integer Newton steps,
-whose precision about doubles each step, and accepts it only on an exact
-sign test, so a d-digit cell costs O(log d) evaluations instead of the
-~3.3 d of bisection.  One such iteration also proposes the cells of the
-multiples s*x that ``scales`` names, each placed by a sign test on x's own
-polynomial: an irregular record's k and ratio k*w2/w1 share it.
+whose precision about doubles each step, each reading poly and poly' from
+one Horner pass, and accepts it only on an exact sign test, so a d-digit
+cell costs O(log d) evaluations instead of the ~3.3 d of bisection.  One
+such iteration also proposes the cells of the multiples s*x that
+``scales`` names, each placed by a sign test on x's own polynomial: an
+irregular record's k and ratio k*w2/w1 share it.
 
 ``Frozen`` is the one immutability idiom of the package: ``Polynomial``,
 ``AlgebraicRoot`` and the record classes of the other modules derive from it.
@@ -136,7 +141,8 @@ class Polynomial(Frozen):
     """Dense univariate polynomial over Fraction.
 
     coeffs[i] is the coefficient of z^i; trailing zeros are stripped, so the
-    zero polynomial has coeffs == () and degree -1.  Instances are immutable.
+    degree is len(coeffs) - 1 and the zero polynomial has coeffs == ().
+    Instances are immutable.
     """
 
     __slots__ = ("coeffs",)
@@ -146,10 +152,6 @@ class Polynomial(Frozen):
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -362,7 +364,20 @@ NEWTON_GUARD = 8
 
 def _scaled_value(coeffs, m: int, d: int) -> int:
     """d^deg * p(m/d) for p with integer coefficients ``coeffs`` (lowest
-    degree first), by Horner's rule on integers; same sign as p(m/d), d > 0."""
+    degree first), by Horner's rule on integers; same sign as p(m/d), d > 0.
+
+    Four and three coefficients, the SE cubic, the Y^{p,q} quadratic and
+    the derivatives in their Sturm chains, are evaluated in closed form,
+    ((c3 m + c2 d) m + c1 d^2) m + c0 d^3 and (c2 m + c1 d) m + c0 d^2,
+    with no loop; other lengths run the loop, which gives the same value."""
+    n = len(coeffs)
+    if n == 4:
+        c0, c1, c2, c3 = coeffs
+        dd = d * d
+        return ((c3 * m + c2 * d) * m + c1 * dd) * m + c0 * dd * d
+    if n == 3:
+        c0, c1, c2 = coeffs
+        return (c2 * m + c1 * d) * m + c0 * d * d
     acc, dpow = 0, 1
     for c in reversed(coeffs):
         acc = acc * m + c * dpow
@@ -609,12 +624,14 @@ class AlgebraicRoot(Frozen):
         runs at a precision k that about doubles up to ``bits``, since a
         Newton step about doubles the correct bits.  A step also loses about
         log2 |poly''/2poly'| bits, and the next step doubles that loss, so
-        each precision keeps NEWTON_GUARD bits over half the next.  Nothing
-        here is trusted: the caller tests each cell exactly."""
+        each precision keeps NEWTON_GUARD bits over half the next.  Both
+        values come from one Horner pass over ``coeffs``: with v the running
+        D^j poly value, s <- s X + v before each v <- v X + c D^j ends at
+        D^(deg-1) poly'(X/D), so no derivative list is built.  Nothing here
+        is trusted: the caller tests each cell exactly."""
         lo, hi = self.refined_interval(NEWTON_START)
         ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-        coeffs = self.coeffs
-        deriv = [i * c for i, c in enumerate(coeffs)][1:]
+        descending = self.coeffs[::-1]
         # the first step starts from the bracket's 17 or so correct bits
         schedule = [bits]
         while schedule[-1] > 32:
@@ -623,10 +640,14 @@ class AlgebraicRoot(Frozen):
         x = ((ln * hd + hn * ld) << k) // (2 * ld * hd)
         for step in reversed(schedule):
             x, k = x << (step - k), step
-            slope = _scaled_value(deriv, x, 1 << k)
+            value = slope = shift = 0
+            for c in descending:
+                slope = slope * x + value
+                value = value * x + (c << shift)
+                shift += k
             if slope == 0:
                 return None
-            x -= _scaled_value(coeffs, x, 1 << k) // slope
+            x -= value // slope
             # kept in the bracket, so a diverging step cannot grow x
             x = min(max(x, (ln << k) // ld), -((-hn << k) // hd))
         return x
@@ -708,13 +729,17 @@ def _divisors(n: int) -> list:
     return out
 
 
-def real_roots(p: Polynomial) -> list:
+def real_roots(p: Union[Polynomial, list]) -> list:
     """[x] for the one positive root x of p: a Fraction when x is rational,
     else an AlgebraicRoot on an isolating interval, unrefined.
 
-    p must have degree 2 or 3, p(0) != 0 and exactly one sign variation in
-    its nonzero coefficients, as the SE cubic and the Y^{p,q} quadratic do
-    (README, library layout); any other p raises DomainError.  By Descartes'
+    p is a Polynomial, or its integer coefficients as a list (lowest degree
+    first), which are made primitive on integers with no Fraction built; an
+    entry that is not an int, or is a bool, raises TypeError.  The SE cubic
+    comes as ``join._se_cubic_ints``' list, the Y^{p,q} quadratic as a
+    Polynomial.  p must have degree 2 or 3, p(0) != 0 and exactly one sign
+    variation in its nonzero coefficients, as those two do (README, library
+    layout); any other p raises DomainError.  By Descartes'
     rule of signs such a p has exactly one positive root, and it is simple.
     On the primitive integers, with a positive lead, a0 < 0.  A quadratic
     (c, b, a) then has a > 0 > c, so D = b^2 - 4ac > 0, and x is its
@@ -731,9 +756,17 @@ def real_roots(p: Polynomial) -> list:
 
     The name and the list are what the benchmark's tracer wraps and
     iterates over, so they stay although the list has one entry."""
-    ints = _primitive_ints(p.coeffs)
+    if isinstance(p, Polynomial):
+        ints = _primitive_ints(p.coeffs)
+    else:
+        for c in p:
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise TypeError("coefficient must be an int, got %r" % (c,))
+        ints = _content_free(list(p))
+        if ints and ints[-1] < 0:
+            ints = [-v for v in ints]
     signs = [v > 0 for v in ints if v]
-    if (p.degree not in (2, 3) or ints[0] == 0
+    if (len(ints) not in (3, 4) or ints[0] == 0
             or sum(a != b for a, b in zip(signs, signs[1:])) != 1):
         raise DomainError("real_roots needs degree 2 or 3, p(0) != 0 and one "
                           "sign variation, got %r" % (p,))
@@ -742,7 +775,8 @@ def real_roots(p: Polynomial) -> list:
         # one poly_eval of ypq-census and sweep-export, a cross-check; ints is
         # a multiple of p, so it has p's vertex, and p(v) * lead >= 0 is read
         # on the numerators
-        if p(Fraction(-ints[1], 2 * ints[2])).numerator * p.coeffs[2].numerator >= 0:
+        quad = p if isinstance(p, Polynomial) else Polynomial(ints)
+        if quad(Fraction(-ints[1], 2 * ints[2])).numerator * quad.coeffs[2].numerator >= 0:
             raise ConsistencyError("%r does not change sign at its vertex" % (p,))
         j, d, exact = _quadratic_cell(ints, 1 << 16, True)
         if exact:

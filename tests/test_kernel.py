@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from sejoin import kernel
 from sejoin.catalog import build_record
-from sejoin.join import se_cubic, se_ray_from_w
+from sejoin.join import _se_cubic_ints, se_cubic, se_ray_from_w
 from sejoin.kernel import (
     AlgebraicRoot,
     ConsistencyError,
@@ -71,11 +71,11 @@ def test_integer_sqrt_exact_512_bit():
 
 def test_polynomial_normalization_and_eval():
     p = Polynomial((1, 2, 0, 0))
-    assert p.degree == 1
+    assert len(p.coeffs) == 2
     assert p.coeffs == (F(1), F(2))
     assert p(F(3, 2)) == 4
     z = Polynomial(())
-    assert z.is_zero() and z.degree == -1 and z(5) == 0
+    assert z.is_zero() and z.coeffs == () and z(5) == 0
 
 
 def test_polynomial_immutable():
@@ -164,7 +164,7 @@ def _antiderivative(p):
 
 def _square_free(p):
     """p(0) != 0 and p square-free."""
-    return p.coeffs[0] != 0 and _monic_gcd(p, _derivative(p)).degree == 0
+    return p.coeffs[0] != 0 and len(_monic_gcd(p, _derivative(p)).coeffs) == 1
 
 
 def _all_divisors(n):
@@ -184,7 +184,7 @@ def _unpruned_rational_roots(p):
             for cand in (F(u, v), F(-u, v)):
                 if cand not in roots and p(cand) == 0:
                     roots.append(cand)
-                    while p.degree > 0 and p(cand) == 0:
+                    while len(p.coeffs) > 1 and p(cand) == 0:
                         p = Polynomial(_long_division(p.coeffs, (-cand, 1))[0])
     return sorted(roots), p
 
@@ -194,7 +194,7 @@ def _surd_roots(p):
     of p with its rational roots deflated until each cell holds one root and
     a sign change."""
     rest = _unpruned_rational_roots(p)[1]
-    if rest.degree < 1:
+    if len(rest.coeffs) < 2:
         return []
     m = _cauchy(rest)
     out, stack = [], [(-m, m)]
@@ -252,7 +252,7 @@ def _one_variation(p):
     sign change between consecutive nonzero coefficients, read from p's own
     coefficients; by Descartes' rule p then has one positive root."""
     signs = [c > 0 for c in p.coeffs if c]
-    return (p.degree in (2, 3) and p.coeffs[0] != 0
+    return (len(p.coeffs) in (3, 4) and p.coeffs[0] != 0
             and sum(a != b for a, b in zip(signs, signs[1:])) == 1)
 
 
@@ -261,7 +261,7 @@ def test_sturm_chain_ends_in_gcd():
     sq = p * p * Polynomial((2, 1))  # (z - 1)^2 (z + 2)
     g = Polynomial(sturm_chain(_content_free_ints(sq))[-1])
     # gcd(sq, sq') = z - 1, up to a constant factor
-    assert g.degree == 1 and (1 / g.coeffs[-1]) * g == p
+    assert len(g.coeffs) == 2 and (1 / g.coeffs[-1]) * g == p
     assert _monic_gcd(sq, _derivative(sq)) == p
 
 
@@ -848,7 +848,7 @@ def test_real_roots_are_roots_and_counted(coeffs):
         # r isolates the positive root of p itself: an isqrt interval of a
         # quadratic, or (0, m) for a cubic, as (z+1)(z^2-2) on (0, 3)
         assert r.poly(r.lo) * r.poly(r.hi) < 0 and r.lo >= 0
-        assert r.poly.degree == p.degree and not _long_division(p.coeffs, r.poly.coeffs)[1]
+        assert len(r.poly.coeffs) == len(p.coeffs) and not _long_division(p.coeffs, r.poly.coeffs)[1]
 
 
 def _below_sqrt(x, d):
@@ -900,7 +900,7 @@ def test_repeated_factors_counted_once(c, linear, d, f, lo, hi):
     else:
         # sqrt(d), isolated as a root of p itself
         assert isinstance(root, AlgebraicRoot)
-        assert root.poly.degree == p.degree and not _long_division(p.coeffs, root.poly.coeffs)[1]
+        assert len(root.poly.coeffs) == len(p.coeffs) and not _long_division(p.coeffs, root.poly.coeffs)[1]
         # the interval lies on the root's side of 0, which may be one end
         assert root.lo >= 0 and root.hi > 0
         sqrt_d = AlgebraicRoot(Polynomial((-d, 0, 1)), 0, d + 1)
@@ -1302,9 +1302,11 @@ def test_decimal_bounds_falls_back_to_bisection(monkeypatch, hi, digits):
 
 
 def test_decimal_bounds_cost_grows_with_newton_steps(monkeypatch):
-    # 24 evaluations were measured: eleven Newton steps of two each and the
-    # cell test.  real_roots already bisected k down to the 2^-16 bracket.
-    # One-bit bisection to 4000 digits needs about 13,300.
+    # 2 evaluations are counted, the cell test's: the eleven Newton steps
+    # read poly and poly' in one Horner pass each, inline (24 evaluations
+    # when each step called _scaled_value twice).  real_roots already
+    # bisected k down to the 2^-16 bracket.  One-bit bisection to 4000
+    # digits needs about 13,300.
     calls = []
     scaled_value = kernel._scaled_value
 
@@ -1536,7 +1538,7 @@ def test_pruned_trial_division_finds_every_rational_root(planted, extra, content
     p = Polynomial((content,)) * Polynomial(extra or [1])
     for u, v in planted:
         p = p * Polynomial((-u, v))
-    assume(p.degree in (2, 3))
+    assume(len(p.coeffs) in (3, 4))
     if not _one_variation(p):
         with pytest.raises(DomainError):
             real_roots(p)
@@ -1619,14 +1621,135 @@ def test_ray_ratio_scales_its_quadratic_to_integers_once(monkeypatch):
 
 
 def test_se_ray_scales_its_cubic_to_integers_once(monkeypatch):
-    # in real_roots, which builds k's AlgebraicRoot from that integer list
+    # the cubic is born on integers: real_roots takes _se_cubic_ints' list,
+    # divides out its content, and builds k's AlgebraicRoot from it, with no
+    # Polynomial built and no Fraction coefficients cleared
     calls = []
-    primitive = kernel._primitive_ints
-    monkeypatch.setattr(kernel, "_primitive_ints", lambda c: calls.append(c) or primitive(c))
+    init = Polynomial.__init__
+
+    def counted_init(self, coeffs=()):
+        calls.append("Polynomial")
+        init(self, coeffs)
+
+    monkeypatch.setattr(kernel, "_primitive_ints", lambda c: calls.append(c))
+    monkeypatch.setattr(Polynomial, "__init__", counted_init)
     ray = se_ray_from_w(5, 2)
     assert isinstance(ray.k, AlgebraicRoot)
-    assert calls == [se_cubic(5, 2).coeffs]
-    assert ray.k.coeffs == tuple(primitive(se_cubic(5, 2).coeffs))
+    assert calls == []
+    assert list(ray.k.coeffs) == _se_cubic_ints(5, 2) == [-15, -8, -1, 6]
+    # (2, 1)'s cubic has content 3
+    assert se_ray_from_w(2, 1).k.coeffs == (-2, -1, 0, 1)
+    assert calls == []
+
+
+def test_real_roots_list_form_matches_polynomial_form():
+    # the same root on the same interval from the integer list as from the
+    # Polynomial, for every coprime weight pair with w1 < 80 and for the
+    # Y^{p,q} quadratics with p < 40, given as their integer numerators
+    cases = [(_se_cubic_ints(w1, w2), se_cubic(w1, w2)) for w1 in range(2, 80)
+             for w2 in range(1, w1) if gcd(w1, w2) == 1]
+    cases += [([c.numerator for c in quad.coeffs], quad) for quad in
+              (ray_ratio(p, q)[1] for p in range(2, 40) for q in range(1, p)
+               if gcd(p, q) == 1) if all(c.denominator == 1 for c in quad.coeffs)]
+    assert len(cases) > 2000
+    for ints, poly in cases:
+        (x,) = real_roots(ints)
+        (y,) = real_roots(poly)
+        assert type(x) is type(y) and x == y
+        if isinstance(x, AlgebraicRoot):
+            assert (x.coeffs, x._a, x._b, x._d) == (y.coeffs, y._a, y._b, y._d)
+
+
+@pytest.mark.parametrize("ints", [
+    [-15, -8, -1, 6.0], [True, -8, -1, 6], [-15, -8, -1, F(6)], [-3, F(1, 2), 1],
+    [-15, False, -1, 6], ["-15", -8, -1, 6]])
+def test_real_roots_list_entries_must_be_ints(ints):
+    with pytest.raises(TypeError, match="must be an int"):
+        real_roots(ints)
+
+
+@pytest.mark.parametrize("ints", [
+    [-1, 0, 0, 0, 1], [0, -8, -1, 6], [0, -1, 1], [-1, 1], [5], [], [0, 0, 0],
+    [-1, 1, -1, 1], [1, 2, 3]])
+def test_real_roots_list_form_keeps_the_domain_gates(ints):
+    # a quartic, a zero constant term, a line, a constant, the zero list,
+    # three sign variations and none all raise DomainError, as the
+    # Polynomial form does on the same coefficients
+    with pytest.raises(DomainError):
+        real_roots(ints)
+    with pytest.raises(DomainError):
+        real_roots(Polynomial(ints))
+
+
+def test_real_roots_list_form_is_made_primitive():
+    # trailing zeros dropped, content divided out, the lead made positive,
+    # and the caller's list left as it was
+    assert real_roots([6, -1, -1]) == real_roots(Polynomial([6, -1, -1])) == [2]
+    ints = [30, 16, 2, -12, 0]
+    (x,) = real_roots(ints)
+    assert ints == [30, 16, 2, -12, 0]
+    assert x.coeffs == (-15, -8, -1, 6) and x == se_ray_from_w(5, 2).k
+    assert real_roots([-6, 1, 1]) == real_roots(Polynomial([-6, 1, 1])) == [2]
+
+
+def _horner_loop(coeffs, m, d):
+    """d^deg * p(m/d) by the plain integer Horner loop."""
+    acc, dpow = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * m + c * dpow
+        dpow *= d
+    return acc
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(-2**200, 2**200), min_size=1, max_size=6),
+       st.integers(), st.integers(min_value=1))
+@example([-15, -8, -1, 6], 7, 4)
+@example([-1, 2, 3], -5, 1)
+def test_scaled_value_closed_forms_match_the_loop(coeffs, m, d):
+    assert kernel._scaled_value(coeffs, m, d) == _horner_loop(coeffs, m, d)
+    assert kernel._scaled_value(tuple(coeffs), m, d) == _horner_loop(coeffs, m, d)
+
+
+def _two_pass_newton(root, bits):
+    """``_newton_iterate`` with poly and poly' each read by ``_scaled_value``
+    from a derivative list of their own."""
+    lo, hi = root.refined_interval(kernel.NEWTON_START)
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    deriv = [i * c for i, c in enumerate(root.coeffs)][1:]
+    schedule = [bits]
+    while schedule[-1] > 32:
+        schedule.append(schedule[-1] // 2 + kernel.NEWTON_GUARD)
+    k = schedule[-1]
+    x = ((ln * hd + hn * ld) << k) // (2 * ld * hd)
+    for step in reversed(schedule):
+        x, k = x << (step - k), step
+        slope = kernel._scaled_value(deriv, x, 1 << k)
+        if slope == 0:
+            return None
+        x -= kernel._scaled_value(root.coeffs, x, 1 << k) // slope
+        x = min(max(x, (ln << k) // ld), -((-hn << k) // hd))
+    return x
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(printed_roots(), st.integers(1, 4000))
+def test_one_pass_newton_matches_two_evaluations(roots, bits):
+    for root in roots:
+        assert root._newton_iterate(bits) == _two_pass_newton(root, bits)
+
+
+@pytest.mark.parametrize("root", [
+    AlgebraicRoot(Polynomial((-2, 0, 0, 0, 0, 1)), 1, 2),
+    AlgebraicRoot(Polynomial((-7, 3, 0, 0, 0, 0, -1, 2)), 1, 2),
+    AlgebraicRoot(Polynomial((-3, 1)), 2, 4),
+    AlgebraicRoot(Polynomial((1 - F(4, 10**30), -1, -1, 1)), 1, 1 + F(1, 2**20)),
+    AlgebraicRoot(Polynomial((1 - F(4, 10**30), -1, -1, 1)), 1, 3)])
+@pytest.mark.parametrize("bits", [17, 40, 700])
+def test_one_pass_newton_matches_two_evaluations_in_any_degree(root, bits):
+    # a quintic, a degree-7 root, a line, and the zero-slope and slow
+    # double-root cases of the bisection fallback
+    assert root._newton_iterate(bits) == _two_pass_newton(root, bits)
 
 
 def test_irregular_record_certifies_one_root(monkeypatch):
@@ -1687,7 +1810,7 @@ class _FractionInterval:
         self.coeffs, self.poly, self.lo, self.hi = root.coeffs, root.poly, lo, hi
 
     def refined_interval(self, width):
-        if self.poly.degree != 2:
+        if len(self.poly.coeffs) != 3:
             return _fraction_bisection(self, width)
         lo, hi = _larger_root_cell(self.coeffs, ceil(1 / F(width)))
         return max(self.lo, lo), min(self.hi, hi)
