@@ -245,11 +245,17 @@ def _content_free(ints: list) -> list:
     return [v // g for v in ints] if g > 1 else ints
 
 
+def _primitive(ints: list) -> list:
+    """ints, stripped of trailing zeros in place, made primitive: content 1
+    and a positive leading coefficient."""
+    ints = _content_free(ints)
+    return [-v for v in ints] if ints and ints[-1] < 0 else ints
+
+
 def _primitive_ints(coeffs) -> list:
     """The primitive integer coefficients of the polynomial with Fraction
-    coefficients ``coeffs``: content 1 and a positive leading one."""
-    ints = _content_free(clear_denominators(coeffs)[0])
-    return [-v for v in ints] if ints and ints[-1] < 0 else ints
+    coefficients ``coeffs``."""
+    return _primitive(clear_denominators(coeffs)[0])
 
 
 def _pseudo_remainder(a: list, b: list) -> list:
@@ -366,10 +372,11 @@ def _scaled_value(coeffs, m: int, d: int) -> int:
     """d^deg * p(m/d) for p with integer coefficients ``coeffs`` (lowest
     degree first), by Horner's rule on integers; same sign as p(m/d), d > 0.
 
-    Four and three coefficients, the SE cubic, the Y^{p,q} quadratic and
-    the derivatives in their Sturm chains, are evaluated in closed form,
+    Four and three coefficients, the SE cubic, its derivative and the
+    Y^{p,q} quadratic, are evaluated in closed form,
     ((c3 m + c2 d) m + c1 d^2) m + c0 d^3 and (c2 m + c1 d) m + c0 d^2,
-    with no loop; other lengths run the loop, which gives the same value."""
+    with no loop; other lengths, such as the shorter terms of a Sturm
+    chain, run the loop, which gives the same value."""
     n = len(coeffs)
     if n == 4:
         c0, c1, c2, c3 = coeffs
@@ -383,6 +390,19 @@ def _scaled_value(coeffs, m: int, d: int) -> int:
         acc = acc * m + c * dpow
         dpow *= d
     return acc
+
+
+def _value_and_slope(descending, x: int, k: int) -> Tuple[int, int]:
+    """(D^deg p(x/D), D^(deg-1) p'(x/D)) with D = 2^k, for p with integer
+    coefficients ``descending`` (highest degree first), from one Horner
+    pass: with v the running D^j p value, s <- s x + v before each
+    v <- v x + c D^j ends at the derivative's value."""
+    value = slope = shift = 0
+    for c in descending:
+        slope = slope * x + value
+        value = value * x + (c << shift)
+        shift += k
+    return value, slope
 
 
 def _quadratic_cell(coeffs, n: int, larger: bool):
@@ -625,10 +645,9 @@ class AlgebraicRoot(Frozen):
         Newton step about doubles the correct bits.  A step also loses about
         log2 |poly''/2poly'| bits, and the next step doubles that loss, so
         each precision keeps NEWTON_GUARD bits over half the next.  Both
-        values come from one Horner pass over ``coeffs``: with v the running
-        D^j poly value, s <- s X + v before each v <- v X + c D^j ends at
-        D^(deg-1) poly'(X/D), so no derivative list is built.  Nothing here
-        is trusted: the caller tests each cell exactly."""
+        values of a step come from one ``_value_and_slope`` pass, with no
+        derivative list.  Nothing here is trusted: the caller tests each
+        cell exactly."""
         lo, hi = self.refined_interval(NEWTON_START)
         ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
         descending = self.coeffs[::-1]
@@ -640,11 +659,7 @@ class AlgebraicRoot(Frozen):
         x = ((ln * hd + hn * ld) << k) // (2 * ld * hd)
         for step in reversed(schedule):
             x, k = x << (step - k), step
-            value = slope = shift = 0
-            for c in descending:
-                slope = slope * x + value
-                value = value * x + (c << shift)
-                shift += k
+            value, slope = _value_and_slope(descending, x, k)
             if slope == 0:
                 return None
             x -= value // slope
@@ -762,9 +777,7 @@ def real_roots(p: Union[Polynomial, list]) -> list:
         for c in p:
             if not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError("coefficient must be an int, got %r" % (c,))
-        ints = _content_free(list(p))
-        if ints and ints[-1] < 0:
-            ints = [-v for v in ints]
+        ints = _primitive(list(p))
     signs = [v > 0 for v in ints if v]
     if (len(ints) not in (3, 4) or ints[0] == 0
             or sum(a != b for a, b in zip(signs, signs[1:])) != 1):

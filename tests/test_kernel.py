@@ -1302,23 +1302,28 @@ def test_decimal_bounds_falls_back_to_bisection(monkeypatch, hi, digits):
 
 
 def test_decimal_bounds_cost_grows_with_newton_steps(monkeypatch):
-    # 2 evaluations are counted, the cell test's: the eleven Newton steps
-    # read poly and poly' in one Horner pass each, inline (24 evaluations
-    # when each step called _scaled_value twice).  real_roots already
-    # bisected k down to the 2^-16 bracket.  One-bit bisection to 4000
-    # digits needs about 13,300.
-    calls = []
-    scaled_value = kernel._scaled_value
+    # eleven Newton steps, one _value_and_slope pass each, and 2
+    # evaluations, the cell test's.  real_roots already bisected k down to
+    # the 2^-16 bracket.  One-bit bisection to 4000 digits needs about
+    # 13,300 evaluations
+    calls, steps = [], []
+    scaled_value, value_and_slope = kernel._scaled_value, kernel._value_and_slope
 
     def counted(coeffs, m, d):
         calls.append(d)
         return scaled_value(coeffs, m, d)
 
+    def counted_step(descending, x, k):
+        steps.append(k)
+        return value_and_slope(descending, x, k)
+
     (k,) = real_roots(se_cubic(5, 2))
     monkeypatch.setattr(kernel, "_scaled_value", counted)
+    monkeypatch.setattr(kernel, "_value_and_slope", counted_step)
     lo, _ = k.decimal_bounds(4000)
     assert lo.startswith("1.7478477657396181608648273246901858997656")
-    assert len(calls) <= 48
+    assert len(steps) == 11
+    assert len(calls) <= 4
 
 
 def test_census_cells_evaluate_nothing_after_the_build(monkeypatch):
@@ -1730,6 +1735,16 @@ def _two_pass_newton(root, bits):
         x -= kernel._scaled_value(root.coeffs, x, 1 << k) // slope
         x = min(max(x, (ln << k) // ld), -((-hn << k) // hd))
     return x
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(-2**200, 2**200), min_size=1, max_size=6),
+       st.integers(), st.integers(0, 300))
+@example([-15, -8, -1, 6], 7, 2)
+def test_value_and_slope_match_two_evaluations(coeffs, x, k):
+    deriv = [i * c for i, c in enumerate(coeffs)][1:]
+    assert kernel._value_and_slope(coeffs[::-1], x, k) == (
+        kernel._scaled_value(coeffs, x, 1 << k), kernel._scaled_value(deriv, x, 1 << k))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
